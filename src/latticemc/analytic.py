@@ -12,21 +12,32 @@ and through log-gamma beyond, so every pmf stays usable at tau ~ 1e4.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 EXACT_BINOMIAL_MAX_TAU = 30
 
 
+@functools.lru_cache(maxsize=8)
+def _log_factorials(size: int) -> np.ndarray:
+    """Table of log(m!) for m < size, each entry its own math.lgamma.
+
+    A running sum of logs would drift by about 1e-9 at m = 2e4.
+    """
+    return np.fromiter((math.lgamma(m + 1.0) for m in range(size)), dtype=float, count=size)
+
+
 def _log_binomial(n, k):
-    n = np.asarray(n, dtype=float)
-    k = np.asarray(k, dtype=float)
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    n = np.asarray(n, dtype=np.int64)
+    k = np.asarray(k, dtype=np.int64)
+    # power-of-two table sizes let repeated pmf evaluations share one table
+    table = _log_factorials(1 << int(n.max()).bit_length())
+    return table[n] - table[k] - table[n - k]
 
 
 def _check_tau(tau: int) -> int:
@@ -66,7 +77,7 @@ def pmf_free(xi, tau: int, p: float, xi0: int = 0):
         target = tau if p == 1.0 else -tau
         out = np.where(inside & (d == target), 1.0, 0.0)
     else:
-        log_pmf = _log_binomial(2 * tau, k) + xlogy(k, up) + xlogy(2 * tau - k, down)
+        log_pmf = _log_binomial(2 * tau, k) + k * math.log(up) + (2 * tau - k) * math.log(down)
         out = np.where(inside, np.exp(log_pmf), 0.0)
     if np.isscalar(xi) or np.ndim(xi) == 0:
         return float(out)
@@ -204,7 +215,9 @@ def particle_energy_pmf(sigma: int, tau: int, e: float) -> float:
         return 0.0
     if tau <= EXACT_BINOMIAL_MAX_TAU:
         return float(math.comb(tau, sigma) * e**sigma * (1.0 - e) ** (tau - sigma))
-    log_val = _log_binomial(tau, sigma) + xlogy(sigma, e) + xlogy(tau - sigma, 1.0 - e)
+    if e == 0.0 or e == 1.0:  # the log form would meet 0 * log(0); the count is certain
+        return 1.0 if sigma == tau * e else 0.0
+    log_val = _log_binomial(tau, sigma) + sigma * math.log(e) + (tau - sigma) * math.log(1.0 - e)
     return float(np.exp(log_val))
 
 

@@ -70,41 +70,45 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _convert(key: str, raw: str, kind):
-    try:
-        if kind is bool:
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}: cannot parse {raw!r} as {kind.__name__}") from exc
+def _convert(key: str, raw, kind):
+    """Parse a config-file string, or type-check a value from a flag or manifest."""
+    if isinstance(raw, str):
+        try:
+            return kind(raw)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key}: cannot parse {raw!r} as {kind.__name__}") from exc
+    allowed = (int, float) if kind is float else kind
+    if isinstance(raw, bool) or not isinstance(raw, allowed):
+        raise ConfigError(f"config key {key}: expected {kind.__name__}, got {raw!r}")
+    return kind(raw)
 
 
 _REQUIRED = object()
 
 
-def _resolve(ns: argparse.Namespace, schema: dict) -> dict:
-    """Merge CLI values, config-file values, and defaults into one dict."""
-    file_values = _load_config(ns.config) if getattr(ns, "config", None) else {}
-    unknown = set(file_values) - set(schema)
+def _apply_schema(values: dict, schema: dict, origin: str) -> dict:
+    """Check and convert option values against ``schema``; absent keys take defaults."""
+    unknown = set(values) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown {origin} keys: {', '.join(sorted(unknown))}")
     out = {}
     for key, (kind, default) in schema.items():
-        cli_value = getattr(ns, key, None)
-        if cli_value is not None:
-            out[key] = cli_value
-        elif key in file_values:
-            out[key] = _convert(key, file_values[key], kind)
+        if values.get(key) is not None:
+            out[key] = _convert(key, values[key], kind)
         elif default is _REQUIRED:
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
         else:
             out[key] = default
     return out
+
+
+def _resolve(ns: argparse.Namespace, schema: dict) -> dict:
+    """Merge CLI values, config-file values, and defaults into one dict."""
+    values = _load_config(ns.config) if getattr(ns, "config", None) else {}
+    for key in schema:
+        if getattr(ns, key, None) is not None:
+            values[key] = getattr(ns, key)
+    return _apply_schema(values, schema, "config")
 
 
 def _positive(params: dict, *keys: str) -> None:
@@ -417,10 +421,11 @@ def _execute_rerun(manifest_path: str, out_dir: str | None) -> dict:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    command = doc.get("command")
-    params = dict(doc.get("params") or {})
-    if command not in ("free", "interfere") or not params:
+    command = doc.get("command") if isinstance(doc, dict) else None
+    if command not in ("free", "interfere") or not isinstance(doc.get("params"), dict):
         raise ConfigError("manifest does not describe a rerunnable command")
+    schema = _FREE_SCHEMA if command == "free" else _INTERFERE_SCHEMA
+    params = _apply_schema(doc["params"], schema, "manifest")
     if out_dir is not None:
         import os
 
@@ -504,6 +509,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"latticemc: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # config and manifest reads raise ConfigError; this is an output write
+        print(f"latticemc: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError("unreachable")
 

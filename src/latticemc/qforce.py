@@ -28,14 +28,20 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stats import Histogram, merge
-from .walker import ParticleState
-from .scenarios import ScenarioConfig, box_memory_force, ring_memory_force
+from .stats import Histogram
+from .walker import ParticleState, _run_shards
+from .scenarios import (
+    ScenarioConfig,
+    _memory_force,
+    _pair_terms,
+    _solve_rays,
+    _two_source_terms,
+    ring_memory_force,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +175,7 @@ def effective_momentum(particle: ParticleState) -> float:
 
 def mean_effective_momentum(p: float, p1: float, p2: float, q, delta: int):
     """Ensemble mean of the effective momentum on ray q for two sources."""
-    pair = 2.0 * math.sqrt(p1 * p2)
-    q_arr = np.asarray(q, dtype=float)
-    out = p - pair * np.sin(math.pi * delta * q_arr) / (math.pi * delta)
-    if np.isscalar(q) or np.ndim(q) == 0:
-        return float(out)
-    return out
+    return p - _memory_force(q, *_two_source_terms(p1, p2, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -224,48 +225,13 @@ def visit(site: SiteState, particle: ParticleState) -> BosonKey | None:
 # trained mode (vectorized, no lattice state)
 
 
-def _trained_boson_sum(q: np.ndarray, amps: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Converged carried-boson total 2*sqrt(Pi Pj)*sin(pi*delta*q)/(pi*delta)."""
-    out = np.zeros_like(q)
-    for amp, delta in zip(amps, deltas):
-        out += amp * np.sin(math.pi * delta * q) / (math.pi * delta)
-    return out
-
-
-def _pair_terms(sources) -> tuple[np.ndarray, np.ndarray]:
-    """(amplitudes 2*sqrt(Pi Pj), separations |si - sj|) over source pairs."""
-    sites = [s for s, _ in sources]
-    weights = [w for _, w in sources]
-    pairs = [(i, j) for i in range(len(sources)) for j in range(i + 1, len(sources))]
-    amps = np.array([2.0 * math.sqrt(weights[i] * weights[j]) for i, j in pairs])
-    deltas = np.array([abs(sites[i] - sites[j]) for i, j in pairs], dtype=float)
-    return amps, deltas
-
-
-def _solve_rays(p0: np.ndarray, amps: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Locked ray momenta: roots of q + boson_sum(q) = p0, elementwise.
-
-    The map q -> q + boson_sum(q) is nondecreasing for any valid source
-    weighting (its slope is 2*tau times the arrival density, which is
-    nonnegative), so bisection on [-1, 1] converges to the unique root.
-    """
-    lo = np.full_like(p0, -1.0)
-    hi = np.ones_like(p0)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        low_side = mid + _trained_boson_sum(mid, amps, deltas) < p0
-        lo = np.where(low_side, mid, lo)
-        hi = np.where(low_side, hi, mid)
-    return np.clip(0.5 * (lo + hi), -1.0, 1.0)
-
-
 def _trained_shard(
     sources: list[tuple[int, float]],
     n_particles: int,
     n_steps: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One shard of trained-mode walks; returns (xi, p0, counter).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One shard of trained-mode walks; returns (xi, p0, counter, q_star).
 
     With the lattice memory converged, a walker's effective propensity
     settles at the root of the ray equation for its preparation, and the
@@ -284,7 +250,7 @@ def _trained_shard(
     q_star = _solve_rays(p0, amps, deltas)
     counter = rng.binomial(2 * n_steps, (1.0 + q_star) / 2.0) - n_steps
     xi = sites[src] + counter
-    return xi, p0, counter
+    return xi, p0, counter, q_star
 
 
 @dataclass
@@ -326,34 +292,18 @@ def run_trained_slits(
     config.validate()
     if config.kind not in ("two-slit", "multi-slit"):
         raise ValueError("run_trained_slits handles slit scenarios only")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(
-        config.seed if seed is None else seed
-    )
-    rngs = [np.random.Generator(np.random.PCG64(child)) for child in ss.spawn(shards)]
-    base = config.n_particles // shards
-    sizes = [base + (1 if i < config.n_particles % shards else 0) for i in range(shards)]
-    jobs = [(n, rng) for n, rng in zip(sizes, rngs) if n > 0]
     src = list(config.sources)
-
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_trained_shard, src, n, config.n_steps, rng) for n, rng in jobs
-            ]
-            parts = [f.result() for f in futures]
-    else:
-        parts = [_trained_shard(src, n, config.n_steps, rng) for n, rng in jobs]
-
-    xi = np.concatenate([p[0] for p in parts])
+    parts = _run_shards(
+        lambda n, rng: _trained_shard(src, n, config.n_steps, rng),
+        config.n_particles,
+        config.seed if seed is None else seed,
+        shards,
+        threads,
+    )
+    xi, p0, counter, q_star = (np.concatenate(column) for column in zip(*parts))
     hist = Histogram.from_samples(xi)
     if not return_rays:
         return hist
-    counter = np.concatenate([p[2] for p in parts])
-    p0 = np.concatenate([p[1] for p in parts])
-    amps, deltas = _pair_terms(src)
-    q_star = _solve_rays(p0, amps, deltas)
     diag = RayDiagnostics(
         xi=xi,
         p0=p0,
@@ -542,6 +492,36 @@ class BoundRun:
         return centers, counts
 
 
+def _bound_walk(config: ScenarioConfig, seed, period: int) -> BoundRun:
+    """One walk steered by the ring memory force of circumference ``period``.
+
+    The loop only stores the counter after each tick and the propensity
+    applied on it; ``p_bar`` follows from the counters afterwards, and
+    ``positions`` is the counter wrapped onto [0, period).
+    """
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+    p0 = float(config.p)
+    n_steps = config.n_steps
+    counters = np.empty(n_steps, dtype=np.int64)
+    p_eff_trace = np.empty(n_steps)
+    counter = 0
+    for tau, u in enumerate(rng.random(n_steps).tolist(), start=1):
+        q = counter / tau if tau > 1 else p0  # no self-history before the walk moves
+        p_eff = max(-1.0, min(1.0, p0 - ring_memory_force(q, period)))
+        p_eff_trace[tau - 1] = p_eff
+        up = ((1.0 + p_eff) / 2.0) ** 2
+        move_cut = up + (1.0 - p_eff * p_eff) / 2.0
+        counter += 1 if u < up else (0 if u < move_cut else -1)
+        counters[tau - 1] = counter
+    p_bar = counters / np.arange(1, n_steps + 1)
+    return BoundRun(
+        p_bar=p_bar,
+        p_eff=p_eff_trace,
+        mean_p_bar=float(p_bar[n_steps // 2 :].mean()),
+        positions=counters % period,
+    )
+
+
 def run_ring(config: ScenarioConfig, seed=None) -> BoundRun:
     """Walk a ring of ``ell`` sites; the counter wraps as xi = counter mod ell.
 
@@ -554,30 +534,7 @@ def run_ring(config: ScenarioConfig, seed=None) -> BoundRun:
     config.validate()
     if config.kind != "ring":
         raise ValueError("run_ring needs a ring config")
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    p0 = float(config.p)
-    n_steps = config.n_steps
-    counter = 0
-    p_bar = np.empty(n_steps)
-    p_eff_trace = np.empty(n_steps)
-    positions = np.empty(n_steps, dtype=np.int64)
-    for tau in range(1, n_steps + 1):
-        q = counter / tau if tau > 1 else p0  # no self-history before the walk moves
-        p_eff = max(-1.0, min(1.0, p0 - ring_memory_force(q, config.ell)))
-        p_eff_trace[tau - 1] = p_eff
-        up = ((1.0 + p_eff) / 2.0) ** 2
-        move_cut = up + (1.0 - p_eff * p_eff) / 2.0
-        u = rng.random()
-        counter += 1 if u < up else (0 if u < move_cut else -1)
-        p_bar[tau - 1] = counter / tau
-        positions[tau - 1] = counter % config.ell
-    half = n_steps // 2
-    return BoundRun(
-        p_bar=p_bar,
-        p_eff=p_eff_trace,
-        mean_p_bar=float(p_bar[half:].mean()),
-        positions=positions,
-    )
+    return _bound_walk(config, seed, config.ell)
 
 
 def run_box(config: ScenarioConfig, seed=None) -> BoundRun:
@@ -588,39 +545,17 @@ def run_box(config: ScenarioConfig, seed=None) -> BoundRun:
     successive traversals interfere at path differences that are multiples
     of 2*ell.  That is the same statistics as a free walk among mirror
     images spaced 2*ell apart, so the run unfolds the reflections: the
-    walk is driven by the ring force at circumference 2*ell and the
-    position is folded back into [0, ell].  Stable rays sit at multiples
-    of 1/ell, half the ring spacing.
+    walk is driven by the ring force at circumference 2*ell (which is
+    ``box_memory_force``) and the position is folded back into [0, ell].
+    Stable rays sit at multiples of 1/ell, half the ring spacing.
     """
     config.validate()
     if config.kind != "box":
         raise ValueError("run_box needs a box config")
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    ell = config.ell
-    p0 = float(config.p)
-    n_steps = config.n_steps
-    counter = 0
-    p_bar = np.empty(n_steps)
-    p_eff_trace = np.empty(n_steps)
-    positions = np.empty(n_steps, dtype=np.int64)
-    for tau in range(1, n_steps + 1):
-        q = counter / tau if tau > 1 else p0
-        p_eff = max(-1.0, min(1.0, p0 - box_memory_force(q, ell)))
-        p_eff_trace[tau - 1] = p_eff
-        up = ((1.0 + p_eff) / 2.0) ** 2
-        move_cut = up + (1.0 - p_eff * p_eff) / 2.0
-        u = rng.random()
-        counter += 1 if u < up else (0 if u < move_cut else -1)
-        p_bar[tau - 1] = counter / tau
-        folded = counter % (2 * ell)
-        positions[tau - 1] = folded if folded <= ell else 2 * ell - folded
-    half = n_steps // 2
-    return BoundRun(
-        p_bar=p_bar,
-        p_eff=p_eff_trace,
-        mean_p_bar=float(p_bar[half:].mean()),
-        positions=positions,
-    )
+    period = 2 * config.ell
+    run = _bound_walk(config, seed, period)
+    run.positions = np.minimum(run.positions, period - run.positions)
+    return run
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,78 @@ def box_config(ell: int, p: float, n_steps: int = 40000, seed: int = 0) -> Scena
 
 
 # ---------------------------------------------------------------------------
+# the pairwise memory sum
+
+
+def _pair_terms(sources) -> tuple[np.ndarray, np.ndarray]:
+    """Pair table of a weighted source list: (amplitudes, separations).
+
+    Each source pair (i, j) contributes amplitude 2*sqrt(Pi Pj) at
+    separation |si - sj|; pairs at the same separation share one row with
+    their amplitudes added, so rows are the distinct separations in
+    increasing order.  Every memory force and fringe law in the package
+    is a sum over this table.
+    """
+    sources = list(sources)
+    table: dict = {}
+    for i, (si, wi) in enumerate(sources):
+        for sj, wj in sources[i + 1 :]:
+            delta = abs(si - sj)
+            if delta == 0:
+                raise ValueError("sources must occupy distinct sites")
+            table[delta] = table.get(delta, 0.0) + 2.0 * math.sqrt(wi * wj)
+    deltas = sorted(table)
+    return np.array([table[d] for d in deltas], dtype=float), np.array(deltas, dtype=float)
+
+
+def _two_source_terms(p1: float, p2: float, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair table of two sources ``delta`` sites apart with weights (p1, p2)."""
+    return _pair_terms(((0, p1), (delta, p2)))
+
+
+def _scalar_or_array(x, out):
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def _memory_force(q, amps: np.ndarray, deltas: np.ndarray):
+    """Converged memory force g(q) = sum of a*sin(pi*d*q)/(pi*d) over the pair table."""
+    q_arr = np.asarray(q, dtype=float)
+    out = np.zeros_like(q_arr)
+    for amp, delta in zip(amps, deltas):
+        out += amp * np.sin(math.pi * delta * q_arr) / (math.pi * delta)
+    return _scalar_or_array(q, out)
+
+
+def _fringe(q, amps: np.ndarray, deltas: np.ndarray):
+    """Fringe law 1 + sum of a*cos(pi*d*q) over the pair table, at ray q."""
+    q_arr = np.asarray(q, dtype=float)
+    out = np.ones_like(q_arr)
+    for amp, delta in zip(amps, deltas):
+        out += amp * np.cos(math.pi * delta * q_arr)
+    return _scalar_or_array(q, out)
+
+
+def _solve_rays(p0: np.ndarray, amps: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Locked ray momenta: roots of q + g(q) = p0, elementwise.
+
+    The map q -> q + g(q) is nondecreasing for any valid source weighting
+    (its slope is 2*tau times the arrival density, which is nonnegative)
+    and equals q at q = +/-1, so bisection on [-1, 1] converges to the
+    unique root of every |p0| <= 1.
+    """
+    lo = np.full_like(p0, -1.0)
+    hi = np.ones_like(p0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        low_side = mid + _memory_force(mid, amps, deltas) < p0
+        lo = np.where(low_side, mid, lo)
+        hi = np.where(low_side, hi, mid)
+    return np.clip(0.5 * (lo + hi), -1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # steady-state densities
 
 
@@ -123,61 +195,26 @@ def two_slit_density(xi, tau: int, p1: float, p2: float, delta: int):
     if tau < 1 or delta < 1:
         raise ValueError("tau and delta must be >= 1")
     x = np.asarray(xi, dtype=float)
-    out = (1.0 + 2.0 * math.sqrt(p1 * p2) * np.cos(math.pi * delta * x / tau)) / (2.0 * tau)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(out)
-    return out
+    return _fringe(x / tau, *_two_source_terms(p1, p2, delta)) / (2.0 * tau)
 
 
 def momentum_density_two_slit(pbar, p1: float, p2: float, delta: int):
     """Density of locked ray momenta: (1 + 2 sqrt(p1 p2) cos(pi delta pbar)) / 2."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    q = np.asarray(pbar, dtype=float)
-    out = (1.0 + 2.0 * math.sqrt(p1 * p2) * np.cos(math.pi * delta * q)) / 2.0
-    if np.isscalar(pbar) or np.ndim(pbar) == 0:
-        return float(out)
-    return out
+    return _fringe(pbar, *_two_source_terms(p1, p2, delta)) / 2.0
 
 
 def multi_slit_density(xi, tau: int, sources):
     """Arrival density for a weighted source list; pairwise cosine terms."""
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    sources = [(int(s), float(w)) for s, w in sources]
-    x = np.asarray(xi, dtype=float)
-    out = np.ones_like(x)
-    for i in range(len(sources)):
-        si, wi = sources[i]
-        for j in range(i + 1, len(sources)):
-            sj, wj = sources[j]
-            delta = abs(si - sj)
-            if delta == 0:
-                raise ValueError("sources must occupy distinct sites")
-            out = out + 2.0 * math.sqrt(wi * wj) * np.cos(math.pi * delta * x / tau)
-    out = out / (2.0 * tau)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(out)
-    return out
+    return _fringe(np.asarray(xi, dtype=float) / tau, *_pair_terms(sources)) / (2.0 * tau)
 
 
 def momentum_density_multi(pbar, sources):
     """Density of locked ray momenta for a weighted source list."""
-    sources = [(int(s), float(w)) for s, w in sources]
-    q = np.asarray(pbar, dtype=float)
-    out = np.ones_like(q)
-    for i in range(len(sources)):
-        si, wi = sources[i]
-        for j in range(i + 1, len(sources)):
-            sj, wj = sources[j]
-            delta = abs(si - sj)
-            if delta == 0:
-                raise ValueError("sources must occupy distinct sites")
-            out = out + 2.0 * math.sqrt(wi * wj) * np.cos(math.pi * delta * q)
-    out = out / 2.0
-    if np.isscalar(pbar) or np.ndim(pbar) == 0:
-        return float(out)
-    return out
+    return _fringe(pbar, *_pair_terms(sources)) / 2.0
 
 
 def finite_time_slit_density(xi, tau: int, sources, n_nodes: int = 400):
@@ -218,28 +255,15 @@ def ray_equation(q: float, p: float, p1: float, p2: float, delta: int) -> float:
     return q - p + 2.0 * math.sqrt(p1 * p2) * math.sin(math.pi * delta * q) / (math.pi * delta)
 
 
-def solve_ray(p: float, p1: float, p2: float, delta: int, tol: float = 1e-12) -> float:
-    """Stable ray momentum for preparation ``p`` (bisection on the ray equation).
+def solve_ray(p: float, p1: float, p2: float, delta: int) -> float:
+    """Stable ray momentum for preparation ``p``: the root of the ray equation.
 
     The map q -> p - g(q) moves rays toward fringe maxima; between two
     consecutive repellers there is exactly one stable root.
     """
-    lo, hi = -1.5, 1.5
-    flo = ray_equation(lo, p, p1, p2, delta)
-    fhi = ray_equation(hi, p, p1, p2, delta)
-    if flo > 0.0 or fhi < 0.0:
-        raise ValueError("no bracketed ray for these parameters")
-    # Bisect on the increasing envelope; ray_equation is monotone in q up to
-    # the bounded memory term, so plain bisection on sign works.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if ray_equation(mid, p, p1, p2, delta) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
+    if abs(p) > 1.0:
+        raise ValueError("no bracketed ray for |p| > 1")
+    return float(_solve_rays(np.array([float(p)]), *_two_source_terms(p1, p2, delta))[0])
 
 
 def mean_motion(
@@ -253,15 +277,14 @@ def mean_motion(
     """
     if tau_max < 1:
         raise ValueError("tau_max must be >= 1")
+    amps, deltas = _two_source_terms(p1, p2, delta)
     xs = np.empty(tau_max)
     ps = np.empty(tau_max)
     x = p  # one free tick from the source
     for i in range(tau_max):
         tau = i + 1
         xs[i] = x
-        q = x / tau
-        p_eff = p - 2.0 * math.sqrt(p1 * p2) * math.sin(math.pi * delta * q) / (math.pi * delta)
-        p_eff = max(-1.0, min(1.0, p_eff))
+        p_eff = max(-1.0, min(1.0, p - _memory_force(x / tau, amps, deltas)))
         ps[i] = p_eff
         x += p_eff
     return xs, ps
@@ -292,15 +315,16 @@ def box_steady_momentum(p: float, ell: int) -> float:
 def ring_limit_sum(pbar: float, ell: int, n_sources: int) -> float:
     """Partial pairwise memory sum for a ring seen as equally spaced sources.
 
-    sum over separations d = 1..n_sources-1 of
-    (2 (n_sources - d) / n_sources) * sin(pi d ell pbar) / (pi d ell);
-    converges (in the averaged sense) to ``ring_limit_closed``.
+    The memory force of ``n_sources`` equal sources spaced ell apart:
+    separation d*ell occurs n_sources - d times with amplitude
+    2/n_sources each, so the pair table has rows (2 (n_sources - d) /
+    n_sources, d*ell) for d = 1..n_sources-1.  Converges (in the averaged
+    sense) to ``ring_limit_closed``.
     """
     if ell < 2 or n_sources < 2:
         raise ValueError("ell and n_sources must be >= 2")
     d = np.arange(1, n_sources, dtype=float)
-    weights = 2.0 * (n_sources - d) / n_sources
-    return float(np.sum(weights * np.sin(math.pi * d * ell * pbar) / (math.pi * d * ell)))
+    return _memory_force(float(pbar), 2.0 * (n_sources - d) / n_sources, d * ell)
 
 
 def ring_limit_closed(pbar: float, ell: int) -> float:

@@ -122,11 +122,28 @@ def run_ensemble_free(
         raise ValueError("n_particles must be >= 1")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
     p_sampler = p_sampler or uniform_propensity
     xi0_sampler = xi0_sampler or point_source(0)
+    parts = _run_shards(
+        lambda n, rng: _simulate_free_shard(n, n_steps, p_sampler, xi0_sampler, rng),
+        n_particles,
+        seed,
+        shards,
+        threads,
+    )
+    return merge(parts)
 
+
+def _run_shards(shard, n_particles: int, seed, shards: int, threads: int) -> list:
+    """Run ``shard(n, rng)`` over an even split of ``n_particles``; results in shard order.
+
+    ``seed`` may be an int, a SeedSequence, or a Generator (single shard
+    only).  Each shard gets its own generator spawned from the seed, so
+    the results depend on (seed, shards) and never on ``threads``, which
+    only controls scheduling.  Shards left with no particles are skipped.
+    """
+    if shards < 1:
+        raise ValueError("shards must be >= 1")
     if isinstance(seed, np.random.Generator):
         if shards != 1:
             raise ValueError("pass a seed, not a Generator, for sharded runs")
@@ -135,19 +152,11 @@ def run_ensemble_free(
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         rngs = [np.random.Generator(np.random.PCG64(child)) for child in ss.spawn(shards)]
 
-    base = n_particles // shards
-    sizes = [base + (1 if i < n_particles % shards else 0) for i in range(shards)]
-    jobs = [(n, rng) for n, rng in zip(sizes, rngs) if n > 0]
-
+    base, extra = divmod(n_particles, shards)
+    jobs = [(base + (1 if i < extra else 0), rng) for i, rng in enumerate(rngs)]
+    jobs = [(n, rng) for n, rng in jobs if n > 0]
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_simulate_free_shard, n, n_steps, p_sampler, xi0_sampler, rng)
-                for n, rng in jobs
-            ]
-            parts = [f.result() for f in futures]
-    else:
-        parts = [
-            _simulate_free_shard(n, n_steps, p_sampler, xi0_sampler, rng) for n, rng in jobs
-        ]
-    return merge(parts)
+            futures = [pool.submit(shard, n, rng) for n, rng in jobs]
+            return [f.result() for f in futures]
+    return [shard(n, rng) for n, rng in jobs]

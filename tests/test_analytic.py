@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from latticemc import analytic
@@ -199,6 +200,27 @@ def test_particle_energy_is_binomial():
 
 # ---------------------------------------------------------------------------
 # action and phase
+
+
+def test_particle_energy_certain_counts_beyond_exact_range():
+    # e = 0 and e = 1 put all mass on one count; the log form must not
+    # turn 0 * log(0) into nan
+    tau = 50
+    assert analytic.particle_energy_pmf(0, tau, 0.0) == 1.0
+    assert analytic.particle_energy_pmf(1, tau, 0.0) == 0.0
+    assert analytic.particle_energy_pmf(tau, tau, 1.0) == 1.0
+    assert analytic.particle_energy_pmf(tau - 1, tau, 1.0) == 0.0
+
+
+def test_log_binomial_matches_scipy_gammaln():
+    gammaln = scipy.special.gammaln
+    n = np.arange(0, 20001)
+    assert np.allclose(analytic._log_factorials(20001), gammaln(n + 1.0), rtol=2e-15, atol=0)
+    for big in (31, 1000, 20000):
+        k = np.arange(0, big + 1)
+        want = gammaln(big + 1.0) - gammaln(k + 1.0) - gammaln(big - k + 1.0)
+        got = analytic._log_binomial(big, k)
+        assert np.abs(got - want).max() <= 1e-15 * gammaln(big + 1.0)
 
 
 def test_action_equals_energy_mean():

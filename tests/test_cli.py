@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import latticemc
 from latticemc import cli, verify
 
 
@@ -272,3 +276,51 @@ def test_rerun_rejects_bad_manifests(tmp_path, capsys):
     wrong.write_text(json.dumps({"command": "dance", "params": {"x": 1}}))
     assert cli.main(["rerun", str(wrong)]) == 2
     capsys.readouterr()
+
+
+def _recorded_free_run(tmp_path):
+    out = tmp_path / "run.csv"
+    manifest = tmp_path / "run.manifest.json"
+    assert cli.main([
+        "free", "--n-particles", "800", "--n-steps", "30", "--seed", "4",
+        "--out", str(out), "--manifest", str(manifest),
+    ]) == 0
+    return out, manifest, json.loads(manifest.read_text())
+
+
+def test_rerun_fills_missing_optional_keys(tmp_path):
+    out, manifest, doc = _recorded_free_run(tmp_path)
+    del doc["params"]["shards"], doc["params"]["threads"]
+    manifest.write_text(json.dumps(doc))
+    redo = tmp_path / "redo"
+    assert cli.main(["rerun", str(manifest), "--out-dir", str(redo)]) == 0
+    assert (redo / "run.csv").read_bytes() == out.read_bytes()
+
+
+def test_rerun_rejects_mistyped_or_missing_params(tmp_path, capsys):
+    _, manifest, doc = _recorded_free_run(tmp_path)
+    for key, value in [("seed", "abc"), ("n_steps", 2.5), ("shards", True), ("out", None)]:
+        bad = json.loads(json.dumps(doc))
+        bad["params"][key] = value
+        manifest.write_text(json.dumps(bad))
+        assert cli.main(["rerun", str(manifest), "--out-dir", str(tmp_path / "x")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    missing_dir = tmp_path / "no" / "such" / "dir"
+    assert cli.main([
+        "free", "--n-particles", "100", "--n-steps", "10",
+        "--out", str(missing_dir / "x.csv"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cannot write output" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; the command line must not import it
+    src = os.path.dirname(os.path.dirname(latticemc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, latticemc.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0

@@ -1,6 +1,7 @@
 """Tests for the lattice-memory machinery: decay laws, visits, runs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,9 +29,11 @@ from latticemc.qforce import (
     site_momentum_series,
     visit,
 )
+from latticemc import qforce
 from latticemc.scenarios import (
     box_config,
     finite_time_slit_density,
+    multi_slit_config,
     ray_equation,
     ring_config,
     ring_steady_momentum,
@@ -307,6 +310,47 @@ def test_trained_diagnostics_expose_locked_rays():
     assert spread.std() < 2.0 * math.sqrt(0.5 / cfg.n_steps)
 
 
+TEN_SOURCES = [(3 * i, 0.1) for i in range(10)]
+
+
+def test_trained_ten_sources_pinned_counts():
+    # exact output for a fixed (seed, shards) pair on two threads; the 45
+    # source pairs merge into 9 distinct separations without moving it
+    cfg = multi_slit_config(TEN_SOURCES, n_particles=300, n_steps=20, seed=5)
+    hist = run_trained_slits(cfg, shards=2, threads=2)
+    assert hist.offset == -16
+    assert hist.counts.tolist() == [
+        1, 1, 0, 3, 5, 1, 4, 4, 7, 2, 1, 4, 2, 3, 5, 6, 4, 5, 3, 6, 7, 12, 11, 7,
+        7, 7, 8, 13, 14, 4, 16, 9, 13, 7, 4, 7, 5, 5, 2, 5, 5, 3, 7, 8, 4, 7, 2,
+        3, 2, 6, 4, 2, 2, 5, 4, 4, 0, 0, 1, 1,
+    ]
+
+
+def test_trained_rays_solved_once_and_match_every_pair(monkeypatch):
+    # the diagnostics reuse the rays the shards solved, and those rays solve
+    # the ray equation written out over all 45 unmerged source pairs
+    solved = []
+    solve = qforce._solve_rays
+
+    def counting(p0, amps, deltas):
+        solved.append(len(p0))
+        return solve(p0, amps, deltas)
+
+    monkeypatch.setattr(qforce, "_solve_rays", counting)
+    cfg = multi_slit_config(TEN_SOURCES, n_particles=3000, n_steps=50, seed=8)
+    hist, diag = run_trained_slits(cfg, shards=3, return_rays=True)
+    assert sum(solved) == 3000 and len(solved) == 3
+    monkeypatch.undo()
+    assert np.array_equal(hist.counts, run_trained_slits(cfg, shards=3).counts)
+    q = diag.p0 - diag.boson_sum
+    force = np.zeros_like(q)
+    for i, (si, wi) in enumerate(TEN_SOURCES):
+        for sj, wj in TEN_SOURCES[i + 1 :]:
+            d = abs(si - sj)
+            force += 2.0 * math.sqrt(wi * wj) * np.sin(math.pi * d * q) / (math.pi * d)
+    assert np.abs(q + force - diag.p0).max() < 1e-12
+
+
 def test_trained_mean_momentum_tracks_sample_ray():
     cfg = two_slit_config(delta=2, n_particles=60000, n_steps=300, seed=20)
     _, diag = run_trained_slits(cfg, shards=4, return_rays=True)
@@ -356,6 +400,19 @@ def test_training_bookkeeping_and_determinism():
     run2 = run_training_slits(cfg)
     assert np.array_equal(run1.positions.support, run2.positions.support)
     assert np.array_equal(run1.positions.counts, run2.positions.counts)
+
+
+def test_training_pinned_counts():
+    cfg = two_slit_config(delta=2, n_particles=100, n_steps=40, seed=3)
+    run = run_training_slits(cfg)
+    assert (run.bosons_created, run.lattice.overdriven_events) == (1392, 655)
+    assert run.positions.offset == -37
+    assert run.positions.counts.tolist() == [
+        1, 1, 1, 4, 2, 1, 2, 1, 3, 2, 1, 0, 4, 1, 2, 1, 0, 1, 2, 1, 0, 2, 1, 0, 1,
+        0, 1, 1, 1, 1, 0, 0, 1, 1, 3, 2, 1, 1, 1, 2, 1, 1, 1, 3, 3, 1, 2, 2, 0, 2,
+        1, 2, 0, 0, 3, 0, 0, 0, 2, 1, 3, 1, 3, 3, 1, 0, 1, 1, 2, 1, 1, 1, 0, 0, 3,
+        0, 1, 1, 1,
+    ]
 
 
 def test_training_lattice_reuse_accumulates():
@@ -446,6 +503,49 @@ def test_box_locks_to_half_spacing():
     run = run_box(cfg)
     assert run.mean_p_bar == pytest.approx(0.4, abs=0.1)
     assert np.all(run.positions >= 0) and np.all(run.positions <= 5)
+
+
+# Exact 200-tick paths (one character per tick: + up, 0 stay, - down) and
+# 20000-tick summaries for a fixed seed; the path fixes p_bar and positions.
+BOUND_PINS = {
+    "ring": (
+        run_ring, ring_config(ell=10, p=0.37, n_steps=200, seed=4),
+        "-0-+0+0+00-0+0-+--+00-0+000-++00-0+-000+00+0+++-0+0+-00+++-+0-0++0++00++00+++000"
+        "+0+0+000++++0+0000-0++0+00+0++++-000++0-+00+00000+--0+00+0+-+-+00-00+0+-0+0+-0+0"
+        "00-++++00000-0+0+0-0-+-+0++++00+0+-+0-00",
+        0.24053520356458463,
+        (0.39994467950168683, 8000, [2012, 1971, 1919, 2040, 1992, 2076, 1994, 2011, 1932, 2053]),
+    ),
+    "box": (
+        run_box, box_config(ell=6, p=0.28, n_steps=200, seed=4),
+        "-0-+0+0+00-000-+--+00-0+000-++00-0+-000+00+0+++--+0+-00+++-00--0+0++--++00+0+000"
+        "+0+0+000++++0+0000-0++0+0000+++0-000++0-00-+00000+--0+00+0+-+-+00-00+0+-0+0+-0+0"
+        "000++++00-00-0+0+0-0-+-+0++++00+0+-+0-00",
+        0.16349149607188646,
+        (0.3020357359281748, 6241, [1575, 3312, 3335, 3344, 3322, 3382, 1730]),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOUND_PINS))
+def test_bound_walk_pinned_paths(kind):
+    runner, cfg, path, mean_short, (mean_long, final_counter, occupancy) = BOUND_PINS[kind]
+    run = runner(cfg)
+    counter = np.cumsum(["-0+".index(c) - 1 for c in path])
+    tau = np.arange(1, len(path) + 1)
+    assert np.array_equal(run.p_bar, counter / tau)
+    if kind == "ring":
+        positions = counter % cfg.ell
+    else:
+        folded = counter % (2 * cfg.ell)
+        positions = np.where(folded <= cfg.ell, folded, 2 * cfg.ell - folded)
+    assert np.array_equal(run.positions, positions)
+    assert run.mean_p_bar == mean_short
+
+    long_run = runner(replace(cfg, n_steps=20000))
+    assert long_run.mean_p_bar == mean_long
+    assert np.rint(long_run.p_bar[-1] * 20000) == final_counter
+    assert np.bincount(long_run.positions).tolist() == occupancy
 
 
 def test_bound_runners_check_config_kind():

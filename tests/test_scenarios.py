@@ -132,6 +132,30 @@ def test_momentum_density_multi_normalizes():
         scenarios.momentum_density_multi(0.0, [(2, 0.5), (2, 0.5)])
 
 
+def test_pair_table_merges_equal_separations():
+    # ten equal sources 3 apart: 45 pairs share 9 separations, and the
+    # merged force and fringe law equal the sums over every pair
+    sources = [(3 * i, 0.1) for i in range(10)]
+    amps, deltas = scenarios._pair_terms(sources)
+    assert deltas.tolist() == [3.0 * d for d in range(1, 10)]
+    assert np.allclose(amps, [0.2 * (10 - d) for d in range(1, 10)], rtol=0, atol=1e-15)
+    q = np.linspace(-1.0, 1.0, 401)
+    force = np.zeros_like(q)
+    fringe = np.ones_like(q)
+    for i, (si, wi) in enumerate(sources):
+        for sj, wj in sources[i + 1 :]:
+            d = abs(si - sj)
+            force += 2.0 * math.sqrt(wi * wj) * np.sin(math.pi * d * q) / (math.pi * d)
+            fringe += 2.0 * math.sqrt(wi * wj) * np.cos(math.pi * d * q)
+    assert np.abs(scenarios._memory_force(q, amps, deltas) - force).max() <= 1e-14
+    assert np.abs(scenarios._fringe(q, amps, deltas) - fringe).max() <= 1e-14
+    assert isinstance(scenarios._memory_force(0.3, amps, deltas), float)
+    empty = scenarios._pair_terms([(0, 1.0)])
+    assert empty[0].size == 0 and scenarios._memory_force(0.3, *empty) == 0.0
+    with pytest.raises(ValueError):
+        scenarios._pair_terms([(2, 0.5), (2, 0.5)])
+
+
 def test_momentum_density_multi_single_source_is_flat():
     q = np.linspace(-1.0, 1.0, 11)
     assert np.all(scenarios.momentum_density_multi(q, [(0, 1.0)]) == 0.5)
@@ -196,8 +220,9 @@ def test_solve_ray_pull_is_toward_origin():
 
 
 def test_solve_ray_unbracketed():
-    with pytest.raises(ValueError):
-        scenarios.solve_ray(3.0, 0.5, 0.5, 2)
+    for p in (3.0, -1.01):
+        with pytest.raises(ValueError):
+            scenarios.solve_ray(p, 0.5, 0.5, 2)
 
 
 def test_mean_motion_converges_to_locked_ray():
@@ -259,6 +284,16 @@ def test_ring_limit_sum_converges_to_sawtooth():
         assert abs(partial - closed) <= 1e-2
     with pytest.raises(ValueError):
         scenarios.ring_limit_sum(0.1, 5, 1)
+
+
+def test_ring_limit_sum_is_the_equal_source_pair_table():
+    # the closed-form multiplicities equal the pair table of 50 equal
+    # sources spaced ell apart
+    sources = [(5 * k, 1.0 / 50) for k in range(50)]
+    table = scenarios._pair_terms(sources)
+    for pbar in (0.13, -0.29, 0.5, 0.77):
+        merged = scenarios._memory_force(pbar, *table)
+        assert abs(scenarios.ring_limit_sum(pbar, 5, 50) - merged) <= 1e-15
 
 
 def test_ring_limit_sum_truncation_settles():

@@ -83,6 +83,17 @@ def test_ensemble_shards_do_not_change_result():
     assert a.total == 1001
 
 
+def test_ensemble_pinned_counts_three_shards():
+    # exact output for a fixed (seed, shards) pair; a change that moves it
+    # alters RNG-visible results and must bump the package version
+    hist = walker.run_ensemble_free(300, 20, seed=11, shards=3)
+    assert hist.offset == -20
+    assert hist.counts.tolist() == [
+        10, 7, 9, 7, 10, 4, 5, 8, 7, 11, 8, 12, 6, 11, 9, 9, 4, 6, 6, 2, 8,
+        5, 8, 5, 5, 9, 7, 6, 2, 9, 11, 18, 6, 7, 3, 3, 5, 8, 8, 11, 5,
+    ]
+
+
 def test_ensemble_generator_seed_single_shard_only():
     rng = np.random.default_rng(9)
     hist = walker.run_ensemble_free(100, 10, seed=rng)
