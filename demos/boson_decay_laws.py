@@ -16,11 +16,7 @@ import math
 import numpy as np
 
 from latticemc.qforce import (
-    ParticleBoson,
-    SiteBoson,
-    SiteState,
-    decay_particle_boson,
-    decay_site_boson,
+    TrainingLattice,
     effective_momentum,
     expected_particle_boson,
     expected_site_momentum,
@@ -38,12 +34,10 @@ from latticemc.walker import ParticleState
 # 1. the site boson decays tick by tick toward q * sinc(delta * q)
 
 q, delta = 0.4, 2
-boson = SiteBoson(w0=q, dw0=delta * q, w=q)
 limit = expected_site_momentum(q, delta)
 print(f"site boson born at q={q}, delta={delta}; limit q*sinc(delta*q) = {limit:.6f}")
-for _ in range(6):
-    boson = decay_site_boson(boson)
-    print(f"  age {boson.age}: w = {boson.w:.6f}")
+for age in range(1, 7):
+    print(f"  age {age}: w = {site_decay_product(q, delta, age):.6f}")
 
 gap = abs(site_decay_product(q, delta, 100000) - limit)
 print(f"after 100000 ticks the product sits {gap:.2e} from the limit")
@@ -51,11 +45,9 @@ print(f"after 100000 ticks the product sits {gap:.2e} from the limit")
 # ---------------------------------------------------------------------------
 # 2. the carried boson damps like the central binomial ratio
 
-carried = ParticleBoson(p=1.0)
 print("\ncarried boson from p=1.0:")
-for _ in range(4):
-    carried = decay_particle_boson(carried)
-    print(f"  age {carried.age}: p = {carried.p:.6f}")
+for age, factor in enumerate(particle_damping(4)[1:], start=1):
+    print(f"  age {age}: p = {factor:.6f}")
 
 damp = particle_damping(10000)
 print("cumulative damping vs the 1/sqrt(pi*k) tail:")
@@ -88,27 +80,27 @@ print(f"equal sources at q=0.25, delta=2: carried momentum {hand:.6f} "
 # 5. one visit, by hand
 
 print("\nvisit walkthrough at a single site:")
-site = SiteState()
+lattice = TrainingLattice()
 first = ParticleState(xi=0, tau=4, counter=3, p0=0.6)
-key = visit(site, first)
-print(f"  first arrival (counter 3): register := {site.register}, pair created: {key is not None}")
+shift = visit(lattice, first, now=1)
+print(f"  first arrival (counter 3): register := {lattice.registers[0]}, "
+      f"pair created: {shift is not None}")
 
 second = ParticleState(xi=0, tau=4, counter=1, p0=0.2)
-key = visit(site, second)
-planted = site.bosons[key.shift]
-print(f"  second arrival (counter 1): shift = {key.shift}, counters exchanged "
-      f"(walker now carries {second.counter}, register = {site.register})")
-print(f"    site boson starts at w0 = {planted.w0:.4f} with dw0 = {planted.dw0:.4f}")
-print(f"    walker inherits {second.bosons[key.shift].p:.4f} (slot was empty)")
+shift = visit(lattice, second, now=2)
+planted_q, born = lattice.site_bosons[0][shift]
+print(f"  second arrival (counter 1): shift = {shift}, counters exchanged "
+      f"(walker now carries {second.counter}, register = {lattice.registers[0]})")
+print(f"    site boson starts at w0 = {planted_q:.4f} with delta*q = {abs(shift) * planted_q:.4f}")
+print(f"    walker inherits {second.bosons[shift][0]:.4f} (slot was empty)")
 
-site.bosons[key.shift] = decay_site_boson(decay_site_boson(planted))
 third = ParticleState(xi=0, tau=5, counter=-1, p0=0.1)
-key = visit(site, third)
-carried = third.bosons[key.shift]
-print(f"  third arrival (counter -1) two ticks later: same shift {key.shift}, "
-      f"inherits w = {carried.p:.6f}")
-print(f"    effective propensity {effective_momentum(third):.6f} "
-      f"(preparation 0.1 minus the carried momentum)")
+shift = visit(lattice, third, now=born + 2)
+carried, _ = third.bosons[shift]
+print(f"  third arrival (counter -1) two ticks later: same shift {shift}, "
+      f"inherits w = {carried:.6f}")
+p_eff = effective_momentum(third, particle_damping(1), born + 2)
+print(f"    effective propensity {p_eff:.6f} (preparation 0.1 minus the carried momentum)")
 
 # ---------------------------------------------------------------------------
 # 6. training against a persistent lattice bends the histogram

@@ -7,195 +7,15 @@ previous visitors, walkers exchange momentum-carrying bosons with the
 lattice and single particles build up double-slit fringes, quantized ring
 currents, and box modes.  Everything is checked against closed forms and
 wave-mechanics oracles; see the ``verify`` module and the test suite.
+
+The package namespace holds the two closed forms the README's library
+example uses; every other name is imported from its own module
+(``latticemc.walker``, ``latticemc.qforce``, ``latticemc.scenarios``, ...).
 """
 
-from .lattice import (
-    ELECTRON_MASS,
-    LIGHT_SPEED,
-    PLANCK_H,
-    LatticeUnits,
-    TransitionProbs,
-    energy_propensity,
-    lattice_units,
-    transition_probs,
-    uncertainty_product,
-)
-from .stats import Histogram, ComparisonReport, chi2_critical, compare, merge, rebin
-from .analytic import (
-    BoostedFrame,
-    action,
-    action_phase_gap,
-    dbb_residuals,
-    energy_mean,
-    energy_pmf,
-    energy_support,
-    energy_var,
-    ensemble_probability,
-    gaussian_limit,
-    lorentz_check,
-    matter_frequency,
-    mean_return_time,
-    particle_energy_pmf,
-    pmf_free,
-    pmf_recursive,
-    qm_lattice_density,
-    qm_phase,
-    return_series_partial,
-    return_series_sums,
-    return_time_pmf,
-)
-from .walker import (
-    ParticleState,
-    fixed_propensity,
-    point_source,
-    run_ensemble_free,
-    run_free,
-    step,
-    uniform_propensity,
-)
-from .qforce import (
-    BosonKey,
-    BoundRun,
-    ParticleBoson,
-    SiteBoson,
-    SiteState,
-    TrainingLattice,
-    decay_particle_boson,
-    decay_site_boson,
-    effective_momentum,
-    expected_particle_boson,
-    expected_site_momentum,
-    mean_effective_momentum,
-    particle_boson_series,
-    particle_damping,
-    run_box,
-    run_interference,
-    run_ring,
-    run_trained_slits,
-    run_training_slits,
-    site_decay_product,
-    site_momentum_series,
-    visit,
-)
-from .scenarios import (
-    ScenarioConfig,
-    box_config,
-    box_memory_force,
-    box_steady_momentum,
-    finite_time_slit_density,
-    mean_motion,
-    multi_slit_config,
-    multi_slit_density,
-    momentum_density_multi,
-    momentum_density_two_slit,
-    ring_config,
-    ring_limit_closed,
-    ring_limit_sum,
-    ring_memory_force,
-    ring_steady_momentum,
-    solve_ray,
-    two_slit_config,
-    two_slit_density,
-)
-from .qm_oracle import (
-    qm_box_momenta,
-    qm_equal_spaced,
-    qm_multi_source,
-    qm_ring_momenta,
-    qm_single_source,
-    qm_two_source,
-)
+from .analytic import pmf_free
+from .scenarios import two_slit_density
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ELECTRON_MASS",
-    "LIGHT_SPEED",
-    "PLANCK_H",
-    "BoostedFrame",
-    "BosonKey",
-    "BoundRun",
-    "ComparisonReport",
-    "Histogram",
-    "LatticeUnits",
-    "ParticleBoson",
-    "ParticleState",
-    "ScenarioConfig",
-    "SiteBoson",
-    "SiteState",
-    "TrainingLattice",
-    "TransitionProbs",
-    "action",
-    "action_phase_gap",
-    "box_config",
-    "box_memory_force",
-    "box_steady_momentum",
-    "chi2_critical",
-    "compare",
-    "dbb_residuals",
-    "decay_particle_boson",
-    "decay_site_boson",
-    "effective_momentum",
-    "energy_mean",
-    "energy_pmf",
-    "energy_propensity",
-    "energy_support",
-    "energy_var",
-    "ensemble_probability",
-    "expected_particle_boson",
-    "expected_site_momentum",
-    "finite_time_slit_density",
-    "fixed_propensity",
-    "gaussian_limit",
-    "lattice_units",
-    "lorentz_check",
-    "matter_frequency",
-    "mean_effective_momentum",
-    "mean_motion",
-    "mean_return_time",
-    "merge",
-    "momentum_density_multi",
-    "momentum_density_two_slit",
-    "multi_slit_config",
-    "multi_slit_density",
-    "particle_boson_series",
-    "particle_damping",
-    "particle_energy_pmf",
-    "pmf_free",
-    "pmf_recursive",
-    "point_source",
-    "qm_box_momenta",
-    "qm_equal_spaced",
-    "qm_lattice_density",
-    "qm_multi_source",
-    "qm_phase",
-    "qm_ring_momenta",
-    "qm_single_source",
-    "qm_two_source",
-    "rebin",
-    "return_series_partial",
-    "return_series_sums",
-    "return_time_pmf",
-    "ring_config",
-    "ring_limit_closed",
-    "ring_limit_sum",
-    "ring_memory_force",
-    "ring_steady_momentum",
-    "run_box",
-    "run_ensemble_free",
-    "run_free",
-    "run_interference",
-    "run_ring",
-    "run_trained_slits",
-    "run_training_slits",
-    "site_decay_product",
-    "site_momentum_series",
-    "solve_ray",
-    "step",
-    "transition_probs",
-    "two_slit_config",
-    "two_slit_density",
-    "uncertainty_product",
-    "uniform_propensity",
-    "visit",
-]
+__all__ = ["__version__", "pmf_free", "two_slit_density"]

@@ -172,7 +172,7 @@ _FREE_SCHEMA = {
 def _execute_free(params: dict) -> dict:
     _positive(params, "n_particles", "n_steps", "shards", "threads")
     p = params["p"]
-    if p is not None and abs(p) > 1.0:
+    if p is not None and not -1.0 <= p <= 1.0:
         raise ConfigError(f"propensity must lie in [-1, 1], got {p}")
     tau = params["n_steps"]
     xi0 = params["xi0"]
@@ -313,19 +313,14 @@ def _execute_interfere(params: dict) -> dict:
     config = _build_scenario(params)
 
     if config.kind in ("two-slit", "multi-slit"):
-        threads = params["threads"]
-        shards = params["shards"]
-        if params["mode"] == "training" and (threads > 1 or shards > 1):
-            print("interfere: training mode is sequential; using one thread", file=sys.stderr)
-            threads = shards = 1
-        result = qforce.run_interference(
-            config,
-            mode=params["mode"],
-            shards=shards,
-            threads=threads,
-            diagnostics=params["diagnostics"],
-        )
-        hist = result.positions
+        if params["mode"] == "trained":
+            hist = qforce.run_trained_slits(
+                config, shards=params["shards"], threads=params["threads"]
+            )
+        else:
+            if params["threads"] > 1 or params["shards"] > 1:
+                print("interfere: training mode is sequential; using one thread", file=sys.stderr)
+            hist = qforce.run_training_slits(config, diagnostics=params["diagnostics"]).positions
         sites = [s for s, _ in config.sources]
         hist = _pad_histogram(hist, min(sites) - config.n_steps, max(sites) + config.n_steps)
         support = hist.support
@@ -505,9 +500,6 @@ def main(argv=None) -> int:
             _execute_rerun(ns.manifest, ns.out_dir)
             return EXIT_OK
     except ConfigError as exc:
-        print(f"latticemc: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
         print(f"latticemc: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # config and manifest reads raise ConfigError; this is an output write

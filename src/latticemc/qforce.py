@@ -9,7 +9,10 @@ limit q * sinc(delta*q)); the walker carries the other, initialized to
 the momentum of the boson previously resident at the site and damped by
 (1 - 1/(2*age)) per tick.  The walker's effective propensity is its
 preparation minus the carried boson momenta, clamped to [-1, 1], and the
-stored counter and the walker's counter are exchanged.
+stored counter and the walker's counter are exchanged.  Bosons are
+stored as (momentum, birth tick) and valued on demand: a site boson by
+the closed-form ``site_decay_product``, a carried one by the
+``particle_damping`` table.
 
 Two modes exist.  Training mode runs emissions sequentially against a
 persistent lattice, exactly as above.  Trained mode treats the lattice
@@ -45,68 +48,52 @@ from .scenarios import (
 
 
 # ---------------------------------------------------------------------------
-# boson records and decay laws
+# decay laws (a boson is valued on demand from its birth tick, never ticked)
 
 
-@dataclass(frozen=True)
-class BosonKey:
-    """Identity of an interference event: the two exchanged counters."""
-
-    counter: int
-    register: int
-
-    @property
-    def shift(self) -> int:
-        return self.register - self.counter
-
-    @property
-    def delta(self) -> int:
-        return abs(self.register - self.counter)
-
-
-@dataclass
-class SiteBoson:
-    """Boson resident at a site; ``w`` decays toward w0 * sinc(delta * q)."""
-
-    w0: float
-    dw0: float
-    w: float
-    age: int = 0
-
-    @property
-    def overdriven(self) -> bool:
-        """True when |dw0| >= 1 and early decay factors change sign."""
-        return abs(self.dw0) >= 1.0
-
-
-@dataclass
-class ParticleBoson:
-    """Boson carried by a walker; its momentum is subtracted from p0."""
-
-    p: float
-    age: int = 0
-
-
-def decay_site_boson(boson: SiteBoson) -> SiteBoson:
-    """One tick of site-boson decay: w *= 1 - (dw0/age')**2, age' = age + 1."""
-    age = boson.age + 1
-    factor = 1.0 - (boson.dw0 / age) ** 2
-    return SiteBoson(w0=boson.w0, dw0=boson.dw0, w=boson.w * factor, age=age)
-
-
-def decay_particle_boson(boson: ParticleBoson) -> ParticleBoson:
-    """One tick of carried-boson damping: p *= 1 - 1/(2*age'), age' = age + 1."""
-    age = boson.age + 1
-    return ParticleBoson(p=boson.p * (1.0 - 1.0 / (2.0 * age)), age=age)
+def _stirling_tail(z: float) -> float:
+    """log Gamma(z) - [(z - 1/2) log z - z + log(2 pi)/2]; error below 2e-15 for z >= 20."""
+    w = 1.0 / (z * z)
+    return (1.0 / 12.0 - w * (1.0 / 360.0 - w * (1.0 / 1260.0 - w / 1680.0))) / z
 
 
 def site_decay_product(q: float, delta: int, n_terms: int) -> float:
-    """Value of q * prod_{j=1..n_terms} (1 - (delta*q)**2 / j**2)."""
+    """Site-boson momentum after ``n_terms`` ticks: q * prod_{j=1..n} (1 - x**2/j**2), x = delta*q.
+
+    O(1) in time and memory for any span, by the finite form of Euler's
+    product: for n >= |x| the product is
+    sinc(x) * Gamma(N-x) Gamma(N+x) / Gamma(N)**2 with N = n+1, exactly 0
+    when |x| is an integer (the factor j = |x| vanishes).  The log of the
+    Gamma ratio is (N-1/2) log(1 - t**2) + 2x atanh(t) plus Stirling tails,
+    t = x/N, which needs N - |x| >= 20; shorter spans are multiplied out,
+    fewer than |x| + 20 factors.
+    """
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
-    j = np.arange(1, n_terms + 1, dtype=float)
-    x = delta * q
-    return float(q * np.prod(1.0 - (x / j) ** 2))
+    x = abs(delta * q)
+    if x == 0.0:
+        return q
+    if n_terms < x + 19.0:
+        w = q
+        for j in range(1, n_terms + 1):
+            w *= (j - x) * (j + x) / (j * j)  # j - x is exact near a zero factor
+        return w
+    big_n = n_terms + 1.0
+    t = x / big_n
+    log_ratio = (
+        (big_n - 0.5) * math.log1p(-t * t)
+        + 2.0 * x * math.atanh(t)
+        + _stirling_tail(big_n - x)
+        + _stirling_tail(big_n + x)
+        - 2.0 * _stirling_tail(big_n)
+    )
+    k = round(x)  # sin(pi x) = (-1)**k sin(pi (x - k)), exactly 0 at integer x
+    sin_pi_x = math.sin(math.pi * (x - k)) * (-1.0 if k % 2 else 1.0)
+    if sin_pi_x == 0.0:
+        return 0.0
+    # the ratio leaves the float range only for |x| > 560, where inf is the float answer
+    scale = math.exp(log_ratio) if log_ratio < 709.0 else math.inf
+    return q * sin_pi_x / (math.pi * x) * scale
 
 
 def expected_site_momentum(q, delta: int):
@@ -167,10 +154,17 @@ def expected_particle_boson(p1: float, p2: float, q, delta: int):
     return math.sqrt(p1 * p2) * np.asarray(expected_site_momentum(q, delta))
 
 
-def effective_momentum(particle: ParticleState) -> float:
-    """Preparation minus carried boson momenta, clamped to [-1, 1]."""
-    total = particle.p0 - sum(b.p for b in particle.bosons.values())
-    return max(-1.0, min(1.0, total))
+def effective_momentum(particle: ParticleState, damp, now: int) -> float:
+    """Preparation minus carried boson momenta at clock ``now``, clamped to [-1, 1].
+
+    A carried boson born at tick b with momentum p is worth p * damp[now - b],
+    ``damp`` being the ``particle_damping`` table.
+    """
+    carried = 0.0
+    for p, born in particle.bosons.values():
+        carried += p * damp[now - born]
+    total = particle.p0 - carried
+    return 1.0 if total > 1.0 else (-1.0 if total < -1.0 else total)
 
 
 def mean_effective_momentum(p: float, p1: float, p2: float, q, delta: int):
@@ -183,42 +177,58 @@ def mean_effective_momentum(p: float, p1: float, p2: float, q, delta: int):
 
 
 @dataclass
-class SiteState:
-    """Register plus resident bosons of one site, keyed by counter shift."""
+class TrainingLattice:
+    """Persistent lattice memory accumulated over training emissions.
 
-    register: int | None = None
-    bosons: dict = field(default_factory=dict)
+    ``registers`` maps a site to the counter its last visitor left there;
+    ``site_bosons`` maps a site to {shift: (q, birth tick)} for its
+    resident bosons; ``ticks`` is the global clock.
+    """
+
+    registers: dict = field(default_factory=dict)
+    site_bosons: dict = field(default_factory=dict)
+    ticks: int = 0
+    overdriven_events: int = 0
+
+    def boson_snapshot(self):
+        """(site, shift, w, w0) for every live site boson, valued at the current tick."""
+        return [
+            (site, shift, site_decay_product(q, abs(shift), self.ticks - born), q)
+            for site, by_shift in sorted(self.site_bosons.items())
+            for shift, (q, born) in sorted(by_shift.items())
+        ]
 
 
-def visit(site: SiteState, particle: ParticleState) -> BosonKey | None:
-    """Process a walker's arrival at a site; returns the created pair key.
+def visit(lattice: TrainingLattice, particle: ParticleState, now: int) -> int | None:
+    """Process a walker's arrival at its site on tick ``now``; returns the pair shift.
 
-    First visit stores the counter and creates nothing.  A matching
-    register is rewritten (same value) and creates nothing.  Otherwise a
-    boson pair is created: the walker receives the momentum of the
-    previously resident same-shift boson (0 if none), the site boson
-    restarts at q = counter/tau, and register and counter are exchanged.
-    Site bosons must already be decayed to the current tick; the walker
-    must have tau >= 1.
+    A site with no register, or with one equal to the walker's counter,
+    stores the counter and creates nothing (None).  Otherwise a boson pair
+    of shift = register - counter is created: the walker carries
+    (momentum of the resident same-shift site boson, now), that momentum
+    being 0 if there is none; the site boson restarts as (counter/tau,
+    now); and register and counter are exchanged.  A pair with
+    |shift * q| >= 1 is counted as overdriven, since its early decay
+    factors change sign.  The walker must have tau >= 1.
     """
     if particle.tau < 1:
         raise ValueError("visits start after the first tick; tau must be >= 1")
-    lam = particle.counter
-    if site.register is None:
-        site.register = lam
+    xi, lam = particle.xi, particle.counter
+    register = lattice.registers.get(xi)
+    lattice.registers[xi] = lam
+    if register is None or register == lam:
         return None
-    shift = site.register - lam
-    if shift == 0:
-        site.register = lam
-        return None
-    key = BosonKey(counter=lam, register=site.register)
-    previous = site.bosons.get(shift)
-    inherited = previous.w if previous is not None else 0.0
-    particle.bosons[shift] = ParticleBoson(p=inherited, age=0)
+    shift = register - lam
+    by_shift = lattice.site_bosons.setdefault(xi, {})
+    previous = by_shift.get(shift)
+    inherited = site_decay_product(previous[0], abs(shift), now - previous[1]) if previous else 0.0
+    particle.bosons[shift] = (inherited, now)
     q = lam / particle.tau
-    site.bosons[shift] = SiteBoson(w0=q, dw0=abs(shift) * q, w=q, age=0)
-    site.register, particle.counter = lam, key.register
-    return key
+    by_shift[shift] = (q, now)
+    if abs(shift * q) >= 1.0:
+        lattice.overdriven_events += 1
+    particle.counter = register
+    return shift
 
 
 # ---------------------------------------------------------------------------
@@ -318,45 +328,6 @@ def run_trained_slits(
 # training mode (sequential emissions against a persistent lattice)
 
 
-class _LazySiteBoson:
-    """Site boson advanced on demand; equivalent to one decay per tick."""
-
-    __slots__ = ("w0", "dw0", "w", "created", "age")
-
-    def __init__(self, w0: float, dw0: float, created: int):
-        self.w0 = w0
-        self.dw0 = dw0
-        self.w = w0
-        self.created = created
-        self.age = 0
-
-    def advance(self, target_age: int) -> float:
-        if target_age > self.age:
-            ages = np.arange(self.age + 1, target_age + 1, dtype=float)
-            self.w *= float(np.prod(1.0 - (self.dw0 / ages) ** 2))
-            self.age = target_age
-        return self.w
-
-
-@dataclass
-class TrainingLattice:
-    """Persistent lattice memory accumulated over training emissions."""
-
-    registers: dict = field(default_factory=dict)
-    site_bosons: dict = field(default_factory=dict)
-    ticks: int = 0
-    overdriven_events: int = 0
-
-    def boson_snapshot(self):
-        """(site, shift, w, w0) for every live site boson, decayed to now."""
-        rows = []
-        for site, by_shift in sorted(self.site_bosons.items()):
-            for shift, boson in sorted(by_shift.items()):
-                w = boson.advance(self.ticks - boson.created)
-                rows.append((site, shift, w, boson.w0))
-        return rows
-
-
 @dataclass
 class TrainingRun:
     positions: Histogram
@@ -381,7 +352,7 @@ def run_training_slits(
         raise ValueError("run_training_slits handles slit scenarios only")
     rng = np.random.default_rng(config.seed if seed is None else seed)
     lattice = lattice if lattice is not None else TrainingLattice()
-    damp = particle_damping(config.n_steps)
+    damp = particle_damping(config.n_steps).tolist()
     sites = [s for s, _ in config.sources]
     weights = [w for _, w in config.sources]
 
@@ -395,63 +366,27 @@ def run_training_slits(
         diag_writer.writerow(["emission", "source", "final_xi", "bosons_created", "final_p_eff"])
 
     try:
-        registers = lattice.registers
-        site_bosons = lattice.site_bosons
-        n_steps = config.n_steps
-        damp_list = damp.tolist()
         for emission in range(config.n_particles):
             src = int(rng.choice(len(sites), p=weights))
-            xi = sites[src]
-            counter = 0
-            p0 = rng.uniform(-1.0, 1.0)
-            uniforms = rng.random(n_steps)
-            slots: dict[int, tuple[float, int]] = {}
+            particle = ParticleState(xi=sites[src], p0=rng.uniform(-1.0, 1.0))
             created = 0
-            p_eff = p0
-            g = lattice.ticks
-
-            for tau in range(1, n_steps + 1):
-                g += 1
-                boson_sum = 0.0
-                for p_init, born in slots.values():
-                    age = g - born - 1
-                    boson_sum += p_init * damp_list[age if age < n_steps else n_steps]
-                p_eff = p0 - boson_sum
-                if p_eff > 1.0:
-                    p_eff = 1.0
-                elif p_eff < -1.0:
-                    p_eff = -1.0
+            for u in rng.random(config.n_steps).tolist():
+                p_eff = effective_momentum(particle, damp, lattice.ticks)
                 up = ((1.0 + p_eff) / 2.0) ** 2
                 move_cut = up + (1.0 - p_eff * p_eff) / 2.0
-                u = uniforms[tau - 1]
                 v = 1 if u < up else (0 if u < move_cut else -1)
-                xi += v
-                counter += v
+                particle.xi += v
+                particle.counter += v
+                particle.tau += 1
+                lattice.ticks += 1
+                if visit(lattice, particle, lattice.ticks) is not None:
+                    created += 1
 
-                reg = registers.get(xi)
-                if reg is None or reg == counter:
-                    registers[xi] = counter
-                    continue
-                shift = reg - counter
-                by_shift = site_bosons.setdefault(xi, {})
-                previous = by_shift.get(shift)
-                inherited = previous.advance(g - previous.created) if previous else 0.0
-                slots[shift] = (inherited, g)
-                q = counter / tau
-                boson = _LazySiteBoson(w0=q, dw0=abs(shift) * q, created=g)
-                if abs(boson.dw0) >= 1.0:
-                    lattice.overdriven_events += 1
-                by_shift[shift] = boson
-                registers[xi] = counter
-                counter = reg
-                created += 1
-            lattice.ticks = g
-
-            finals[emission] = xi
+            finals[emission] = particle.xi
             created_total += created
             if diag_writer is not None:
                 diag_writer.writerow(
-                    [emission, sites[src], xi, created, format(p_eff, ".17g")]
+                    [emission, sites[src], particle.xi, created, format(p_eff, ".17g")]
                 )
     finally:
         if diag_fh is not None:
@@ -556,37 +491,3 @@ def run_box(config: ScenarioConfig, seed=None) -> BoundRun:
     run = _bound_walk(config, seed, period)
     run.positions = np.minimum(run.positions, period - run.positions)
     return run
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-@dataclass
-class ScenarioResult:
-    positions: Histogram | None = None
-    bound: BoundRun | None = None
-    lattice: TrainingLattice | None = None
-
-
-def run_interference(
-    config: ScenarioConfig,
-    mode: str = "trained",
-    seed=None,
-    shards: int = 1,
-    threads: int = 1,
-    diagnostics=None,
-) -> ScenarioResult:
-    """Run any interference scenario; see the mode-specific runners."""
-    config.validate()
-    if config.kind in ("two-slit", "multi-slit"):
-        if mode == "trained":
-            hist = run_trained_slits(config, seed=seed, shards=shards, threads=threads)
-            return ScenarioResult(positions=hist)
-        if mode == "training":
-            run = run_training_slits(config, seed=seed, diagnostics=diagnostics)
-            return ScenarioResult(positions=run.positions, lattice=run.lattice)
-        raise ValueError(f"unknown mode {mode!r}")
-    if config.kind == "ring":
-        return ScenarioResult(bound=run_ring(config, seed=seed))
-    return ScenarioResult(bound=run_box(config, seed=seed))

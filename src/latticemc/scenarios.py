@@ -51,7 +51,7 @@ class ScenarioConfig:
             if len(set(sites)) != len(sites):
                 raise ValueError("sources must occupy distinct sites")
             weights = [w for _, w in self.sources]
-            if any(w < 0.0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
+            if not all(w >= 0.0 for w in weights) or not abs(sum(weights) - 1.0) <= 1e-9:
                 raise ValueError("source weights must be nonnegative and sum to 1")
             if self.kind == "two-slit":
                 if len(self.sources) != 2:
@@ -61,7 +61,7 @@ class ScenarioConfig:
         else:
             if self.ell < 2:
                 raise ValueError("ring/box needs ell >= 2")
-            if self.p is None or abs(self.p) > 1.0:
+            if self.p is None or not -1.0 <= self.p <= 1.0:
                 raise ValueError("ring/box needs a fixed propensity in [-1, 1]")
 
 

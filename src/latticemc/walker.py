@@ -24,7 +24,7 @@ from .stats import Histogram, merge
 
 @dataclass
 class ParticleState:
-    """Mutable walk state; ``bosons`` maps a pair key to a carried boson."""
+    """Mutable walk state; ``bosons`` maps a pair shift to a carried (momentum, birth tick)."""
 
     xi: int = 0
     tau: int = 0
@@ -94,9 +94,15 @@ def _simulate_free_shard(
     xi = np.asarray(xi0_sampler(rng, n_particles), dtype=np.int64).copy()
     up = ((1.0 + p) / 2.0) ** 2
     move_cut = up + (1.0 - p * p) / 2.0
+    # buffers live for the whole walk: arrays allocated per tick let the
+    # allocator return and re-fault their pages every tick, which cost up
+    # to 45% of the run depending on the heap layout left by imports
+    u = np.empty(n_particles)
+    moves = np.empty(n_particles, dtype=bool)
     for _ in range(n_steps):
-        u = rng.random(n_particles)
-        xi += (u < up).astype(np.int64) - (u >= move_cut)
+        rng.random(out=u)
+        xi += np.less(u, up, out=moves)
+        xi -= np.greater_equal(u, move_cut, out=moves)
     return Histogram.from_samples(xi)
 
 

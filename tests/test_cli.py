@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import latticemc
-from latticemc import cli, verify
+from latticemc import cli, qforce, verify
 
 
 def read_rows(path):
@@ -167,6 +167,16 @@ def test_interfere_ring_reports_lock(tmp_path, capsys):
     assert "target=0.4000" in text
 
 
+def test_interfere_box_reports_lock(tmp_path, capsys):
+    out = tmp_path / "box.csv"
+    assert cli.main([
+        "interfere", "--scenario", "box", "--ell", "5", "--p", "0.37",
+        "--n-steps", "20000", "--seed", "5", "--out", str(out),
+    ]) == 0
+    assert read_rows(out)[0] == ["pbar", "count", "frequency"]
+    assert "interfere: box ell=5" in capsys.readouterr().out
+
+
 def test_interfere_ring_needs_geometry(tmp_path, capsys):
     code = cli.main([
         "interfere", "--scenario", "ring", "--out", str(tmp_path / "x.csv"),
@@ -242,6 +252,29 @@ def test_config_errors_exit_2(tmp_path, capsys):
         "interfere", "--scenario", "two-slit", "--delta", "3",
         "--out", str(tmp_path / "x.csv"),
     ]) == 2
+    out = str(tmp_path / "x.csv")
+    for argv in [
+        ["free", "--p", "nan", "--out", out],
+        ["interfere", "--scenario", "ring", "--ell", "10", "--p", "nan", "--out", out],
+        ["interfere", "--scenario", "two-slit", "--p1", "nan", "--out", out],
+        ["interfere", "--scenario", "multi-slit", "--sources=-1:nan,1:nan", "--out", out],
+    ]:
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("latticemc: config error")
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # a ValueError past validation is a bug in the program, not bad input
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(qforce, "run_trained_slits", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        cli.main([
+            "interfere", "--scenario", "two-slit", "--n-particles", "10",
+            "--n-steps", "5", "--out", str(tmp_path / "x.csv"),
+        ])
 
 
 def test_verify_selected_suite_passes(capsys):

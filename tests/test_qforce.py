@@ -1,19 +1,15 @@
 """Tests for the lattice-memory machinery: decay laws, visits, runs."""
 
 import math
+import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from latticemc.qforce import (
-    BosonKey,
-    ParticleBoson,
-    SiteBoson,
-    SiteState,
     TrainingLattice,
-    decay_particle_boson,
-    decay_site_boson,
     effective_momentum,
     expected_particle_boson,
     expected_site_momentum,
@@ -21,7 +17,6 @@ from latticemc.qforce import (
     particle_boson_series,
     particle_damping,
     run_box,
-    run_interference,
     run_ring,
     run_trained_slits,
     run_training_slits,
@@ -49,27 +44,28 @@ from latticemc.walker import ParticleState
 
 
 def test_site_boson_decay_tick_math():
-    b = SiteBoson(w0=0.4, dw0=0.8, w=0.4)
-    b1 = decay_site_boson(b)
-    assert b1.age == 1
-    assert b1.w == pytest.approx(0.4 * (1.0 - 0.64))
-    b2 = decay_site_boson(b1)
-    assert b2.age == 2
-    assert b2.w == pytest.approx(0.4 * (1.0 - 0.64) * (1.0 - 0.64 / 4.0))
-    assert b2.w0 == 0.4 and b2.dw0 == 0.8
+    # one and two ticks of decay by hand: q (1 - x**2) (1 - x**2/4), x = delta*q
+    assert site_decay_product(0.4, 2, 0) == 0.4
+    assert site_decay_product(0.4, 2, 1) == pytest.approx(0.4 * (1.0 - 0.64))
+    assert site_decay_product(0.4, 2, 2) == pytest.approx(0.4 * (1.0 - 0.64) * (1.0 - 0.64 / 4.0))
 
 
 def test_site_boson_overdriven_flag():
-    assert SiteBoson(w0=0.6, dw0=1.2, w=0.6).overdriven
-    assert not SiteBoson(w0=0.3, dw0=0.6, w=0.3).overdriven
+    # a pair with |shift * q| >= 1 has early decay factors that change sign
+    for q_tau, counter, overdriven in [(5, 3, True), (10, 3, False)]:
+        lattice = TrainingLattice(registers={0: 5})
+        assert visit(lattice, ParticleState(tau=q_tau, counter=counter), 1) == 2
+        assert lattice.overdriven_events == int(overdriven)
 
 
 def test_particle_boson_damping_ticks():
-    b = ParticleBoson(p=1.0)
-    b1 = decay_particle_boson(b)
-    assert b1.p == pytest.approx(0.5) and b1.age == 1
-    b2 = decay_particle_boson(b1)
-    assert b2.p == pytest.approx(0.375) and b2.age == 2
+    # a carried boson of momentum 1 is worth 1/2 one tick after its birth
+    # tick and 3/8 two ticks after it
+    damp = particle_damping(2)
+    particle = ParticleState(bosons={3: (-1.0, 10)})
+    assert effective_momentum(particle, damp, 10) == 1.0
+    assert effective_momentum(particle, damp, 11) == pytest.approx(0.5)
+    assert effective_momentum(particle, damp, 12) == pytest.approx(0.375)
 
 
 def test_particle_damping_table():
@@ -103,10 +99,83 @@ def test_site_decay_product_reaches_sinc_limit():
 
 def test_site_decay_product_matches_iterated_decay():
     q, delta, n = 0.3, 2, 50
-    b = SiteBoson(w0=q, dw0=delta * q, w=q)
-    for _ in range(n):
-        b = decay_site_boson(b)
-    assert site_decay_product(q, delta, n) == pytest.approx(b.w, rel=1e-12)
+    w = q
+    for age in range(1, n + 1):
+        w *= 1.0 - (delta * q / age) ** 2
+    assert site_decay_product(q, delta, n) == pytest.approx(w, rel=1e-12)
+
+
+DECAY_SPANS = sorted(
+    set(range(0, 60)) | {99, 100, 101, 999, 1000, 1001, 4321, 10**4, 54321, 10**5}
+)
+
+
+@pytest.mark.parametrize("q, delta", [
+    (0.0, 2), (0.3, 0),                  # x = 0
+    (0.05, 1), (0.37, 2), (-0.37, 2),    # |x| < 1, either sign of q
+    (0.5, 2), (1.0, 2), (-0.75, 4),      # integer x: exactly 0 from tick |x| on
+    (0.6, 2), (-0.9, 3), (1.1, 2),       # overdriven |x| >= 1
+    (0.85, 30), (-0.41, 100),            # spans shorter than |x| up to 25 and 41 ticks
+])
+def test_site_decay_product_matches_direct_product(q, delta):
+    # the closed form against the product multiplied out tick by tick
+    x = delta * q
+    j = np.arange(1, DECAY_SPANS[-1] + 1, dtype=float)
+    direct = np.concatenate(([q], q * np.cumprod(1.0 - (x / j) ** 2)))
+    for n in DECAY_SPANS:
+        got = site_decay_product(q, delta, n)
+        assert got == pytest.approx(direct[n], rel=1e-10, abs=1e-12), n
+    if x == round(x) and x:
+        assert all(site_decay_product(q, delta, n) == 0.0 for n in DECAY_SPANS if n >= abs(x))
+
+
+@pytest.mark.parametrize("q, delta", [(0.9999999999999999, 3), (math.nextafter(1.5, 2.0), 2)])
+def test_site_decay_product_near_a_zero_factor(q, delta):
+    # x = delta*q lies a rounding step from an integer, so one factor is
+    # about 1e-16; the exact rational product of the same float x fixes
+    # the value to full relative precision on both sides of that factor
+    x = Fraction(delta * q)
+    assert x != round(x)
+    for n in (1, 2, 3, 10, 20, 21, 22, 40):
+        exact = Fraction(q) * math.prod(1 - x * x / (j * j) for j in range(1, n + 1))
+        assert site_decay_product(q, delta, n) == pytest.approx(float(exact), rel=1e-12, abs=0), n
+
+
+def test_site_decay_product_past_float_range():
+    # |x| in the hundreds: the product exceeds the float range a few ticks
+    # after |x|; it is inf with the product's sign, or exactly 0 once an
+    # integer |x| has been passed
+    assert site_decay_product(1.0, 600, 620) == 0.0
+    assert site_decay_product(0.5005, 1200, 640) == math.inf
+    assert site_decay_product(-0.5005, 1200, 640) == -math.inf
+    assert site_decay_product(0.5005, 1200, 10**10) == pytest.approx(
+        expected_site_momentum(0.5005, 1200), rel=1e-3
+    )
+
+
+def test_site_decay_product_rejects_negative_span():
+    with pytest.raises(ValueError):
+        site_decay_product(0.3, 2, -1)
+
+
+def test_idle_boson_is_valued_in_constant_memory():
+    # a site boson idle for 10**7 ticks, valued by a snapshot and by an
+    # inheriting visit, without memory in proportion to its idle span
+    idle = 10**7
+    lattice = TrainingLattice(registers={0: 5}, site_bosons={0: {2: (0.3, 0)}}, ticks=idle)
+    particle = ParticleState(tau=10, counter=3)
+    tracemalloc.start()
+    try:
+        rows = lattice.boson_snapshot()
+        assert visit(lattice, particle, idle) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    value = site_decay_product(0.3, 2, idle)
+    assert rows == [(0, 2, value, 0.3)]
+    assert particle.bosons[2] == (value, idle)
+    assert value == pytest.approx(expected_site_momentum(0.3, 2), rel=1e-6)
 
 
 def test_site_momentum_series_rate_independent():
@@ -140,11 +209,11 @@ def test_expected_particle_boson_value():
 
 
 def test_effective_momentum_clamps():
-    particle = ParticleState(p0=0.9)
-    particle.bosons[2] = ParticleBoson(p=-0.5)
-    assert effective_momentum(particle) == 1.0
-    particle.bosons[2] = ParticleBoson(p=0.3)
-    assert effective_momentum(particle) == pytest.approx(0.6)
+    damp = particle_damping(4)
+    particle = ParticleState(p0=0.9, bosons={2: (-0.5, 7)})
+    assert effective_momentum(particle, damp, 7) == 1.0
+    particle.bosons[2] = (0.3, 7)
+    assert effective_momentum(particle, damp, 7) == pytest.approx(0.6)
 
 
 def test_mean_effective_momentum_hand_value():
@@ -156,69 +225,64 @@ def test_mean_effective_momentum_hand_value():
 # visit rule
 
 
-def test_boson_key_shift_and_delta():
-    key = BosonKey(counter=3, register=1)
-    assert key.shift == -2
-    assert key.delta == 2
-
-
 def test_visit_requires_started_walk():
     with pytest.raises(ValueError):
-        visit(SiteState(), ParticleState(tau=0))
+        visit(TrainingLattice(), ParticleState(tau=0), 0)
 
 
 def test_first_visit_registers_without_boson():
-    site = SiteState()
-    particle = ParticleState(tau=4, counter=2)
-    assert visit(site, particle) is None
-    assert site.register == 2
-    assert site.bosons == {} and particle.bosons == {}
+    lattice = TrainingLattice()
+    particle = ParticleState(xi=7, tau=4, counter=2)
+    assert visit(lattice, particle, 4) is None
+    assert lattice.registers == {7: 2}
+    assert lattice.site_bosons == {} and particle.bosons == {}
 
 
 def test_matching_register_rewrites_without_boson():
-    site = SiteState(register=2)
+    lattice = TrainingLattice(registers={0: 2})
     particle = ParticleState(tau=4, counter=2)
-    assert visit(site, particle) is None
-    assert site.register == 2 and particle.counter == 2
-    assert site.bosons == {}
+    assert visit(lattice, particle, 4) is None
+    assert lattice.registers[0] == 2 and particle.counter == 2
+    assert lattice.site_bosons == {}
 
 
 def test_visit_creates_pair_and_swaps():
-    site = SiteState(register=3)
+    lattice = TrainingLattice(registers={0: 3})
     particle = ParticleState(tau=4, counter=1)
-    key = visit(site, particle)
-    assert key == BosonKey(counter=1, register=3)
-    assert key.shift == 2
+    # the pair's shift is register - counter
+    assert visit(lattice, particle, 9) == 2
     # walker found no prior boson of this shift, so it carries zero momentum
-    assert particle.bosons[2].p == 0.0
-    # the site boson restarts at the visitor's sample momentum
-    assert site.bosons[2].w0 == pytest.approx(0.25)
-    assert site.bosons[2].dw0 == pytest.approx(0.5)
-    assert site.bosons[2].w == pytest.approx(0.25)
+    assert particle.bosons[2] == (0.0, 9)
+    # the site boson restarts at the visitor's sample momentum, x = 2 * 0.25
+    assert lattice.site_bosons[0][2] == (0.25, 9)
+    lattice.ticks = 10
+    assert lattice.boson_snapshot() == [(0, 2, pytest.approx(0.25 * (1.0 - 0.5**2)), 0.25)]
+    assert lattice.overdriven_events == 0
     # counter and register exchange values
-    assert site.register == 1
+    assert lattice.registers[0] == 1
     assert particle.counter == 3
 
 
 def test_visit_inherits_previous_boson_momentum():
-    site = SiteState(register=5)
-    site.bosons[2] = SiteBoson(w0=0.4, dw0=0.8, w=0.123, age=7)
+    lattice = TrainingLattice(registers={0: 5}, site_bosons={0: {2: (0.4, 3)}})
     particle = ParticleState(tau=10, counter=3)
-    key = visit(site, particle)
-    assert key.shift == 2
-    assert particle.bosons[2].p == pytest.approx(0.123)
+    assert visit(lattice, particle, 10) == 2
+    # the walker inherits the resident boson valued 7 ticks after its birth
+    assert particle.bosons[2] == (pytest.approx(site_decay_product(0.4, 2, 7)), 10)
+    assert particle.bosons[2][0] == pytest.approx(
+        0.4 * np.prod([1.0 - (0.8 / j) ** 2 for j in range(1, 8)]), rel=1e-12
+    )
     # the resident boson is replaced, not averaged
-    assert site.bosons[2].w0 == pytest.approx(0.3)
-    assert site.bosons[2].age == 0
+    assert lattice.site_bosons[0][2] == (pytest.approx(0.3), 10)
 
 
 def test_visit_negative_shift_uses_own_slot():
-    site = SiteState(register=1)
+    lattice = TrainingLattice(registers={0: 1})
     particle = ParticleState(tau=4, counter=3)
-    key = visit(site, particle)
-    assert key.shift == -2
-    assert -2 in site.bosons and -2 in particle.bosons
-    assert site.bosons[-2].dw0 == pytest.approx(2 * 3 / 4)
+    assert visit(lattice, particle, 4) == -2
+    assert -2 in lattice.site_bosons[0] and -2 in particle.bosons
+    # |x| = 2 * 3/4 >= 1
+    assert lattice.overdriven_events == 1
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +479,25 @@ def test_training_pinned_counts():
     ]
 
 
+def test_training_runs_through_visit(monkeypatch):
+    # every tick of the engine is one call of the visit rule, and every
+    # pair that rule reports is one created boson
+    cfg = two_slit_config(delta=2, n_particles=30, n_steps=20, seed=32)
+    plain = run_training_slits(cfg)
+    shifts = []
+    rule = qforce.visit
+
+    def recording(lattice, particle, now):
+        shifts.append(rule(lattice, particle, now))
+        return shifts[-1]
+
+    monkeypatch.setattr(qforce, "visit", recording)
+    run = run_training_slits(cfg)
+    assert len(shifts) == 30 * 20
+    assert run.bosons_created == sum(s is not None for s in shifts) == plain.bosons_created
+    assert np.array_equal(run.positions.counts, plain.positions.counts)
+
+
 def test_training_lattice_reuse_accumulates():
     cfg = two_slit_config(delta=2, n_particles=150, n_steps=40, seed=22)
     first = run_training_slits(cfg)
@@ -555,26 +638,3 @@ def test_bound_runners_check_config_kind():
         run_ring(box)
     with pytest.raises(ValueError):
         run_box(ring)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def test_run_interference_dispatch():
-    slit = two_slit_config(delta=2, n_particles=200, n_steps=30, seed=29)
-    result = run_interference(slit, mode="trained")
-    assert result.positions is not None and result.bound is None
-
-    trained = run_interference(slit, mode="training")
-    assert trained.positions is not None
-    assert isinstance(trained.lattice, TrainingLattice)
-
-    ring = run_interference(ring_config(ell=10, p=0.3, n_steps=400, seed=30))
-    assert ring.bound is not None and ring.positions is None
-
-    box = run_interference(box_config(ell=5, p=0.3, n_steps=400, seed=30))
-    assert box.bound is not None
-
-    with pytest.raises(ValueError):
-        run_interference(slit, mode="annealed")
