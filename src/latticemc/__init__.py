@@ -16,6 +16,6 @@ example uses; every other name is imported from its own module
 from .analytic import pmf_free
 from .scenarios import two_slit_density
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = ["__version__", "pmf_free", "two_slit_density"]

@@ -17,13 +17,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__, analytic, qforce, verify
-from .stats import Histogram, write_histogram_csv, write_value_histogram_csv
+from .stats import Histogram, atomic_open, write_histogram_csv, write_value_histogram_csv
 from .walker import fixed_propensity, point_source, run_ensemble_free
 from .scenarios import (
     ScenarioConfig,
@@ -127,7 +128,7 @@ def _pad_histogram(hist: Histogram, lo: int, hi: int) -> Histogram:
 
 
 def _write_json(path, columns: list[str], rows: list[list], summary: dict) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump({"columns": columns, "rows": rows, "summary": summary}, fh, indent=1)
         fh.write("\n")
 
@@ -141,7 +142,7 @@ def _write_manifest(path, command: str, params: dict, outputs: dict) -> None:
         "params": params,
         "outputs": outputs,
     }
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
@@ -421,9 +422,13 @@ def _execute_rerun(manifest_path: str, out_dir: str | None) -> dict:
         raise ConfigError("manifest does not describe a rerunnable command")
     schema = _FREE_SCHEMA if command == "free" else _INTERFERE_SCHEMA
     params = _apply_schema(doc["params"], schema, "manifest")
+    if doc.get("version") != __version__:
+        print(
+            f"latticemc: manifest was written by version {doc.get('version')}, "
+            f"this is {__version__}; random streams may differ",
+            file=sys.stderr,
+        )
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         for key in ("out", "json_out", "manifest", "diagnostics"):
             if params.get(key):

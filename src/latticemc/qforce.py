@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stats import Histogram
-from .walker import ParticleState, _run_shards
+from .stats import Histogram, atomic_open
+from .walker import ParticleState, _run_shards, endpoint_displacement, move
 from .scenarios import (
     ScenarioConfig,
     _memory_force,
@@ -246,10 +247,8 @@ def _trained_shard(
     With the lattice memory converged, a walker's effective propensity
     settles at the root of the ray equation for its preparation, and the
     transient before settling is negligible next to the run length.  The
-    walk is therefore sampled at the locked propensity; its displacement
-    after n_steps ticks is exactly Binomial(2*n_steps, (1+q)/2) shifted
-    by -n_steps, since one trinomial tick compounds two half-tick coin
-    flips.
+    walk is therefore sampled at the locked propensity, in one
+    ``endpoint_displacement`` draw per particle.
     """
     sites = np.array([s for s, _ in sources], dtype=np.int64)
     weights = np.array([w for _, w in sources], dtype=float)
@@ -258,7 +257,7 @@ def _trained_shard(
     p0 = rng.uniform(-1.0, 1.0, n_particles)
     amps, deltas = _pair_terms(sources)
     q_star = _solve_rays(p0, amps, deltas)
-    counter = rng.binomial(2 * n_steps, (1.0 + q_star) / 2.0) - n_steps
+    counter = endpoint_displacement(rng, n_steps, q_star)
     xi = sites[src] + counter
     return xi, p0, counter, q_star
 
@@ -358,23 +357,19 @@ def run_training_slits(
 
     finals = np.empty(config.n_particles, dtype=np.int64)
     created_total = 0
-    diag_writer = None
-    diag_fh = None
-    if diagnostics is not None:
-        diag_fh = open(diagnostics, "w", newline="")
-        diag_writer = csv.writer(diag_fh)
-        diag_writer.writerow(["emission", "source", "final_xi", "bosons_created", "final_p_eff"])
-
-    try:
+    diag_file = atomic_open(diagnostics, newline="") if diagnostics is not None else nullcontext()
+    with diag_file as diag_fh:
+        diag_writer = None
+        if diag_fh is not None:
+            diag_writer = csv.writer(diag_fh)
+            diag_writer.writerow(["emission", "source", "final_xi", "bosons_created", "final_p_eff"])
         for emission in range(config.n_particles):
             src = int(rng.choice(len(sites), p=weights))
             particle = ParticleState(xi=sites[src], p0=rng.uniform(-1.0, 1.0))
             created = 0
             for u in rng.random(config.n_steps).tolist():
                 p_eff = effective_momentum(particle, damp, lattice.ticks)
-                up = ((1.0 + p_eff) / 2.0) ** 2
-                move_cut = up + (1.0 - p_eff * p_eff) / 2.0
-                v = 1 if u < up else (0 if u < move_cut else -1)
+                v = move(u, p_eff)
                 particle.xi += v
                 particle.counter += v
                 particle.tau += 1
@@ -388,9 +383,6 @@ def run_training_slits(
                 diag_writer.writerow(
                     [emission, sites[src], particle.xi, created, format(p_eff, ".17g")]
                 )
-    finally:
-        if diag_fh is not None:
-            diag_fh.close()
 
     return TrainingRun(
         positions=Histogram.from_samples(finals),
@@ -444,9 +436,7 @@ def _bound_walk(config: ScenarioConfig, seed, period: int) -> BoundRun:
         q = counter / tau if tau > 1 else p0  # no self-history before the walk moves
         p_eff = max(-1.0, min(1.0, p0 - ring_memory_force(q, period)))
         p_eff_trace[tau - 1] = p_eff
-        up = ((1.0 + p_eff) / 2.0) ** 2
-        move_cut = up + (1.0 - p_eff * p_eff) / 2.0
-        counter += 1 if u < up else (0 if u < move_cut else -1)
+        counter += move(u, p_eff)
         counters[tau - 1] = counter
     p_bar = counters / np.arange(1, n_steps + 1)
     return BoundRun(

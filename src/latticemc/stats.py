@@ -9,6 +9,9 @@ only on the per-shard streams, not on scheduling.
 from __future__ import annotations
 
 import csv
+import os
+import shutil
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,11 +202,46 @@ def bin_reference(reference: np.ndarray, support: np.ndarray, edges: np.ndarray)
     return out
 
 
+@contextmanager
+def atomic_open(path, newline=None):
+    """Open a temp file beside ``path`` for text writing; it becomes ``path`` only on success.
+
+    The temp file is moved over ``path`` with ``os.replace`` once the
+    block completes, and removed if the block or the move fails, so a
+    failed write leaves neither a partial file nor a temp file behind.
+    An existing file keeps its permission bits.  A symlink, or a target
+    that exists but is not a regular file (``/dev/null``, a pipe, a
+    terminal), is opened and written in place, since renaming over it
+    would replace the link or the device node itself.
+    """
+    path = os.fspath(path)
+    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "w", newline=newline)
+    except OSError as exc:  # report the target, not the temp name
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    try:
+        with fh:
+            if os.path.exists(path):
+                shutil.copymode(path, tmp)
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_histogram_csv(path, hist: Histogram, columns: dict[str, np.ndarray]) -> None:
     """Write ``xi,count,frequency[,extra columns]`` rows for a histogram."""
     freq = hist.frequency()
     names = ["xi", "count", "frequency", *columns.keys()]
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
         for i, x in enumerate(hist.support):
@@ -215,7 +253,7 @@ def write_histogram_csv(path, hist: Histogram, columns: dict[str, np.ndarray]) -
 def write_value_histogram_csv(path, centers: np.ndarray, counts: np.ndarray) -> None:
     """Write ``pbar,count,frequency`` rows for a real-valued histogram."""
     total = counts.sum()
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pbar", "count", "frequency"])
         for c, n in zip(centers, counts):

@@ -1,10 +1,14 @@
 """Monte Carlo engine for free (non-interfering) walks.
 
 A walk carries an integer site, a tick counter, a net-displacement
-counter, and its preparation propensity.  Free ensembles are simulated
-with one vectorized uniform draw per tick across all particles, which is
-step-for-step the same sampling rule as ``step`` (u < up -> +1,
-u < up + stay -> 0, else -1) applied in parallel.
+counter, and its preparation propensity.  ``move`` is the one trinomial
+step rule (u < up -> +1, u < up + stay -> 0, else -1) that ``step`` and
+the memory-driven walks in ``qforce`` apply tick by tick.  A free walk
+needs no ticks: one trinomial tick at propensity p is two fair half-tick
+coin flips that each go up with probability (1+p)/2, so after tau ticks
+the displacement is Binomial(2 tau, (1+p)/2) - tau.  ``endpoint_displacement``
+draws that once per particle, for free ensembles and trained runs
+alike; ``step`` and ``run_free`` stay as the per-tick reference.
 
 Sharded runs derive one child generator per shard from a single seed, so
 the merged histogram is bit-reproducible for a fixed (seed, shards) pair
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import transition_probs
+from .lattice import _check_propensity, transition_probs
 from .stats import Histogram, merge
 
 
@@ -33,16 +37,25 @@ class ParticleState:
     bosons: dict = field(default_factory=dict)
 
 
+def move(u: float, p: float) -> int:
+    """Trinomial move for a uniform draw ``u`` at propensity ``p``: +1, 0 or -1."""
+    up = ((1.0 + p) / 2.0) ** 2
+    return 1 if u < up else (0 if u < up + (1.0 - p * p) / 2.0 else -1)
+
+
+def endpoint_displacement(rng: np.random.Generator, n_steps: int, p):
+    """Net displacement after ``n_steps`` trinomial ticks at propensity ``p``, in one draw.
+
+    One tick is two fair half-tick coin flips, each up with probability
+    (1+p)/2, so the displacement is Binomial(2*n_steps, (1+p)/2) - n_steps;
+    ``p`` may be an array, giving one draw per entry.
+    """
+    return rng.binomial(2 * n_steps, (1.0 + p) / 2.0) - n_steps
+
+
 def step(state: ParticleState, p_eff: float, rng: np.random.Generator) -> int:
     """Advance one tick with effective propensity ``p_eff``; returns the move."""
-    probs = transition_probs(p_eff)
-    u = rng.random()
-    if u < probs.up:
-        v = 1
-    elif u < probs.up + probs.stay:
-        v = 0
-    else:
-        v = -1
+    v = move(rng.random(), _check_propensity(p_eff))
     state.xi += v
     state.counter += v
     state.tau += 1
@@ -89,21 +102,10 @@ def _simulate_free_shard(
     rng: np.random.Generator,
 ) -> Histogram:
     p = np.asarray(p_sampler(rng, n_particles), dtype=float)
-    if np.any(np.abs(p) > 1.0):
+    if not np.all(np.abs(p) <= 1.0):  # written so that NaN fails too
         raise ValueError("propensity sampler produced values outside [-1, 1]")
-    xi = np.asarray(xi0_sampler(rng, n_particles), dtype=np.int64).copy()
-    up = ((1.0 + p) / 2.0) ** 2
-    move_cut = up + (1.0 - p * p) / 2.0
-    # buffers live for the whole walk: arrays allocated per tick let the
-    # allocator return and re-fault their pages every tick, which cost up
-    # to 45% of the run depending on the heap layout left by imports
-    u = np.empty(n_particles)
-    moves = np.empty(n_particles, dtype=bool)
-    for _ in range(n_steps):
-        rng.random(out=u)
-        xi += np.less(u, up, out=moves)
-        xi -= np.greater_equal(u, move_cut, out=moves)
-    return Histogram.from_samples(xi)
+    xi = np.asarray(xi0_sampler(rng, n_particles), dtype=np.int64)
+    return Histogram.from_samples(xi + endpoint_displacement(rng, n_steps, p))
 
 
 def run_ensemble_free(

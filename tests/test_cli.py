@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -348,6 +349,47 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     ]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "cannot write output" in err
+
+
+def test_failed_json_write_exits_2_and_leaves_no_file(tmp_path, monkeypatch, capsys):
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"columns": [')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+    assert cli.main([
+        "free", "--n-particles", "100", "--n-steps", "10",
+        "--out", str(tmp_path / "run.csv"), "--json", str(tmp_path / "run.json"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cannot write output" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
+
+
+def test_out_to_devnull_writes_in_place(tmp_path):
+    # a device target is written through, never renamed over
+    assert cli.main([
+        "free", "--n-particles", "100", "--n-steps", "10",
+        "--out", os.devnull, "--json", str(tmp_path / "run.json"),
+    ]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert json.loads((tmp_path / "run.json").read_text())["summary"]
+
+
+def test_rerun_warns_on_version_mismatch(tmp_path, capsys):
+    out, manifest, doc = _recorded_free_run(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["rerun", str(manifest), "--out-dir", str(tmp_path / "same")]) == 0
+    assert capsys.readouterr().err == ""
+
+    doc["version"] = "0.1.0"
+    manifest.write_text(json.dumps(doc))
+    assert cli.main(["rerun", str(manifest), "--out-dir", str(tmp_path / "old")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1 and captured.out.startswith("free:")
+    assert captured.err.count("\n") == 1
+    assert "0.1.0" in captured.err and latticemc.__version__ in captured.err
+    assert (tmp_path / "old" / "run.csv").read_bytes() == out.read_bytes()
 
 
 def test_cli_import_leaves_scipy_unloaded():

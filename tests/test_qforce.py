@@ -519,6 +519,23 @@ def test_training_diagnostics_csv(tmp_path):
         assert -1.0 <= float(fields[4]) <= 1.0
 
 
+def test_training_diagnostics_not_left_by_failed_run(tmp_path, monkeypatch):
+    path = tmp_path / "diag.csv"
+    cfg = two_slit_config(delta=2, n_particles=40, n_steps=30, seed=24)
+    calls = iter(range(100))
+    visit = qforce.visit
+
+    def visit_then_fail(*args):  # fails in the fourth emission, after three rows
+        if next(calls) == 99:
+            raise OSError(28, "No space left on device")
+        return visit(*args)
+
+    monkeypatch.setattr(qforce, "visit", visit_then_fail)
+    with pytest.raises(OSError):
+        run_training_slits(cfg, diagnostics=str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_training_snapshot_lists_live_bosons():
     cfg = two_slit_config(delta=2, n_particles=200, n_steps=50, seed=25)
     run = run_training_slits(cfg)

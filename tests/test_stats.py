@@ -1,6 +1,8 @@
 """Histogram algebra, chi-square gate, pooling, binning, CSV layout."""
 
 import csv
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -243,3 +245,46 @@ def test_write_value_histogram_csv(tmp_path):
     assert rows[0] == ["pbar", "count", "frequency"]
     assert [r[0] for r in rows[1:]] == ["0.10000000000000001", "0.29999999999999999"]
     assert float(rows[1][2]) == 0.75
+
+
+class _FailingColumn:
+    """A model column whose reads fail from row ``fail_at`` on, as a full disk would."""
+
+    def __init__(self, fail_at):
+        self.fail_at = fail_at
+
+    def __getitem__(self, i):
+        if i >= self.fail_at:
+            raise OSError(28, "No space left on device")
+        return 0.5
+
+
+def test_failed_write_leaves_no_partial_or_temp_file(tmp_path):
+    hist = stats.Histogram(offset=0, counts=[1, 1, 1, 1, 1])
+    path = tmp_path / "h.csv"
+    with pytest.raises(OSError):
+        stats.write_histogram_csv(path, hist, {"model": _FailingColumn(3)})
+    assert list(tmp_path.iterdir()) == []
+
+    path.write_text("earlier run\n")
+    with pytest.raises(OSError):
+        stats.write_histogram_csv(path, hist, {"model": _FailingColumn(3)})
+    assert path.read_text() == "earlier run\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_atomic_open_keeps_mode_and_writes_symlinks_in_place(tmp_path):
+    hist = stats.Histogram(offset=0, counts=[2, 2])
+    path = tmp_path / "h.csv"
+    path.write_text("earlier run\n")
+    os.chmod(path, 0o640)
+    stats.write_histogram_csv(path, hist, {})
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+    assert path.read_text().startswith("xi,count,frequency")
+
+    link = tmp_path / "link.csv"
+    link.symlink_to(path)
+    stats.write_histogram_csv(link, stats.Histogram(offset=5, counts=[4]), {})
+    assert link.is_symlink()
+    assert path.read_text().splitlines()[1].startswith("5,4,")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "link.csv"]

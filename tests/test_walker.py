@@ -5,7 +5,7 @@ import pytest
 
 from latticemc import analytic, walker
 from latticemc.lattice import transition_probs
-from latticemc.stats import compare
+from latticemc.stats import _pool, chi2_critical, compare
 
 
 def test_step_updates_state_and_returns_move():
@@ -40,6 +40,16 @@ def test_step_matches_run_free_sampling():
     for _ in range(200):
         walker.step(state, 0.3, rng_a)
     assert walker.run_free(0, 0.3, 200, rng_b) == state.xi
+
+
+def test_move_cuts_at_transition_probs():
+    for p in (-1.0, -0.6, 0.0, 0.35, 1.0):
+        probs = transition_probs(p)
+        for u in np.linspace(0.0, 1.0, 201, endpoint=False):
+            expected = 1 if u < probs.up else (0 if u < probs.up + probs.stay else -1)
+            assert walker.move(u, p) == expected
+    with pytest.raises(ValueError):
+        walker.step(walker.ParticleState(), 1.5, np.random.default_rng(0))
 
 
 def test_run_free_zero_steps():
@@ -89,8 +99,8 @@ def test_ensemble_pinned_counts_three_shards():
     hist = walker.run_ensemble_free(300, 20, seed=11, shards=3)
     assert hist.offset == -20
     assert hist.counts.tolist() == [
-        10, 7, 9, 7, 10, 4, 5, 8, 7, 11, 8, 12, 6, 11, 9, 9, 4, 6, 6, 2, 8,
-        5, 8, 5, 5, 9, 7, 6, 2, 9, 11, 18, 6, 7, 3, 3, 5, 8, 8, 11, 5,
+        9, 9, 4, 5, 8, 8, 8, 12, 9, 11, 7, 11, 10, 7, 7, 6, 6, 6, 6, 5, 11,
+        7, 6, 8, 5, 6, 12, 0, 9, 12, 4, 5, 6, 5, 7, 7, 6, 7, 11, 7, 5,
     ]
 
 
@@ -111,6 +121,8 @@ def test_ensemble_argument_validation():
         walker.run_ensemble_free(10, 10, shards=0)
     with pytest.raises(ValueError):
         walker.run_ensemble_free(10, 10, p_sampler=lambda rng, n: np.full(n, 2.0))
+    with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
+        walker.run_ensemble_free(5, 10, p_sampler=lambda rng, n: np.full(n, np.nan), seed=1)
 
 
 def test_ensemble_point_mass_matches_closed_pmf():
@@ -161,3 +173,33 @@ def test_ensemble_shifted_source():
     )
     assert hist.support.tolist() == [12]
     assert hist.counts.tolist() == [500]
+
+
+# ---------------------------------------------------------------------------
+# the one-draw ensemble against the per-tick reference walk
+
+
+def _two_sample_chi2(a, b, min_count=10):
+    """Chi-square of two equal-size endpoint samples, on sites pooled to ``min_count`` joint counts."""
+    lo = min(a.min(), b.min())
+    size = max(a.max(), b.max()) - lo + 1
+    ca, cb = (np.bincount(x - lo, minlength=size) for x in (a, b))
+    ga, joint = _pool(ca, ca + cb, min_count)
+    gb, _ = _pool(cb, ca + cb, min_count)
+    return float(((ga - gb) ** 2 / joint).sum()), len(joint) - 1
+
+
+@pytest.mark.parametrize("preparation", ["fixed", "uniform"])
+def test_ensemble_matches_per_tick_reference(preparation):
+    n_particles, n_steps, p = 20000, 40, 0.3
+    fixed = preparation == "fixed"
+    hist = walker.run_ensemble_free(
+        n_particles, n_steps, walker.fixed_propensity(p) if fixed else None, seed=606
+    )
+    fast = np.repeat(hist.support, hist.counts)
+    rng = np.random.default_rng(607)
+    ps = np.full(n_particles, p) if fixed else rng.uniform(-1.0, 1.0, n_particles)
+    slow = np.array([walker.run_free(0, float(q), n_steps, rng) for q in ps])
+    chi2, dof = _two_sample_chi2(fast, slow)
+    assert dof > 20
+    assert chi2 < chi2_critical(dof), f"chi2={chi2:.1f} on {dof} dof"
