@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .lattice import _check_propensity, _scalar_or_array
+
 EXACT_BINOMIAL_MAX_TAU = 30
 
 
@@ -46,13 +48,6 @@ def _check_tau(tau: int) -> int:
     return int(tau)
 
 
-def _check_p(p: float) -> float:
-    p = float(p)
-    if math.isnan(p) or abs(p) > 1.0:
-        raise ValueError(f"momentum propensity must lie in [-1, 1], got {p!r}")
-    return p
-
-
 # ---------------------------------------------------------------------------
 # free-walk position pmf
 
@@ -66,7 +61,7 @@ def pmf_free(xi, tau: int, p: float, xi0: int = 0):
     Accepts scalar or array ``xi``.
     """
     tau = _check_tau(tau)
-    p = _check_p(p)
+    p = _check_propensity(p)
     xi_arr = np.asarray(xi, dtype=np.int64)
     d = xi_arr - int(xi0)
     inside = np.abs(d) <= tau
@@ -79,9 +74,7 @@ def pmf_free(xi, tau: int, p: float, xi0: int = 0):
     else:
         log_pmf = _log_binomial(2 * tau, k) + k * math.log(up) + (2 * tau - k) * math.log(down)
         out = np.where(inside, np.exp(log_pmf), 0.0)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(xi, out)
 
 
 def pmf_recursive(tau: int, p: float) -> np.ndarray:
@@ -91,7 +84,7 @@ def pmf_recursive(tau: int, p: float) -> np.ndarray:
     tick; serves as an independent route to ``pmf_free``.
     """
     tau = _check_tau(tau)
-    p = _check_p(p)
+    p = _check_propensity(p)
     up = ((1.0 + p) / 2.0) ** 2
     down = ((1.0 - p) / 2.0) ** 2
     stay = (1.0 - p * p) / 2.0
@@ -109,16 +102,14 @@ def gaussian_limit(xi, tau: int, p: float, xi0: int = 0):
     raises instead of returning a point mass.
     """
     tau = _check_tau(tau)
-    p = _check_p(p)
+    p = _check_propensity(p)
     b = (1.0 - p * p) / 2.0
     if b == 0.0:
         raise ValueError("|p| = 1 gives a point mass; no density exists")
     xi_arr = np.asarray(xi, dtype=float)
     var = b * tau
     out = np.exp(-((xi_arr - xi0 - p * tau) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(xi, out)
 
 
 def ensemble_probability(xi, tau: int):
@@ -129,9 +120,7 @@ def ensemble_probability(xi, tau: int):
     tau = _check_tau(tau)
     xi_arr = np.asarray(xi, dtype=np.int64)
     out = np.where(np.abs(xi_arr) <= tau, 1.0 / (2 * tau + 1), 0.0)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(xi, out)
 
 
 def qm_lattice_density(tau: int) -> float:
@@ -230,18 +219,14 @@ def action(xi, tau: int):
     tau = _check_tau(tau)
     x2 = np.asarray(xi, dtype=float) ** 2
     out = (x2 + tau * tau - tau) / (2.0 * tau - 1.0)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(xi, out)
 
 
 def qm_phase(xi, tau: int):
     """Free wave-packet phase pi*xi^2/(2*tau) at the arrival site."""
     tau = _check_tau(tau)
     out = math.pi * np.asarray(xi, dtype=float) ** 2 / (2.0 * tau)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(xi, out)
 
 
 def action_phase_gap(xi, tau: int):
@@ -253,9 +238,7 @@ def action_phase_gap(xi, tau: int):
     phase = np.asarray(qm_phase(xi, tau))
     with np.errstate(invalid="ignore", divide="ignore"):
         gap = np.where(phase != 0.0, np.abs(centered - phase) / np.abs(phase), 0.0)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(gap)
-    return gap
+    return _scalar_or_array(xi, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +341,7 @@ def return_time_pmf(n, b: float):
         raise ValueError("n must be >= 1")
     r = b * b
     out = 2.0 * r**n_arr * (n_arr / 3.0 - 4.0 / 9.0 + (13.0 / 9.0) * 0.25**n_arr)
-    if np.isscalar(n) or np.ndim(n) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(n, out)
 
 
 def return_series_sums(b: float) -> tuple[float, float]:
@@ -461,7 +442,7 @@ def lorentz_check(p: float, beta: float, xi: float, tau: float) -> BoostedFrame:
     ``density_gap`` is the relative difference of the large-tau normal
     densities evaluated in the two frames; it vanishes when q = p.
     """
-    p = _check_p(p)
+    p = _check_propensity(p)
     beta = float(beta)
     if abs(beta) >= 1.0:
         raise ValueError(f"|beta| must be < 1, got {beta!r}")

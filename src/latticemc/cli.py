@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 usage error, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -24,7 +23,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, analytic, qforce, verify
-from .stats import Histogram, atomic_open, write_histogram_csv, write_value_histogram_csv
+from .stats import Histogram, table_rows, write_csv, write_files
 from .walker import fixed_propensity, point_source, run_ensemble_free
 from .scenarios import (
     ScenarioConfig,
@@ -118,38 +117,46 @@ def _positive(params: dict, *keys: str) -> None:
             raise ConfigError(f"{key} must be >= 1, got {params[key]}")
 
 
-def _pad_histogram(hist: Histogram, lo: int, hi: int) -> Histogram:
-    """Extend a histogram with zero-count bins to cover [lo, hi]."""
-    lo = min(lo, hist.offset)
-    hi = max(hi, hist.offset + len(hist.counts) - 1)
-    counts = np.zeros(hi - lo + 1, dtype=np.int64)
-    counts[hist.offset - lo : hist.offset - lo + len(hist.counts)] = hist.counts
-    return Histogram(offset=lo, counts=counts)
+# ---------------------------------------------------------------------------
+# outputs
 
 
-def _write_json(path, columns: list[str], rows: list[list], summary: dict) -> None:
-    with atomic_open(path) as fh:
-        json.dump({"columns": columns, "rows": rows, "summary": summary}, fh, indent=1)
-        fh.write("\n")
+def _write_outputs(params: dict, command: str, names, columns, summary: dict, line: str,
+                   diagnostics=None) -> dict:
+    """Write a run's CSV, ``--json`` mirror, ``--manifest`` and diagnostics, then print ``line``.
+
+    ``columns`` are arrays, one per name, a row per index; ``diagnostics``
+    is an optional (names, columns) table for ``--diagnostics``.  The
+    files are replaced together or not at all (``stats.write_files``).
+    """
+    targets = []
+    if diagnostics is not None:
+        targets.append((params["diagnostics"], lambda fh: write_csv(fh, *diagnostics)))
+    targets.append((params["out"], lambda fh: write_csv(fh, names, columns)))
+    if params["json_out"]:
+        def write_json(fh):
+            rows = list(table_rows(columns))
+            _dump(fh, {"columns": names, "rows": rows, "summary": summary})
+
+        targets.append((params["json_out"], write_json))
+    if params["manifest"]:
+        manifest = {
+            "tool": "latticemc",
+            "version": __version__,
+            "created": datetime.now(timezone.utc).isoformat(),
+            "command": command,
+            "params": params,
+            "outputs": {"csv": params["out"], "json": params["json_out"]},
+        }
+        targets.append((params["manifest"], lambda fh: _dump(fh, manifest)))
+    write_files(targets)
+    print(line)
+    return summary
 
 
-def _write_manifest(path, command: str, params: dict, outputs: dict) -> None:
-    doc = {
-        "tool": "latticemc",
-        "version": __version__,
-        "created": datetime.now(timezone.utc).isoformat(),
-        "command": command,
-        "params": params,
-        "outputs": outputs,
-    }
-    with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def _csv_rows(path) -> list[list[str]]:
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))
+def _dump(fh, doc: dict) -> None:
+    json.dump(doc, fh, indent=1)
+    fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +194,12 @@ def _execute_free(params: dict) -> dict:
         shards=params["shards"],
         threads=params["threads"],
     )
-    hist = _pad_histogram(hist, xi0 - tau, xi0 + tau)
+    hist = hist.merge(Histogram(xi0 - tau, np.zeros(2 * tau + 1)))
     support = hist.support
     if p is None:
         model = analytic.ensemble_probability(support - xi0, tau)
     else:
         model = analytic.pmf_free(support, tau, p, xi0=xi0)
-    write_histogram_csv(params["out"], hist, {"model_P": model})
-
     freq = hist.frequency()
     summary = {
         "n_particles": hist.total,
@@ -202,20 +207,14 @@ def _execute_free(params: dict) -> dict:
         "mean": float((support * freq).sum()),
         "l1_to_model": float(np.abs(freq - model).sum()),
     }
-    if params["json_out"]:
-        rows = [
-            [int(x), int(c), float(f), float(m)]
-            for x, c, f, m in zip(support, hist.counts, freq, model)
-        ]
-        _write_json(params["json_out"], ["xi", "count", "frequency", "model_P"], rows, summary)
-    outputs = {"csv": params["out"], "json": params["json_out"]}
-    if params["manifest"]:
-        _write_manifest(params["manifest"], "free", params, outputs)
-    print(
+    line = (
         "free: N={n_particles} tau={n_steps} mean={mean:.4f} "
         "l1_to_model={l1_to_model:.4f}".format(**summary)
     )
-    return summary
+    return _write_outputs(
+        params, "free", ["xi", "count", "frequency", "model_P"],
+        [support, hist.counts, freq, model], summary, line,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -312,51 +311,14 @@ def _execute_interfere(params: dict) -> dict:
     if params["mode"] not in ("trained", "training"):
         raise ConfigError(f"mode must be trained or training, got {params['mode']!r}")
     config = _build_scenario(params)
+    slit = config.kind in ("two-slit", "multi-slit")
+    training = slit and params["mode"] == "training"
+    if params["diagnostics"] and not training:
+        print("interfere: --diagnostics applies to training mode only; ignored", file=sys.stderr)
 
-    if config.kind in ("two-slit", "multi-slit"):
-        if params["mode"] == "trained":
-            hist = qforce.run_trained_slits(
-                config, shards=params["shards"], threads=params["threads"]
-            )
-        else:
-            if params["threads"] > 1 or params["shards"] > 1:
-                print("interfere: training mode is sequential; using one thread", file=sys.stderr)
-            hist = qforce.run_training_slits(config, diagnostics=params["diagnostics"]).positions
-        sites = [s for s, _ in config.sources]
-        hist = _pad_histogram(hist, min(sites) - config.n_steps, max(sites) + config.n_steps)
-        support = hist.support
-        model = multi_slit_density(support, config.n_steps, config.sources)
-        from .qm_oracle import qm_multi_source
-
-        oracle = qm_multi_source(support, config.n_steps, config.sources)
-        write_histogram_csv(params["out"], hist, {"model_P": model, "qm_oracle": oracle})
-        freq = hist.frequency()
-        summary = {
-            "scenario": config.kind,
-            "mode": params["mode"],
-            "n_particles": hist.total,
-            "n_steps": config.n_steps,
-            "l1_to_model": float(np.abs(freq - model).sum()),
-        }
-        if params["json_out"]:
-            rows = [
-                [int(x), int(c), float(f), float(m), float(o)]
-                for x, c, f, m, o in zip(support, hist.counts, freq, model, oracle)
-            ]
-            _write_json(
-                params["json_out"],
-                ["xi", "count", "frequency", "model_P", "qm_oracle"],
-                rows,
-                summary,
-            )
-        print(
-            "interfere: {scenario} mode={mode} N={n_particles} tau={n_steps} "
-            "l1_to_model={l1_to_model:.4f}".format(**summary)
-        )
-    else:
+    if not slit:
         run = qforce.run_ring(config) if config.kind == "ring" else qforce.run_box(config)
         centers, counts = run.momentum_histogram()
-        write_value_histogram_csv(params["out"], centers, counts)
         target = (
             ring_steady_momentum(config.p, config.ell)
             if config.kind == "ring"
@@ -370,21 +332,50 @@ def _execute_interfere(params: dict) -> dict:
             "mean_p_bar": run.mean_p_bar,
             "quantized_target": target,
         }
-        if params["json_out"]:
-            rows = [
-                [float(c), int(n), float(n / max(1, counts.sum()))]
-                for c, n in zip(centers, counts)
-            ]
-            _write_json(params["json_out"], ["pbar", "count", "frequency"], rows, summary)
-        print(
+        line = (
             "interfere: {scenario} ell={ell} p={p} mean_p_bar={mean_p_bar:.4f} "
             "target={quantized_target:.4f}".format(**summary)
         )
+        return _write_outputs(
+            params, "interfere", ["pbar", "count", "frequency"],
+            [centers, counts, counts / max(1, counts.sum())], summary, line,
+        )
 
-    outputs = {"csv": params["out"], "json": params["json_out"]}
-    if params["manifest"]:
-        _write_manifest(params["manifest"], "interfere", params, outputs)
-    return summary
+    diagnostics = None
+    if not training:
+        hist = qforce.run_trained_slits(config, shards=params["shards"], threads=params["threads"])
+    else:
+        if params["threads"] > 1 or params["shards"] > 1:
+            print("interfere: training mode is sequential; using one thread", file=sys.stderr)
+        run = qforce.run_training_slits(config)
+        hist = run.positions
+        if params["diagnostics"]:
+            names = ["emission", *run.emissions]
+            diagnostics = (names, [np.arange(config.n_particles), *run.emissions.values()])
+    sites = [s for s, _ in config.sources]
+    lo, hi = min(sites) - config.n_steps, max(sites) + config.n_steps
+    hist = hist.merge(Histogram(lo, np.zeros(hi - lo + 1)))
+    support = hist.support
+    model = multi_slit_density(support, config.n_steps, config.sources)
+    from .qm_oracle import qm_multi_source
+
+    oracle = qm_multi_source(support, config.n_steps, config.sources)
+    freq = hist.frequency()
+    summary = {
+        "scenario": config.kind,
+        "mode": params["mode"],
+        "n_particles": hist.total,
+        "n_steps": config.n_steps,
+        "l1_to_model": float(np.abs(freq - model).sum()),
+    }
+    line = (
+        "interfere: {scenario} mode={mode} N={n_particles} tau={n_steps} "
+        "l1_to_model={l1_to_model:.4f}".format(**summary)
+    )
+    return _write_outputs(
+        params, "interfere", ["xi", "count", "frequency", "model_P", "qm_oracle"],
+        [support, hist.counts, freq, model, oracle], summary, line, diagnostics,
+    )
 
 
 # ---------------------------------------------------------------------------

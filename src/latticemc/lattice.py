@@ -111,6 +111,13 @@ class TransitionProbs:
         return np.array([self.down, self.stay, self.up])
 
 
+def _scalar_or_array(x, out):
+    """``out`` as a float when the input ``x`` was a scalar, else as the array."""
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
 def _check_propensity(p: float) -> float:
     p = float(p)
     if math.isnan(p) or p < -1.0 or p > 1.0:

@@ -29,14 +29,13 @@ the source draw, the preparation draw, and the step noise itself.
 
 from __future__ import annotations
 
-import csv
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stats import Histogram, atomic_open
+from .lattice import _scalar_or_array
+from .stats import Histogram
 from .walker import ParticleState, _run_shards, endpoint_displacement, move
 from .scenarios import (
     ScenarioConfig,
@@ -103,9 +102,7 @@ def expected_site_momentum(q, delta: int):
         raise ValueError("delta must be >= 1")
     q_arr = np.asarray(q, dtype=float)
     out = q_arr * np.sinc(delta * q_arr)
-    if np.isscalar(q) or np.ndim(q) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(q, out)
 
 
 def site_momentum_series(q: float, delta: int, refresh_rate: float, n_terms: int) -> float:
@@ -329,22 +326,30 @@ def run_trained_slits(
 
 @dataclass
 class TrainingRun:
+    """Final positions, the lattice, and per-emission columns of a training run.
+
+    ``emissions`` maps source, final_xi, bosons_created and final_p_eff
+    (the last tick's propensity) to one array entry per emission.
+    """
+
     positions: Histogram
     lattice: TrainingLattice
-    bosons_created: int
+    emissions: dict
+
+    @property
+    def bosons_created(self) -> int:
+        return int(self.emissions["bosons_created"].sum())
 
 
 def run_training_slits(
     config: ScenarioConfig,
     seed=None,
     lattice: TrainingLattice | None = None,
-    diagnostics=None,
 ) -> TrainingRun:
     """Sequential training run: every emission walks the shared lattice.
 
     Emissions follow each other with no idle ticks, so site bosons keep
-    decaying on a single global clock.  ``diagnostics``, if given, is a
-    path receiving one CSV row per emission.
+    decaying on a single global clock.
     """
     config.validate()
     if config.kind not in ("two-slit", "multi-slit"):
@@ -355,40 +360,30 @@ def run_training_slits(
     sites = [s for s, _ in config.sources]
     weights = [w for _, w in config.sources]
 
-    finals = np.empty(config.n_particles, dtype=np.int64)
-    created_total = 0
-    diag_file = atomic_open(diagnostics, newline="") if diagnostics is not None else nullcontext()
-    with diag_file as diag_fh:
-        diag_writer = None
-        if diag_fh is not None:
-            diag_writer = csv.writer(diag_fh)
-            diag_writer.writerow(["emission", "source", "final_xi", "bosons_created", "final_p_eff"])
-        for emission in range(config.n_particles):
-            src = int(rng.choice(len(sites), p=weights))
-            particle = ParticleState(xi=sites[src], p0=rng.uniform(-1.0, 1.0))
-            created = 0
-            for u in rng.random(config.n_steps).tolist():
-                p_eff = effective_momentum(particle, damp, lattice.ticks)
-                v = move(u, p_eff)
-                particle.xi += v
-                particle.counter += v
-                particle.tau += 1
-                lattice.ticks += 1
-                if visit(lattice, particle, lattice.ticks) is not None:
-                    created += 1
+    n = config.n_particles
+    emissions = {
+        "source": np.empty(n, dtype=np.int64),
+        "final_xi": np.empty(n, dtype=np.int64),
+        "bosons_created": np.empty(n, dtype=np.int64),
+        "final_p_eff": np.empty(n),
+    }
+    for emission in range(n):
+        src = int(rng.choice(len(sites), p=weights))
+        particle = ParticleState(xi=sites[src], p0=rng.uniform(-1.0, 1.0))
+        created = 0
+        for u in rng.random(config.n_steps).tolist():
+            p_eff = effective_momentum(particle, damp, lattice.ticks)
+            v = move(u, p_eff)
+            particle.xi += v
+            particle.counter += v
+            particle.tau += 1
+            lattice.ticks += 1
+            if visit(lattice, particle, lattice.ticks) is not None:
+                created += 1
+        for column, value in zip(emissions.values(), (sites[src], particle.xi, created, p_eff)):
+            column[emission] = value
 
-            finals[emission] = particle.xi
-            created_total += created
-            if diag_writer is not None:
-                diag_writer.writerow(
-                    [emission, sites[src], particle.xi, created, format(p_eff, ".17g")]
-                )
-
-    return TrainingRun(
-        positions=Histogram.from_samples(finals),
-        lattice=lattice,
-        bosons_created=created_total,
-    )
+    return TrainingRun(Histogram.from_samples(emissions["final_xi"]), lattice, emissions)
 
 
 # ---------------------------------------------------------------------------

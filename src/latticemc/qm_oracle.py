@@ -14,11 +14,7 @@ import math
 
 import numpy as np
 
-
-def _as_out(xi, out):
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(out)
-    return out
+from .lattice import _scalar_or_array
 
 
 def qm_single_source(xi, tau: int):
@@ -26,7 +22,7 @@ def qm_single_source(xi, tau: int):
     if tau < 1:
         raise ValueError("tau must be >= 1")
     out = np.full_like(np.asarray(xi, dtype=float), 1.0 / (2.0 * tau))
-    return _as_out(xi, out)
+    return _scalar_or_array(xi, out)
 
 
 def qm_two_source(xi, tau: int, p1: float, p2: float, delta: int):
@@ -40,7 +36,7 @@ def qm_two_source(xi, tau: int, p1: float, p2: float, delta: int):
             raise ValueError("source weights must lie in [0, 1]")
     x = np.asarray(xi, dtype=float)
     out = (1.0 + 2.0 * math.sqrt(p1 * p2) * np.cos(math.pi * delta * x / tau)) / (2.0 * tau)
-    return _as_out(xi, out)
+    return _scalar_or_array(xi, out)
 
 
 def qm_multi_source(xi, tau: int, sources):
@@ -66,7 +62,7 @@ def qm_multi_source(xi, tau: int, sources):
                 raise ValueError("sources must occupy distinct sites")
             out = out + 2.0 * math.sqrt(wi * wj) * np.cos(math.pi * delta * x / tau)
     out = out / (2.0 * tau)
-    return _as_out(xi, out)
+    return _scalar_or_array(xi, out)
 
 
 def qm_equal_spaced(xi, tau: int, n_sources: int, delta: int):
@@ -86,7 +82,7 @@ def qm_equal_spaced(xi, tau: int, n_sources: int, delta: int):
     for j in range(1, n_sources):
         out = out + (2.0 * (n_sources - j) / n_sources) * np.cos(math.pi * j * delta * x / tau)
     out = out / (2.0 * tau)
-    return _as_out(xi, out)
+    return _scalar_or_array(xi, out)
 
 
 def qm_ring_momenta(ell: int, n_max: int) -> np.ndarray:

@@ -11,9 +11,11 @@ preparation momentum to the ray gives the fringe densities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .lattice import _scalar_or_array
 
 
 def round_half_away(x: float) -> int:
@@ -144,12 +146,6 @@ def _two_source_terms(p1: float, p2: float, delta: int) -> tuple[np.ndarray, np.
     return _pair_terms(((0, p1), (delta, p2)))
 
 
-def _scalar_or_array(x, out):
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 def _memory_force(q, amps: np.ndarray, deltas: np.ndarray):
     """Converged memory force g(q) = sum of a*sin(pi*d*q)/(pi*d) over the pair table."""
     q_arr = np.asarray(q, dtype=float)
@@ -241,9 +237,7 @@ def finite_time_slit_density(xi, tau: int, sources, n_nodes: int = 400):
     for site, w_src in sources:
         for q, glw, rho in zip(nodes, weights, ray_density):
             out += w_src * glw * rho * pmf_free(x - site, tau, q)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(xi, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Histogram accumulation and goodness-of-fit reporting.
+"""Histogram accumulation, goodness-of-fit reporting and output files.
 
 Counts are kept as int64 on a contiguous integer support starting at
 ``offset``.  Merging histograms adds counts (associative and commutative),
 which is what makes sharded runs reproducible: the merged result depends
-only on the per-shard streams, not on scheduling.
+only on the per-shard streams, not on scheduling.  ``write_csv`` is the
+one row rule of the program's tables and ``write_files`` the one way
+a run's files reach disk.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import csv
 import os
 import shutil
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,59 +204,61 @@ def bin_reference(reference: np.ndarray, support: np.ndarray, edges: np.ndarray)
     return out
 
 
-@contextmanager
-def atomic_open(path, newline=None):
-    """Open a temp file beside ``path`` for text writing; it becomes ``path`` only on success.
+def table_rows(columns):
+    """Rows of Python ints and floats, one per index of the column arrays."""
+    return zip(*(np.asarray(col).tolist() for col in columns))
 
-    The temp file is moved over ``path`` with ``os.replace`` once the
-    block completes, and removed if the block or the move fails, so a
-    failed write leaves neither a partial file nor a temp file behind.
-    An existing file keeps its permission bits.  A symlink, or a target
-    that exists but is not a regular file (``/dev/null``, a pipe, a
-    terminal), is opened and written in place, since renaming over it
-    would replace the link or the device node itself.
+
+def write_csv(fh, names, columns) -> None:
+    """Write a header and one row per index of ``columns``.
+
+    The one row rule of every CSV the program writes: integers are
+    written as they are and floats as ``.17g``, which round-trips.
     """
-    path = os.fspath(path)
-    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
-        with open(path, "w", newline=newline) as fh:
-            yield fh
-        return
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    writer = csv.writer(fh)
+    writer.writerow(names)
+    for row in table_rows(columns):
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+
+
+def write_files(targets) -> None:
+    """Write every ``(path, write)`` target, where ``write(fh)`` fills one text file.
+
+    The files are replaced together or not at all: each target is first
+    written to a temp file beside it, and the targets are replaced only
+    after every temp file is complete, in the order given, so of two
+    targets naming one path the later wins.  On any failure every temp
+    file is removed.  A replaced file keeps its permission bits.  A
+    symlink, or a target that exists but is not a regular file
+    (``/dev/null``, a pipe, a terminal), is written in place once the
+    temp files are complete and before any target is replaced, since
+    renaming over it would replace the link or the device node itself.
+    """
+    staged, in_place = [], []
     try:
-        fh = open(tmp, "w", newline=newline)
-    except OSError as exc:  # report the target, not the temp name
-        raise OSError(exc.errno, exc.strerror, path) from exc
-    try:
-        with fh:
-            if os.path.exists(path):
-                shutil.copymode(path, tmp)
-            yield fh
-        os.replace(tmp, path)
+        for index, (path, write) in enumerate(targets):
+            path = os.fspath(path)
+            if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+                in_place.append((path, write))
+                continue
+            head, tail = os.path.split(path)
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.{index}.tmp")
+            try:
+                fh = open(tmp, "w", newline="")
+            except OSError as exc:  # report the target, not the temp name
+                raise OSError(exc.errno, exc.strerror, path) from exc
+            staged.append((tmp, path))
+            with fh:
+                if os.path.exists(path):
+                    shutil.copymode(path, tmp)
+                write(fh)
+        for path, write in in_place:
+            with open(path, "w", newline="") as fh:
+                write(fh)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        with suppress(FileNotFoundError):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
         raise
-
-
-def write_histogram_csv(path, hist: Histogram, columns: dict[str, np.ndarray]) -> None:
-    """Write ``xi,count,frequency[,extra columns]`` rows for a histogram."""
-    freq = hist.frequency()
-    names = ["xi", "count", "frequency", *columns.keys()]
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for i, x in enumerate(hist.support):
-            row = [int(x), int(hist.counts[i]), format(freq[i], ".17g")]
-            row.extend(format(col[i], ".17g") for col in columns.values())
-            writer.writerow(row)
-
-
-def write_value_histogram_csv(path, centers: np.ndarray, counts: np.ndarray) -> None:
-    """Write ``pbar,count,frequency`` rows for a real-valued histogram."""
-    total = counts.sum()
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pbar", "count", "frequency"])
-        for c, n in zip(centers, counts):
-            writer.writerow([format(c, ".17g"), int(n), format(n / total if total else 0.0, ".17g")])

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import json
 import os
 import stat
@@ -351,19 +352,98 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "cannot write output" in err
 
 
-def test_failed_json_write_exits_2_and_leaves_no_file(tmp_path, monkeypatch, capsys):
+def _fail_json_dump(monkeypatch):
     def dump_then_fail(obj, fh, **kwargs):
         fh.write('{"columns": [')
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+
+
+def test_failed_json_write_exits_2_and_leaves_no_file(tmp_path, monkeypatch, capsys):
+    _fail_json_dump(monkeypatch)
     assert cli.main([
         "free", "--n-particles", "100", "--n-steps", "10",
         "--out", str(tmp_path / "run.csv"), "--json", str(tmp_path / "run.json"),
     ]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "cannot write output" in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_leaves_none_of_its_outputs(tmp_path, capsys):
+    # the diagnostics table is complete before the CSV target fails
+    assert cli.main([
+        "interfere", "--scenario", "two-slit", "--delta", "2", "--mode", "training",
+        "--n-particles", "50", "--n-steps", "20", "--diagnostics", str(tmp_path / "d.csv"),
+        "--json", str(tmp_path / "t.json"), "--out", str(tmp_path / "missing" / "t.csv"),
+    ]) == 2
+    assert "cannot write output" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("failure", ["unwritable-manifest", "json-fails-mid-file"])
+def test_failed_run_keeps_earlier_run_files(tmp_path, monkeypatch, capsys, failure):
+    out, js, manifest = tmp_path / "run.csv", tmp_path / "run.json", tmp_path / "run.manifest.json"
+    argv = ["free", "--n-particles", "500", "--n-steps", "20", "--out", str(out), "--json", str(js)]
+    assert cli.main(argv + ["--seed", "1", "--manifest", str(manifest)]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    if failure == "unwritable-manifest":
+        manifest = tmp_path / "missing" / "run.manifest.json"
+    else:
+        _fail_json_dump(monkeypatch)
+    assert cli.main(argv + ["--seed", "2", "--manifest", str(manifest)]) == 2
+    assert "cannot write output" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_two_options_naming_one_path_keep_the_later_file(tmp_path):
+    # outputs go down in the order diagnostics, CSV, JSON, manifest
+    same = str(tmp_path / "same.out")
+    assert cli.main([
+        "free", "--n-particles", "100", "--n-steps", "10", "--out", same, "--json", same,
+    ]) == 0
+    assert json.loads((tmp_path / "same.out").read_text())["columns"][0] == "xi"
+    assert list(tmp_path.iterdir()) == [tmp_path / "same.out"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "two-slit", "--mode", "trained", "--n-particles", "100", "--n-steps", "10"],
+    ["--scenario", "ring", "--ell", "10", "--p", "0.3", "--n-steps", "1000"],
+    ["--scenario", "box", "--ell", "5", "--p", "0.3", "--n-steps", "1000"],
+], ids=["trained", "ring", "box"])
+def test_diagnostics_outside_training_mode_is_noted(tmp_path, capsys, argv):
+    diag = tmp_path / "dd.csv"
+    assert cli.main([
+        "interfere", *argv, "--diagnostics", str(diag), "--out", str(tmp_path / "t.csv"),
+    ]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "training mode only" in captured.err
+    assert captured.out.count("\n") == 1
+    assert not diag.exists()
+
+
+@pytest.mark.parametrize("argv, csv_sha, json_sha", [
+    (
+        ["free", "--n-particles", "3000", "--n-steps", "40", "--seed", "17", "--shards", "2"],
+        "709a477cd3a3b3155e33095487ffead859baf6e90e45ecdfcd263c281eb15fd6",
+        "418a95ca5a5253df38a9c2aebef72c88209170c0217575327a8d2ed2896aba2f",
+    ),
+    (
+        ["interfere", "--scenario", "ring", "--ell", "10", "--p", "0.37",
+         "--n-steps", "20000", "--seed", "5"],
+        "5d11485f2b548bffe2ec00f8db9a615bcdb6dbf8deee0098f331d9a442e88886",
+        "f10ede6e3193338748314d7994d37e204c871455e74a76ac65e46ad07f294c66",
+    ),
+], ids=["free-uniform", "ring"])
+def test_output_file_bytes_are_pinned(tmp_path, argv, csv_sha, json_sha):
+    # recorded at version 0.2.0; every column is an integer count or an
+    # IEEE division of counts, so no libm value enters the files
+    out, js = tmp_path / "run.csv", tmp_path / "run.json"
+    assert cli.main(argv + ["--out", str(out), "--json", str(js)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(js.read_bytes()).hexdigest() == json_sha
 
 
 def test_out_to_devnull_writes_in_place(tmp_path):

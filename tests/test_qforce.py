@@ -1,5 +1,6 @@
 """Tests for the lattice-memory machinery: decay laws, visits, runs."""
 
+import io
 import math
 import tracemalloc
 from dataclasses import replace
@@ -24,7 +25,7 @@ from latticemc.qforce import (
     site_momentum_series,
     visit,
 )
-from latticemc import qforce
+from latticemc import cli, qforce
 from latticemc.scenarios import (
     box_config,
     finite_time_slit_density,
@@ -35,7 +36,7 @@ from latticemc.scenarios import (
     two_slit_config,
     two_slit_density,
 )
-from latticemc.stats import compare
+from latticemc.stats import Histogram, compare, write_csv
 from latticemc.walker import ParticleState
 
 
@@ -506,33 +507,41 @@ def test_training_lattice_reuse_accumulates():
     assert second.lattice.ticks == 2 * 150 * 40
 
 
-def test_training_diagnostics_csv(tmp_path):
-    path = tmp_path / "diag.csv"
+def test_training_diagnostics_csv():
     cfg = two_slit_config(delta=2, n_particles=40, n_steps=30, seed=24)
-    run_training_slits(cfg, diagnostics=str(path))
-    lines = path.read_text().strip().splitlines()
+    run = run_training_slits(cfg)
+    names = ["emission", *run.emissions]
+    columns = [np.arange(40), *run.emissions.values()]
+    out = io.StringIO(newline="")
+    write_csv(out, names, columns)
+    lines = out.getvalue().strip().splitlines()
     assert lines[0] == "emission,source,final_xi,bosons_created,final_p_eff"
     assert len(lines) == 41
     for row in lines[1:]:
         fields = row.split(",")
         assert int(fields[1]) in (-1, 1)
         assert -1.0 <= float(fields[4]) <= 1.0
+    final_xi = run.emissions["final_xi"]
+    assert np.array_equal(Histogram.from_samples(final_xi).counts, run.positions.counts)
+    assert run.emissions["bosons_created"].sum() == run.bosons_created
 
 
 def test_training_diagnostics_not_left_by_failed_run(tmp_path, monkeypatch):
     path = tmp_path / "diag.csv"
-    cfg = two_slit_config(delta=2, n_particles=40, n_steps=30, seed=24)
     calls = iter(range(100))
     visit = qforce.visit
 
-    def visit_then_fail(*args):  # fails in the fourth emission, after three rows
+    def visit_then_fail(*args):  # fails in the fourth emission, after three finished
         if next(calls) == 99:
             raise OSError(28, "No space left on device")
         return visit(*args)
 
     monkeypatch.setattr(qforce, "visit", visit_then_fail)
-    with pytest.raises(OSError):
-        run_training_slits(cfg, diagnostics=str(path))
+    assert cli.main([
+        "interfere", "--scenario", "two-slit", "--mode", "training", "--n-particles", "40",
+        "--n-steps", "30", "--seed", "24", "--diagnostics", str(path),
+        "--out", str(tmp_path / "t.csv"),
+    ]) == 2
     assert list(tmp_path.iterdir()) == []
 
 

@@ -212,13 +212,22 @@ def test_rebin_and_bin_reference_stay_aligned():
 
 
 # ---------------------------------------------------------------------------
-# CSV layout
+# CSV layout and output files
+
+
+def _write_table(path, names, columns):
+    stats.write_files([(path, lambda fh: stats.write_csv(fh, names, columns))])
+
+
+def _histogram_columns(hist):
+    return [hist.support, hist.counts, hist.frequency()]
 
 
 def test_write_histogram_csv(tmp_path):
     hist = stats.Histogram(offset=-1, counts=[1, 2, 1])
     path = tmp_path / "h.csv"
-    stats.write_histogram_csv(path, hist, {"model": np.array([0.25, 0.5, 0.25])})
+    columns = [*_histogram_columns(hist), np.array([0.25, 0.5, 0.25])]
+    _write_table(path, ["xi", "count", "frequency", "model"], columns)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["xi", "count", "frequency", "model"]
@@ -230,7 +239,7 @@ def test_write_histogram_csv_roundtrips_floats(tmp_path):
     counts = [1, 3]
     hist = stats.Histogram(offset=0, counts=counts)
     path = tmp_path / "h.csv"
-    stats.write_histogram_csv(path, hist, {})
+    _write_table(path, ["xi", "count", "frequency"], _histogram_columns(hist))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert float(rows[1][2]) == 0.25
@@ -239,52 +248,71 @@ def test_write_histogram_csv_roundtrips_floats(tmp_path):
 
 def test_write_value_histogram_csv(tmp_path):
     path = tmp_path / "v.csv"
-    stats.write_value_histogram_csv(path, np.array([0.1, 0.3]), np.array([3, 1]))
+    counts = np.array([3, 1])
+    _write_table(path, ["pbar", "count", "frequency"],
+                 [np.array([0.1, 0.3]), counts, counts / counts.sum()])
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["pbar", "count", "frequency"]
     assert [r[0] for r in rows[1:]] == ["0.10000000000000001", "0.29999999999999999"]
+    assert [r[1] for r in rows[1:]] == ["3", "1"]
     assert float(rows[1][2]) == 0.75
 
 
-class _FailingColumn:
-    """A model column whose reads fail from row ``fail_at`` on, as a full disk would."""
+def _fails_mid_file(fh):  # as a full disk would, after part of the file
+    fh.write("xi,count\n0,1\n")
+    raise OSError(28, "No space left on device")
 
-    def __init__(self, fail_at):
-        self.fail_at = fail_at
 
-    def __getitem__(self, i):
-        if i >= self.fail_at:
-            raise OSError(28, "No space left on device")
-        return 0.5
+def _writes(text):
+    return lambda fh: fh.write(text)
 
 
 def test_failed_write_leaves_no_partial_or_temp_file(tmp_path):
-    hist = stats.Histogram(offset=0, counts=[1, 1, 1, 1, 1])
-    path = tmp_path / "h.csv"
+    first, second = tmp_path / "a.csv", tmp_path / "b.json"
     with pytest.raises(OSError):
-        stats.write_histogram_csv(path, hist, {"model": _FailingColumn(3)})
+        stats.write_files([(first, _writes("complete\n")), (second, _fails_mid_file)])
     assert list(tmp_path.iterdir()) == []
 
-    path.write_text("earlier run\n")
+    first.write_text("earlier run\n")
+    second.write_text("earlier run\n")
     with pytest.raises(OSError):
-        stats.write_histogram_csv(path, hist, {"model": _FailingColumn(3)})
-    assert path.read_text() == "earlier run\n"
+        stats.write_files([(first, _writes("complete\n")), (second, _fails_mid_file)])
+    assert first.read_text() == second.read_text() == "earlier run\n"
+    assert sorted(tmp_path.iterdir()) == [first, second]
+
+
+def test_write_files_unwritable_later_target_replaces_nothing(tmp_path):
+    first = tmp_path / "a.csv"
+    first.write_text("earlier run\n")
+    missing = tmp_path / "no" / "dir" / "b.json"
+    with pytest.raises(OSError) as exc:
+        stats.write_files([(first, _writes("new\n")), (missing, _writes("new\n"))])
+    assert exc.value.filename == str(missing)  # the target, not the temp name
+    assert first.read_text() == "earlier run\n"
+    assert list(tmp_path.iterdir()) == [first]
+
+
+def test_write_files_later_target_wins_on_a_shared_path(tmp_path):
+    path = tmp_path / "same.out"
+    stats.write_files([(path, _writes("csv\n")), (str(path), _writes("json\n"))])
+    assert path.read_text() == "json\n"
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_atomic_open_keeps_mode_and_writes_symlinks_in_place(tmp_path):
+def test_write_files_keeps_mode_and_writes_symlinks_in_place(tmp_path):
     hist = stats.Histogram(offset=0, counts=[2, 2])
     path = tmp_path / "h.csv"
     path.write_text("earlier run\n")
     os.chmod(path, 0o640)
-    stats.write_histogram_csv(path, hist, {})
+    _write_table(path, ["xi", "count", "frequency"], _histogram_columns(hist))
     assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
     assert path.read_text().startswith("xi,count,frequency")
 
     link = tmp_path / "link.csv"
     link.symlink_to(path)
-    stats.write_histogram_csv(link, stats.Histogram(offset=5, counts=[4]), {})
+    _write_table(link, ["xi", "count", "frequency"],
+                 _histogram_columns(stats.Histogram(offset=5, counts=[4])))
     assert link.is_symlink()
     assert path.read_text().splitlines()[1].startswith("5,4,")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "link.csv"]
