@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from latticemc import analytic
-from latticemc.walker import fixed_propensity, run_ensemble_free
+from latticemc.walker import run_ensemble_free
 
 N_PARTICLES = 50000
 N_STEPS = 300
@@ -34,7 +34,7 @@ print(f"  sites outside cone  {(np.abs(hist.support) > N_STEPS).sum()}")
 # 2. fixed preparation: drift p per tick, spread b = (1 - p^2)/2 per tick
 
 for p in (0.0, 0.2, -0.6):
-    hist = run_ensemble_free(N_PARTICLES, N_STEPS, p_sampler=fixed_propensity(p), seed=2)
+    hist = run_ensemble_free(N_PARTICLES, N_STEPS, p=p, seed=2)
     x = hist.support.astype(float)
     f = hist.frequency()
     mean = (x * f).sum()

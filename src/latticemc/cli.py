@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from datetime import datetime, timezone
 
@@ -24,12 +25,14 @@ import numpy as np
 
 from . import __version__, analytic, qforce, verify
 from .stats import Histogram, table_rows, write_csv, write_files
-from .walker import fixed_propensity, point_source, run_ensemble_free
+from .walker import run_ensemble_free
 from .scenarios import (
+    KINDS,
     ScenarioConfig,
     box_steady_momentum,
     multi_slit_density,
     ring_steady_momentum,
+    two_slit_config,
 )
 
 EXIT_OK = 0
@@ -186,13 +189,8 @@ def _execute_free(params: dict) -> dict:
     xi0 = params["xi0"]
 
     hist = run_ensemble_free(
-        params["n_particles"],
-        tau,
-        p_sampler=None if p is None else fixed_propensity(p),
-        xi0_sampler=point_source(xi0),
-        seed=params["seed"],
-        shards=params["shards"],
-        threads=params["threads"],
+        params["n_particles"], tau, p=p, xi0=xi0, seed=params["seed"],
+        shards=params["shards"], threads=params["threads"],
     )
     hist = hist.merge(Histogram(xi0 - tau, np.zeros(2 * tau + 1)))
     support = hist.support
@@ -260,50 +258,32 @@ def _parse_sources(spec: str) -> list[tuple[int, float]]:
 
 
 def _build_scenario(params: dict) -> ScenarioConfig:
-    scenario = params["scenario"]
-    slit = scenario in ("two-slit", "multi-slit")
-    n_particles = params["n_particles"] if params["n_particles"] is not None else (
-        50000 if slit else 1
-    )
+    kind = params["scenario"]
+    if kind not in KINDS:
+        raise ConfigError(f"unknown scenario {kind!r}")
+    slit = kind in ("two-slit", "multi-slit")
+    if kind == "multi-slit" and not params["sources"]:
+        raise ConfigError("multi-slit needs --sources site:weight,...")
+    if not slit and (params["ell"] is None or params["p"] is None):
+        raise ConfigError(f"{kind} needs --ell and --p")
+    n_particles = params["n_particles"] if params["n_particles"] is not None else 50000
     n_steps = params["n_steps"] if params["n_steps"] is not None else (300 if slit else 40000)
     try:
-        if scenario == "two-slit":
-            sources = (
-                _parse_sources(params["sources"]) if params["sources"] else None
-            )
-            if sources is not None:
-                cfg = ScenarioConfig(
-                    kind="two-slit",
-                    n_particles=n_particles,
-                    n_steps=n_steps,
-                    sources=tuple(sources),
-                    seed=params["seed"],
-                )
-                cfg.validate()
-                return cfg
-            from .scenarios import two_slit_config
-
+        if kind == "two-slit" and not params["sources"]:
             return two_slit_config(
                 params["delta"], params["p1"], n_particles, n_steps, params["seed"]
             )
-        if scenario == "multi-slit":
-            if not params["sources"]:
-                raise ConfigError("multi-slit needs --sources site:weight,...")
-            from .scenarios import multi_slit_config
-
-            return multi_slit_config(
-                _parse_sources(params["sources"]), n_particles, n_steps, params["seed"]
-            )
-        if scenario in ("ring", "box"):
-            if params["ell"] is None or params["p"] is None:
-                raise ConfigError(f"{scenario} needs --ell and --p")
-            from .scenarios import box_config, ring_config
-
-            factory = ring_config if scenario == "ring" else box_config
-            return factory(params["ell"], params["p"], n_steps, params["seed"])
+        return ScenarioConfig(
+            kind=kind,
+            n_particles=n_particles if slit else 1,  # ring and box follow one walker
+            n_steps=n_steps,
+            sources=_parse_sources(params["sources"]) if slit else (),
+            ell=0 if slit else params["ell"],
+            p=None if slit else params["p"],
+            seed=params["seed"],
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown scenario {params['scenario']!r}")
 
 
 def _execute_interfere(params: dict) -> dict:
@@ -382,9 +362,6 @@ def _execute_interfere(params: dict) -> dict:
 # verify and rerun
 
 
-_VERIFY_SCHEMA = {"suite": (str, None)}
-
-
 def _execute_verify(params: dict) -> int:
     names = params["suite"]
     if names:
@@ -419,14 +396,21 @@ def _execute_rerun(manifest_path: str, out_dir: str | None) -> dict:
             f"this is {__version__}; random streams may differ",
             file=sys.stderr,
         )
+    made = None  # the outermost directory this rerun creates, removed if the run fails
     if out_dir is not None:
+        missing = os.path.abspath(out_dir)
+        while not os.path.exists(missing):
+            made, missing = missing, os.path.dirname(missing)
         os.makedirs(out_dir, exist_ok=True)
         for key in ("out", "json_out", "manifest", "diagnostics"):
             if params.get(key):
                 params[key] = os.path.join(out_dir, os.path.basename(params[key]))
-    if command == "free":
-        return _execute_free(params)
-    return _execute_interfere(params)
+    try:
+        return (_execute_free if command == "free" else _execute_interfere)(params)
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         "interfere", help="slit, ring, or box interference run"
     )
     _add_common(inter)
-    inter.add_argument(
-        "--scenario", choices=["two-slit", "multi-slit", "ring", "box"], default=None
-    )
+    inter.add_argument("--scenario", choices=KINDS, default=None)
     inter.add_argument("--delta", type=int, help="two-slit source separation (even)")
     inter.add_argument("--p1", type=float, help="two-slit first-source weight")
     inter.add_argument("--sources", help="multi-slit sources, site:weight,...")

@@ -285,7 +285,6 @@ class RayDiagnostics:
 
 def run_trained_slits(
     config: ScenarioConfig,
-    seed=None,
     shards: int = 1,
     threads: int = 1,
     return_rays: bool = False,
@@ -295,14 +294,13 @@ def run_trained_slits(
     With ``return_rays`` also returns per-particle final diagnostics for
     checking the mean effective momentum against its closed form.
     """
-    config.validate()
     if config.kind not in ("two-slit", "multi-slit"):
         raise ValueError("run_trained_slits handles slit scenarios only")
     src = list(config.sources)
     parts = _run_shards(
         lambda n, rng: _trained_shard(src, n, config.n_steps, rng),
         config.n_particles,
-        config.seed if seed is None else seed,
+        config.seed,
         shards,
         threads,
     )
@@ -343,7 +341,6 @@ class TrainingRun:
 
 def run_training_slits(
     config: ScenarioConfig,
-    seed=None,
     lattice: TrainingLattice | None = None,
 ) -> TrainingRun:
     """Sequential training run: every emission walks the shared lattice.
@@ -351,10 +348,9 @@ def run_training_slits(
     Emissions follow each other with no idle ticks, so site bosons keep
     decaying on a single global clock.
     """
-    config.validate()
     if config.kind not in ("two-slit", "multi-slit"):
         raise ValueError("run_training_slits handles slit scenarios only")
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     lattice = lattice if lattice is not None else TrainingLattice()
     damp = particle_damping(config.n_steps).tolist()
     sites = [s for s, _ in config.sources]
@@ -414,14 +410,14 @@ class BoundRun:
         return centers, counts
 
 
-def _bound_walk(config: ScenarioConfig, seed, period: int) -> BoundRun:
+def _bound_walk(config: ScenarioConfig, period: int) -> BoundRun:
     """One walk steered by the ring memory force of circumference ``period``.
 
     The loop only stores the counter after each tick and the propensity
     applied on it; ``p_bar`` follows from the counters afterwards, and
     ``positions`` is the counter wrapped onto [0, period).
     """
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     p0 = float(config.p)
     n_steps = config.n_steps
     counters = np.empty(n_steps, dtype=np.int64)
@@ -442,7 +438,7 @@ def _bound_walk(config: ScenarioConfig, seed, period: int) -> BoundRun:
     )
 
 
-def run_ring(config: ScenarioConfig, seed=None) -> BoundRun:
+def run_ring(config: ScenarioConfig) -> BoundRun:
     """Walk a ring of ``ell`` sites; the counter wraps as xi = counter mod ell.
 
     The closed path is equivalent to an infinite train of equal sources
@@ -451,13 +447,12 @@ def run_ring(config: ScenarioConfig, seed=None) -> BoundRun:
     walk locks onto the quantized ray (2/ell) * round(p*ell/2) and the
     long-run mean of counter/tau settles there.
     """
-    config.validate()
     if config.kind != "ring":
         raise ValueError("run_ring needs a ring config")
-    return _bound_walk(config, seed, config.ell)
+    return _bound_walk(config, config.ell)
 
 
-def run_box(config: ScenarioConfig, seed=None) -> BoundRun:
+def run_box(config: ScenarioConfig) -> BoundRun:
     """Walk a segment of ``ell`` sites bounded by perfectly reflecting walls.
 
     A specular bounce negates the walker's preparation, carried boson
@@ -469,10 +464,9 @@ def run_box(config: ScenarioConfig, seed=None) -> BoundRun:
     ``box_memory_force``) and the position is folded back into [0, ell].
     Stable rays sit at multiples of 1/ell, half the ring spacing.
     """
-    config.validate()
     if config.kind != "box":
         raise ValueError("run_box needs a box config")
     period = 2 * config.ell
-    run = _bound_walk(config, seed, period)
+    run = _bound_walk(config, period)
     run.positions = np.minimum(run.positions, period - run.positions)
     return run

@@ -23,6 +23,9 @@ def round_half_away(x: float) -> int:
     return int(math.floor(abs(x) + 0.5)) * (1 if x >= 0 else -1)
 
 
+KINDS = ("two-slit", "multi-slit", "ring", "box")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Geometry and run sizes for an interference run.
@@ -31,6 +34,7 @@ class ScenarioConfig:
     ``sources`` lists (site, weight) pairs for the slit kinds; ``ell`` is
     the ring circumference or box width in sites; ``p`` is the fixed
     preparation propensity for ring/box runs (slit runs draw it uniformly).
+    A config is checked when it is built, so an invalid one cannot exist.
     """
 
     kind: str
@@ -41,8 +45,13 @@ class ScenarioConfig:
     p: float | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        sources = tuple((int(s), float(w)) for s, w in self.sources)
+        object.__setattr__(self, "sources", sources)
+        self.validate()
+
     def validate(self) -> None:
-        if self.kind not in ("two-slit", "multi-slit", "ring", "box"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.n_particles < 1 or self.n_steps < 1:
             raise ValueError("n_particles and n_steps must be >= 1")
@@ -75,45 +84,33 @@ def two_slit_config(
         raise ValueError("two-slit separation must be a positive even number of sites")
     if not 0.0 <= p1 <= 1.0:
         raise ValueError("p1 must lie in [0, 1]")
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         kind="two-slit",
         n_particles=n_particles,
         n_steps=n_steps,
         sources=((delta // 2, p1), (-delta // 2, 1.0 - p1)),
         seed=seed,
     )
-    cfg.validate()
-    return cfg
 
 
 def multi_slit_config(
     sources, n_particles: int = 50000, n_steps: int = 300, seed: int = 0
 ) -> ScenarioConfig:
-    cfg = ScenarioConfig(
-        kind="multi-slit",
-        n_particles=n_particles,
-        n_steps=n_steps,
-        sources=tuple((int(s), float(w)) for s, w in sources),
-        seed=seed,
+    return ScenarioConfig(
+        kind="multi-slit", n_particles=n_particles, n_steps=n_steps, sources=sources, seed=seed
     )
-    cfg.validate()
-    return cfg
 
 
 def ring_config(ell: int, p: float, n_steps: int = 40000, seed: int = 0) -> ScenarioConfig:
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         kind="ring", n_particles=1, n_steps=n_steps, ell=int(ell), p=float(p), seed=seed
     )
-    cfg.validate()
-    return cfg
 
 
 def box_config(ell: int, p: float, n_steps: int = 40000, seed: int = 0) -> ScenarioConfig:
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         kind="box", n_particles=1, n_steps=n_steps, ell=int(ell), p=float(p), seed=seed
     )
-    cfg.validate()
-    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ the displacement is Binomial(2 tau, (1+p)/2) - tau.  ``endpoint_displacement``
 draws that once per particle, for free ensembles and trained runs
 alike; ``step`` and ``run_free`` stay as the per-tick reference.
 
-Sharded runs derive one child generator per shard from a single seed, so
-the merged histogram is bit-reproducible for a fixed (seed, shards) pair
-no matter how shards are scheduled.
+Sharded runs derive one child generator per nonempty shard from a single
+seed, so the merged histogram is bit-reproducible for a fixed (seed,
+shards) pair no matter how shards are scheduled.
 """
 
 from __future__ import annotations
@@ -74,53 +74,27 @@ def run_free(xi0: int, p: float, n_steps: int, rng: np.random.Generator) -> int:
     return int(xi0 + moves.sum())
 
 
-def uniform_propensity(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Default preparation: propensity uniform on [-1, 1]."""
-    return rng.uniform(-1.0, 1.0, size=n)
-
-
-def fixed_propensity(p: float):
-    """Point-mass preparation at propensity ``p``."""
-    transition_probs(p)  # domain check up front
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, float(p))
-    return sampler
-
-
-def point_source(xi0: int = 0):
-    """All particles emitted from the same site."""
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, int(xi0), dtype=np.int64)
-    return sampler
-
-
 def _simulate_free_shard(
-    n_particles: int,
-    n_steps: int,
-    p_sampler,
-    xi0_sampler,
-    rng: np.random.Generator,
+    n_particles: int, n_steps: int, p: float | None, xi0: int, rng: np.random.Generator
 ) -> Histogram:
-    p = np.asarray(p_sampler(rng, n_particles), dtype=float)
-    if not np.all(np.abs(p) <= 1.0):  # written so that NaN fails too
-        raise ValueError("propensity sampler produced values outside [-1, 1]")
-    xi = np.asarray(xi0_sampler(rng, n_particles), dtype=np.int64)
-    return Histogram.from_samples(xi + endpoint_displacement(rng, n_steps, p))
+    # one uniform p per particle, or the fixed p as an array so the binomial draws once per particle
+    p = rng.uniform(-1.0, 1.0, size=n_particles) if p is None else np.full(n_particles, p)
+    return Histogram.from_samples(xi0 + endpoint_displacement(rng, n_steps, p))
 
 
 def run_ensemble_free(
     n_particles: int,
     n_steps: int,
-    p_sampler=None,
-    xi0_sampler=None,
+    p: float | None = None,
+    xi0: int = 0,
     seed=None,
     shards: int = 1,
     threads: int = 1,
 ) -> Histogram:
     """Histogram of final sites for an ensemble of independent free walks.
 
-    ``p_sampler(rng, n)`` draws per-particle propensities (default uniform
-    on [-1, 1]); ``xi0_sampler`` draws emission sites (default all zero).
+    Every particle is emitted from site ``xi0`` with propensity ``p``, or
+    with its own propensity uniform on [-1, 1] when ``p`` is None.
     ``seed`` may be an int, a SeedSequence, or a Generator (single shard
     only).  With ``shards > 1`` the particles are split as evenly as
     possible and each shard gets its own spawned generator; ``threads``
@@ -130,10 +104,10 @@ def run_ensemble_free(
         raise ValueError("n_particles must be >= 1")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    p_sampler = p_sampler or uniform_propensity
-    xi0_sampler = xi0_sampler or point_source(0)
+    p = None if p is None else _check_propensity(p)
+    xi0 = int(xi0)
     parts = _run_shards(
-        lambda n, rng: _simulate_free_shard(n, n_steps, p_sampler, xi0_sampler, rng),
+        lambda n, rng: _simulate_free_shard(n, n_steps, p, xi0, rng),
         n_particles,
         seed,
         shards,
@@ -148,7 +122,9 @@ def _run_shards(shard, n_particles: int, seed, shards: int, threads: int) -> lis
     ``seed`` may be an int, a SeedSequence, or a Generator (single shard
     only).  Each shard gets its own generator spawned from the seed, so
     the results depend on (seed, shards) and never on ``threads``, which
-    only controls scheduling.  Shards left with no particles are skipped.
+    only controls scheduling.  Shards left with no particles are neither
+    seeded nor run; children are spawned by index, so skipping them leaves
+    the other shards' streams unchanged.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -158,11 +134,11 @@ def _run_shards(shard, n_particles: int, seed, shards: int, threads: int) -> lis
         rngs = [seed]
     else:
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        rngs = [np.random.Generator(np.random.PCG64(child)) for child in ss.spawn(shards)]
+        children = ss.spawn(min(shards, n_particles))
+        rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
 
     base, extra = divmod(n_particles, shards)
     jobs = [(base + (1 if i < extra else 0), rng) for i, rng in enumerate(rngs)]
-    jobs = [(n, rng) for n, rng in jobs if n > 0]
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(shard, n, rng) for n, rng in jobs]

@@ -32,7 +32,7 @@ from latticemc.scenarios import (
     two_slit_density,
 )
 from latticemc.stats import compare
-from latticemc.walker import fixed_propensity, run_ensemble_free
+from latticemc.walker import run_ensemble_free
 
 
 def report(n: int, ok: bool, detail: str) -> bool:
@@ -109,7 +109,7 @@ def test_criterion_3_fixed_propensity_moments():
     # fixed p: the walk drifts at p per tick and spreads at the step variance
     n, tau, p = 100000, 400, 0.2
     b = (1.0 - p * p) / 2.0
-    hist = run_ensemble_free(n, tau, p_sampler=fixed_propensity(p), seed=0)
+    hist = run_ensemble_free(n, tau, p=p, seed=0)
     x = hist.support.astype(float)
     f = hist.counts / hist.counts.sum()
     mean = float((x * f).sum())

@@ -342,6 +342,19 @@ def test_rerun_rejects_mistyped_or_missing_params(tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
+def test_failed_rerun_removes_the_directories_it_made(tmp_path, capsys):
+    _, manifest, doc = _recorded_free_run(tmp_path)
+    doc["params"]["n_particles"] = 0
+    manifest.write_text(json.dumps(doc))
+    assert cli.main(["rerun", str(manifest), "--out-dir", str(tmp_path / "new" / "dir")]) == 2
+    assert not (tmp_path / "new").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert cli.main(["rerun", str(manifest), "--out-dir", str(kept / "sub")]) == 2
+    assert kept.is_dir() and not any(kept.iterdir())
+    assert "n_particles must be >= 1" in capsys.readouterr().err
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir"
     assert cli.main([

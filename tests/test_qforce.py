@@ -502,7 +502,7 @@ def test_training_runs_through_visit(monkeypatch):
 def test_training_lattice_reuse_accumulates():
     cfg = two_slit_config(delta=2, n_particles=150, n_steps=40, seed=22)
     first = run_training_slits(cfg)
-    second = run_training_slits(cfg, seed=23, lattice=first.lattice)
+    second = run_training_slits(replace(cfg, seed=23), lattice=first.lattice)
     assert second.lattice is first.lattice
     assert second.lattice.ticks == 2 * 150 * 40
 

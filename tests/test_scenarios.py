@@ -65,11 +65,10 @@ def test_ring_box_config_validation():
 
 
 def test_two_slit_sources_must_be_symmetric():
-    cfg = scenarios.ScenarioConfig(
-        kind="two-slit", n_particles=10, n_steps=10, sources=((2, 0.5), (-1, 0.5))
-    )
     with pytest.raises(ValueError):
-        cfg.validate()
+        scenarios.ScenarioConfig(
+            kind="two-slit", n_particles=10, n_steps=10, sources=((2, 0.5), (-1, 0.5))
+        )
 
 
 # ---------------------------------------------------------------------------

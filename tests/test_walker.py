@@ -1,5 +1,7 @@
 """Monte Carlo walker engine: sampling law, determinism, sharding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,26 +68,15 @@ def test_run_free_stays_within_horizon():
         assert -30 <= xi <= 30
 
 
-def test_samplers():
-    rng = np.random.default_rng(3)
-    p = walker.uniform_propensity(rng, 1000)
-    assert p.shape == (1000,)
-    assert np.all(np.abs(p) <= 1.0)
-    assert np.all(walker.fixed_propensity(0.25)(rng, 8) == 0.25)
-    assert np.all(walker.point_source(-4)(rng, 5) == -4)
-    with pytest.raises(ValueError):
-        walker.fixed_propensity(1.5)
-
-
 def test_ensemble_same_seed_is_identical():
-    a = walker.run_ensemble_free(2000, 50, walker.fixed_propensity(0.3), seed=11)
-    b = walker.run_ensemble_free(2000, 50, walker.fixed_propensity(0.3), seed=11)
+    a = walker.run_ensemble_free(2000, 50, p=0.3, seed=11)
+    b = walker.run_ensemble_free(2000, 50, p=0.3, seed=11)
     assert a.offset == b.offset
     assert np.array_equal(a.counts, b.counts)
 
 
 def test_ensemble_shards_do_not_change_result():
-    kwargs = dict(p_sampler=walker.fixed_propensity(-0.2), seed=5, shards=4)
+    kwargs = dict(p=-0.2, seed=5, shards=4)
     a = walker.run_ensemble_free(1001, 40, threads=1, **kwargs)
     b = walker.run_ensemble_free(1001, 40, threads=4, **kwargs)
     assert a.offset == b.offset
@@ -102,6 +93,28 @@ def test_ensemble_pinned_counts_three_shards():
         9, 9, 4, 5, 8, 8, 8, 12, 9, 11, 7, 11, 10, 7, 7, 6, 6, 6, 6, 5, 11,
         7, 6, 8, 5, 6, 12, 0, 9, 12, 4, 5, 6, 5, 7, 7, 6, 7, 11, 7, 5,
     ]
+    # a fixed propensity from a shifted source
+    hist = walker.run_ensemble_free(300, 20, p=0.3, xi0=5, seed=11, shards=3)
+    assert hist.offset == 3
+    assert hist.counts.tolist() == [
+        2, 0, 6, 17, 15, 18, 29, 35, 41, 31, 41, 27, 14, 13, 6, 1, 3, 1,
+    ]
+
+
+def test_empty_shards_are_not_seeded():
+    # shards beyond the particle count hold no particles: they change no
+    # stream and cost no generator
+    few = walker.run_ensemble_free(5, 10, seed=3, shards=5)
+    many = walker.run_ensemble_free(5, 10, seed=3, shards=100000)
+    assert few.offset == many.offset
+    assert np.array_equal(few.counts, many.counts)
+    tracemalloc.start()
+    try:
+        walker.run_ensemble_free(2, 10, seed=3, shards=20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_ensemble_generator_seed_single_shard_only():
@@ -120,17 +133,15 @@ def test_ensemble_argument_validation():
     with pytest.raises(ValueError):
         walker.run_ensemble_free(10, 10, shards=0)
     with pytest.raises(ValueError):
-        walker.run_ensemble_free(10, 10, p_sampler=lambda rng, n: np.full(n, 2.0))
-    with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
-        walker.run_ensemble_free(5, 10, p_sampler=lambda rng, n: np.full(n, np.nan), seed=1)
+        walker.run_ensemble_free(10, 10, p=2.0)
+    with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+        walker.run_ensemble_free(5, 10, p=np.nan, seed=1)
 
 
 def test_ensemble_point_mass_matches_closed_pmf():
     # chi-squared goodness of fit against the exact walk distribution
     n_particles, n_steps, p = 40000, 60, 0.3
-    hist = walker.run_ensemble_free(
-        n_particles, n_steps, walker.fixed_propensity(p), seed=2024, shards=4
-    )
+    hist = walker.run_ensemble_free(n_particles, n_steps, p=p, seed=2024, shards=4)
     sites = np.arange(-n_steps, n_steps + 1)
     full = np.zeros(sites.size)
     full[hist.support - sites[0]] = hist.frequency()
@@ -142,9 +153,7 @@ def test_ensemble_point_mass_matches_closed_pmf():
 def test_ensemble_mean_and_variance():
     n_particles, n_steps, p = 50000, 80, -0.4
     b = transition_probs(p).stay
-    hist = walker.run_ensemble_free(
-        n_particles, n_steps, walker.fixed_propensity(p), seed=77
-    )
+    hist = walker.run_ensemble_free(n_particles, n_steps, p=p, seed=77)
     support = hist.support
     freq = hist.frequency()
     mean = float((support * freq).sum())
@@ -168,9 +177,7 @@ def test_ensemble_uniform_propensity_is_flat():
 
 
 def test_ensemble_shifted_source():
-    hist = walker.run_ensemble_free(
-        500, 0, walker.fixed_propensity(0.0), xi0_sampler=walker.point_source(12), seed=1
-    )
+    hist = walker.run_ensemble_free(500, 0, p=0.0, xi0=12, seed=1)
     assert hist.support.tolist() == [12]
     assert hist.counts.tolist() == [500]
 
@@ -193,9 +200,7 @@ def _two_sample_chi2(a, b, min_count=10):
 def test_ensemble_matches_per_tick_reference(preparation):
     n_particles, n_steps, p = 20000, 40, 0.3
     fixed = preparation == "fixed"
-    hist = walker.run_ensemble_free(
-        n_particles, n_steps, walker.fixed_propensity(p) if fixed else None, seed=606
-    )
+    hist = walker.run_ensemble_free(n_particles, n_steps, p=p if fixed else None, seed=606)
     fast = np.repeat(hist.support, hist.counts)
     rng = np.random.default_rng(607)
     ps = np.full(n_particles, p) if fixed else rng.uniform(-1.0, 1.0, n_particles)
