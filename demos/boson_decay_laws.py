@@ -18,7 +18,6 @@ import numpy as np
 from latticemc.qforce import (
     TrainingLattice,
     effective_momentum,
-    expected_particle_boson,
     expected_site_momentum,
     particle_boson_series,
     particle_damping,
@@ -72,7 +71,7 @@ for p_pair in (0.04, 0.25, 0.5):
     value = particle_boson_series(p_pair, 100000)
     print(f"  P = {p_pair:4.2f}: series = {value:.6f}   sqrt(P) = {math.sqrt(p_pair):.6f}")
 
-hand = expected_particle_boson(0.5, 0.5, 0.25, 2)
+hand = math.sqrt(0.5 * 0.5) * expected_site_momentum(0.25, 2)
 print(f"equal sources at q=0.25, delta=2: carried momentum {hand:.6f} "
       f"(exactly 1/(4*pi) = {1.0 / (4.0 * math.pi):.6f})")
 

@@ -62,12 +62,12 @@ ref = np.zeros(25)
 np.add.at(ref, np.searchsorted(edges, sites, side="right") - 1, exact)
 ref /= ref.sum()
 total = int(cells.sum())
-rep = compare(freq, ref, total, alpha=0.001)
+rep = compare(freq, ref, total)
 print(f"\nchi-square vs finite-time law: {rep.chi2:8.1f}  "
       f"(critical {rep.critical:.1f}, {'pass' if rep.passed else 'FAIL'})")
 
 flat = np.diff(edges)
-rep_flat = compare(freq, flat / flat.sum(), total, alpha=0.001)
+rep_flat = compare(freq, flat / flat.sum(), total)
 print(f"chi-square vs flat (no interference): {rep_flat.chi2:8.1f}  "
       f"({'pass' if rep_flat.passed else 'rejected, as it should be'})")
 

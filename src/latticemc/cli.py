@@ -29,7 +29,6 @@ from .walker import run_ensemble_free
 from .scenarios import (
     KINDS,
     ScenarioConfig,
-    box_steady_momentum,
     multi_slit_density,
     ring_steady_momentum,
     two_slit_config,
@@ -299,11 +298,7 @@ def _execute_interfere(params: dict) -> dict:
     if not slit:
         run = qforce.run_ring(config) if config.kind == "ring" else qforce.run_box(config)
         centers, counts = run.momentum_histogram()
-        target = (
-            ring_steady_momentum(config.p, config.ell)
-            if config.kind == "ring"
-            else box_steady_momentum(config.p, config.ell)
-        )
+        target = ring_steady_momentum(config.p, config.period)
         summary = {
             "scenario": config.kind,
             "ell": config.ell,

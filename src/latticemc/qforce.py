@@ -37,14 +37,7 @@ import numpy as np
 from .lattice import _scalar_or_array
 from .stats import Histogram
 from .walker import ParticleState, _run_shards, endpoint_displacement, move
-from .scenarios import (
-    ScenarioConfig,
-    _memory_force,
-    _pair_terms,
-    _solve_rays,
-    _two_source_terms,
-    ring_memory_force,
-)
+from .scenarios import ScenarioConfig, _pair_terms, _solve_rays, ring_memory_force
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +140,6 @@ def particle_boson_series(p_pair: float, k_max: int) -> float:
     return float(p_pair * np.sum((1.0 - p_pair) ** k * damp))
 
 
-def expected_particle_boson(p1: float, p2: float, q, delta: int):
-    """Steady-state carried-boson momentum sqrt(p1 p2) * q * sinc(delta q)."""
-    return math.sqrt(p1 * p2) * np.asarray(expected_site_momentum(q, delta))
-
-
 def effective_momentum(particle: ParticleState, damp, now: int) -> float:
     """Preparation minus carried boson momenta at clock ``now``, clamped to [-1, 1].
 
@@ -163,11 +151,6 @@ def effective_momentum(particle: ParticleState, damp, now: int) -> float:
         carried += p * damp[now - born]
     total = particle.p0 - carried
     return 1.0 if total > 1.0 else (-1.0 if total < -1.0 else total)
-
-
-def mean_effective_momentum(p: float, p1: float, p2: float, q, delta: int):
-    """Ensemble mean of the effective momentum on ray q for two sources."""
-    return p - _memory_force(q, *_two_source_terms(p1, p2, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -259,40 +242,11 @@ def _trained_shard(
     return xi, p0, counter, q_star
 
 
-@dataclass
-class RayDiagnostics:
-    """Final-tick per-particle fields from a trained run.
+def run_trained_slits(config: ScenarioConfig, shards: int = 1, threads: int = 1) -> Histogram:
+    """Trained-mode interference run; returns the Histogram of final sites.
 
-    ``p_bar`` is the sample momentum counter/n_steps; ``p_eff`` is the
-    locked effective propensity, preparation minus the converged boson
-    force evaluated on the particle's ray.
-    """
-
-    xi: np.ndarray
-    p0: np.ndarray
-    counter: np.ndarray
-    n_steps: int
-    boson_sum: np.ndarray = None
-
-    @property
-    def p_bar(self) -> np.ndarray:
-        return self.counter / self.n_steps
-
-    @property
-    def p_eff(self) -> np.ndarray:
-        return np.clip(self.p0 - self.boson_sum, -1.0, 1.0)
-
-
-def run_trained_slits(
-    config: ScenarioConfig,
-    shards: int = 1,
-    threads: int = 1,
-    return_rays: bool = False,
-):
-    """Trained-mode interference run; returns a position Histogram.
-
-    With ``return_rays`` also returns per-particle final diagnostics for
-    checking the mean effective momentum against its closed form.
+    Each shard is one ``_trained_shard`` call; the final sites of all
+    shards are binned together, in shard order.
     """
     if config.kind not in ("two-slit", "multi-slit"):
         raise ValueError("run_trained_slits handles slit scenarios only")
@@ -304,18 +258,7 @@ def run_trained_slits(
         shards,
         threads,
     )
-    xi, p0, counter, q_star = (np.concatenate(column) for column in zip(*parts))
-    hist = Histogram.from_samples(xi)
-    if not return_rays:
-        return hist
-    diag = RayDiagnostics(
-        xi=xi,
-        p0=p0,
-        counter=counter,
-        n_steps=config.n_steps,
-        boson_sum=p0 - q_star,
-    )
-    return hist, diag
+    return Histogram.from_samples(np.concatenate([xi for xi, _, _, _ in parts]))
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +353,8 @@ class BoundRun:
         return centers, counts
 
 
-def _bound_walk(config: ScenarioConfig, period: int) -> BoundRun:
-    """One walk steered by the ring memory force of circumference ``period``.
+def _bound_walk(config: ScenarioConfig) -> BoundRun:
+    """One walk steered by the ring memory force of circumference ``config.period``.
 
     The loop only stores the counter after each tick and the propensity
     applied on it; ``p_bar`` follows from the counters afterwards, and
@@ -419,6 +362,7 @@ def _bound_walk(config: ScenarioConfig, period: int) -> BoundRun:
     """
     rng = np.random.default_rng(config.seed)
     p0 = float(config.p)
+    period = config.period
     n_steps = config.n_steps
     counters = np.empty(n_steps, dtype=np.int64)
     p_eff_trace = np.empty(n_steps)
@@ -449,7 +393,7 @@ def run_ring(config: ScenarioConfig) -> BoundRun:
     """
     if config.kind != "ring":
         raise ValueError("run_ring needs a ring config")
-    return _bound_walk(config, config.ell)
+    return _bound_walk(config)
 
 
 def run_box(config: ScenarioConfig) -> BoundRun:
@@ -460,13 +404,12 @@ def run_box(config: ScenarioConfig) -> BoundRun:
     successive traversals interfere at path differences that are multiples
     of 2*ell.  That is the same statistics as a free walk among mirror
     images spaced 2*ell apart, so the run unfolds the reflections: the
-    walk is driven by the ring force at circumference 2*ell (which is
-    ``box_memory_force``) and the position is folded back into [0, ell].
-    Stable rays sit at multiples of 1/ell, half the ring spacing.
+    walk is driven by the ring force at circumference ``config.period``
+    = 2*ell and the position is folded back into [0, ell].  Stable rays
+    sit at multiples of 1/ell, half the ring spacing.
     """
     if config.kind != "box":
         raise ValueError("run_box needs a box config")
-    period = 2 * config.ell
-    run = _bound_walk(config, period)
-    run.positions = np.minimum(run.positions, period - run.positions)
+    run = _bound_walk(config)
+    run.positions = np.minimum(run.positions, config.period - run.positions)
     return run

@@ -3,9 +3,12 @@
 A point source prepared with every momentum equally likely spreads into a
 flat packet of density 1/(2*tau); several coherent sources add pairwise
 cosine terms with phase pi * separation * xi / tau.  Bound geometries
-(ring, box) quantize the stationary momenta.  These are the independent
-references the walk results are validated against; no physical constants
-appear because the lattice units absorb them.
+(ring, box) quantize the stationary momenta.  The walk results are
+validated against these; no physical constants appear because the
+lattice units absorb them.  ``qm_multi_source`` restates the same
+far-field law as ``scenarios.multi_slit_density`` with its own pair
+loop, so it checks that code path, not the law.  A single source is a
+one-entry list.
 """
 
 from __future__ import annotations
@@ -15,28 +18,6 @@ import math
 import numpy as np
 
 from .lattice import _scalar_or_array
-
-
-def qm_single_source(xi, tau: int):
-    """Flat packet density 1/(2*tau), independent of position."""
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    out = np.full_like(np.asarray(xi, dtype=float), 1.0 / (2.0 * tau))
-    return _scalar_or_array(xi, out)
-
-
-def qm_two_source(xi, tau: int, p1: float, p2: float, delta: int):
-    """Two coherent sources ``delta`` sites apart with weights (p1, p2)."""
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    for w in (p1, p2):
-        if not 0.0 <= w <= 1.0:
-            raise ValueError("source weights must lie in [0, 1]")
-    x = np.asarray(xi, dtype=float)
-    out = (1.0 + 2.0 * math.sqrt(p1 * p2) * np.cos(math.pi * delta * x / tau)) / (2.0 * tau)
-    return _scalar_or_array(xi, out)
 
 
 def qm_multi_source(xi, tau: int, sources):
@@ -61,26 +42,6 @@ def qm_multi_source(xi, tau: int, sources):
             if delta == 0:
                 raise ValueError("sources must occupy distinct sites")
             out = out + 2.0 * math.sqrt(wi * wj) * np.cos(math.pi * delta * x / tau)
-    out = out / (2.0 * tau)
-    return _scalar_or_array(xi, out)
-
-
-def qm_equal_spaced(xi, tau: int, n_sources: int, delta: int):
-    """``n_sources`` equally likely sources, adjacent ones ``delta`` apart.
-
-    Collapses the pairwise sum by separation multiplicity: separation
-    j*delta occurs (n_sources - j) times, each with weight 2/n_sources.
-    """
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    if n_sources < 1:
-        raise ValueError("n_sources must be >= 1")
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    x = np.asarray(xi, dtype=float)
-    out = np.ones_like(x)
-    for j in range(1, n_sources):
-        out = out + (2.0 * (n_sources - j) / n_sources) * np.cos(math.pi * j * delta * x / tau)
     out = out / (2.0 * tau)
     return _scalar_or_array(xi, out)
 

@@ -75,6 +75,15 @@ class ScenarioConfig:
             if self.p is None or not -1.0 <= self.p <= 1.0:
                 raise ValueError("ring/box needs a fixed propensity in [-1, 1]")
 
+    @property
+    def period(self) -> int:
+        """Circumference of the ring a bound walk lives on: ell, or 2*ell for a box.
+
+        A box's reflections are mirror images 2*ell apart, so a box of width
+        ell has the statistics of a ring of circumference 2*ell.
+        """
+        return 2 * self.ell if self.kind == "box" else self.ell
+
 
 def two_slit_config(
     delta: int, p1: float = 0.5, n_particles: int = 50000, n_steps: int = 300, seed: int = 0
@@ -138,11 +147,6 @@ def _pair_terms(sources) -> tuple[np.ndarray, np.ndarray]:
     return np.array([table[d] for d in deltas], dtype=float), np.array(deltas, dtype=float)
 
 
-def _two_source_terms(p1: float, p2: float, delta: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair table of two sources ``delta`` sites apart with weights (p1, p2)."""
-    return _pair_terms(((0, p1), (delta, p2)))
-
-
 def _memory_force(q, amps: np.ndarray, deltas: np.ndarray):
     """Converged memory force g(q) = sum of a*sin(pi*d*q)/(pi*d) over the pair table."""
     q_arr = np.asarray(q, dtype=float)
@@ -188,14 +192,7 @@ def two_slit_density(xi, tau: int, p1: float, p2: float, delta: int):
     if tau < 1 or delta < 1:
         raise ValueError("tau and delta must be >= 1")
     x = np.asarray(xi, dtype=float)
-    return _fringe(x / tau, *_two_source_terms(p1, p2, delta)) / (2.0 * tau)
-
-
-def momentum_density_two_slit(pbar, p1: float, p2: float, delta: int):
-    """Density of locked ray momenta: (1 + 2 sqrt(p1 p2) cos(pi delta pbar)) / 2."""
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    return _fringe(pbar, *_two_source_terms(p1, p2, delta)) / 2.0
+    return _fringe(x / tau, *_pair_terms(((0, p1), (delta, p2)))) / (2.0 * tau)
 
 
 def multi_slit_density(xi, tau: int, sources):
@@ -246,21 +243,20 @@ def ray_equation(q: float, p: float, p1: float, p2: float, delta: int) -> float:
     return q - p + 2.0 * math.sqrt(p1 * p2) * math.sin(math.pi * delta * q) / (math.pi * delta)
 
 
-def solve_ray(p: float, p1: float, p2: float, delta: int) -> float:
-    """Stable ray momentum for preparation ``p``: the root of the ray equation.
+def solve_ray(p: float, sources) -> float:
+    """Stable ray momentum for preparation ``p`` under a weighted source list.
 
-    The map q -> p - g(q) moves rays toward fringe maxima; between two
-    consecutive repellers there is exactly one stable root.
+    The root of the ray equation q + g(q) = p; the map q -> p - g(q)
+    moves rays toward fringe maxima, and between two consecutive
+    repellers there is exactly one stable root.
     """
     if abs(p) > 1.0:
         raise ValueError("no bracketed ray for |p| > 1")
-    return float(_solve_rays(np.array([float(p)]), *_two_source_terms(p1, p2, delta))[0])
+    return float(_solve_rays(np.array([float(p)]), *_pair_terms(sources))[0])
 
 
-def mean_motion(
-    p: float, p1: float, p2: float, delta: int, tau_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic mean trajectory of the walk under the memory force.
+def mean_motion(p: float, sources, tau_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic mean trajectory of the walk under the memory force of ``sources``.
 
     Iterates mean position and effective momentum from one tick after
     emission; returns (positions, momenta) arrays of length ``tau_max``
@@ -268,7 +264,7 @@ def mean_motion(
     """
     if tau_max < 1:
         raise ValueError("tau_max must be >= 1")
-    amps, deltas = _two_source_terms(p1, p2, delta)
+    amps, deltas = _pair_terms(sources)
     xs = np.empty(tau_max)
     ps = np.empty(tau_max)
     x = p  # one free tick from the source
@@ -286,21 +282,15 @@ def mean_motion(
 
 
 def ring_steady_momentum(p: float, ell: int) -> float:
-    """Quantized ray momentum on a ring: (2/ell) * round(p*ell/2)."""
+    """Quantized ray momentum on a ring: (2/ell) * round(p*ell/2).
+
+    A box of width w quantizes as a ring of ``ScenarioConfig.period`` 2*w.
+    """
     if ell < 2:
         raise ValueError("ell must be >= 2")
     if abs(p) > 1.0:
         raise ValueError("p must lie in [-1, 1]")
     return 2.0 * round_half_away(p * ell / 2.0) / ell
-
-
-def box_steady_momentum(p: float, ell: int) -> float:
-    """Quantized momentum magnitude in a box: round(p*ell)/ell."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    if abs(p) > 1.0:
-        raise ValueError("p must lie in [-1, 1]")
-    return round_half_away(p * ell) / ell
 
 
 def ring_limit_sum(pbar: float, ell: int, n_sources: int) -> float:
@@ -341,14 +331,3 @@ def ring_memory_force(pbar: float, ell: int) -> float:
     if half == math.floor(half):
         return 0.0
     return ring_limit_closed(pbar, ell)
-
-
-def box_memory_force(pbar: float, ell: int) -> float:
-    """Memory force in a box of width ``ell``: mirror images sit 2*ell apart.
-
-    Same sawtooth as the ring with circumference 2*ell, so the stable
-    rays sit at multiples of 1/ell (half the ring spacing).
-    """
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    return ring_memory_force(pbar, 2 * ell)

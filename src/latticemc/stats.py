@@ -77,14 +77,12 @@ def merge(histograms) -> Histogram:
     return acc
 
 
-def chi2_critical(dof: int, alpha: float = 0.001) -> float:
-    """Upper-tail chi-square critical value via the Wilson-Hilferty cube.
+def chi2_critical(dof: int) -> float:
+    """Upper 0.1% chi-square critical value via the Wilson-Hilferty cube.
 
     Within ~1% of the exact quantile for dof >= 5 and ~0.25% for dof >= 24,
-    always erring on the lenient side; only alpha = 0.001 is supported.
+    always erring on the lenient side.
     """
-    if alpha != 0.001:
-        raise ValueError("only alpha = 0.001 is supported")
     if dof < 1:
         raise ValueError(f"dof must be >= 1, got {dof}")
     k = float(dof)
@@ -135,14 +133,13 @@ def compare(
     total: int,
     *,
     min_expected: float = 5.0,
-    alpha: float = 0.001,
 ) -> ComparisonReport:
     """Compare an empirical frequency vector against a reference pmf.
 
     ``frequency`` and ``reference`` must share the same support ordering and
     ``reference`` must sum to 1 (within 1e-6).  The chi-square statistic is
     computed on bins pooled to ``min_expected`` expected counts and gated at
-    the upper ``alpha`` percentile for the pooled dof.
+    the upper 0.1% point for the pooled dof (``chi2_critical``).
     """
     frequency = np.asarray(frequency, dtype=float)
     reference = np.asarray(reference, dtype=float)
@@ -168,7 +165,7 @@ def compare(
         raise ValueError("fewer than two pooled bins; chi-square undefined")
     chi2 = float(((obs_g - exp_g) ** 2 / exp_g).sum())
     dof = len(obs_g) - 1
-    critical = chi2_critical(dof, alpha)
+    critical = chi2_critical(dof)
     return ComparisonReport(
         l1=l1,
         chi2=chi2,
@@ -177,31 +174,6 @@ def compare(
         critical=critical,
         passed=chi2 < critical,
     )
-
-
-def rebin(hist: Histogram, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a histogram's support into ``n_cells`` equal-width cells.
-
-    Returns (cell edges as float array of length n_cells+1 in support
-    coordinates, counts per cell).  Used when per-site statistics would be
-    too sparse for a chi-square gate.
-    """
-    if n_cells < 2:
-        raise ValueError("need at least two cells")
-    edges = np.linspace(hist.offset - 0.5, hist.offset + len(hist.counts) - 0.5, n_cells + 1)
-    idx = np.clip(np.searchsorted(edges, hist.support, side="right") - 1, 0, n_cells - 1)
-    cells = np.zeros(n_cells, dtype=np.int64)
-    np.add.at(cells, idx, hist.counts)
-    return edges, cells
-
-
-def bin_reference(reference: np.ndarray, support: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Integrate a per-site reference pmf over the cells given by ``edges``."""
-    n_cells = len(edges) - 1
-    idx = np.clip(np.searchsorted(edges, support, side="right") - 1, 0, n_cells - 1)
-    out = np.zeros(n_cells)
-    np.add.at(out, idx, reference)
-    return out
 
 
 def table_rows(columns):

@@ -87,7 +87,7 @@ def run_ensemble_free(
     n_steps: int,
     p: float | None = None,
     xi0: int = 0,
-    seed=None,
+    seed: int | None = None,
     shards: int = 1,
     threads: int = 1,
 ) -> Histogram:
@@ -95,10 +95,10 @@ def run_ensemble_free(
 
     Every particle is emitted from site ``xi0`` with propensity ``p``, or
     with its own propensity uniform on [-1, 1] when ``p`` is None.
-    ``seed`` may be an int, a SeedSequence, or a Generator (single shard
-    only).  With ``shards > 1`` the particles are split as evenly as
-    possible and each shard gets its own spawned generator; ``threads``
-    only controls scheduling and never changes the result.
+    ``seed`` is an int, or None for fresh entropy.  With ``shards > 1``
+    the particles are split as evenly as possible and each shard gets its
+    own spawned generator; ``threads`` only controls scheduling and never
+    changes the result.
     """
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
@@ -116,26 +116,20 @@ def run_ensemble_free(
     return merge(parts)
 
 
-def _run_shards(shard, n_particles: int, seed, shards: int, threads: int) -> list:
+def _run_shards(shard, n_particles: int, seed: int | None, shards: int, threads: int) -> list:
     """Run ``shard(n, rng)`` over an even split of ``n_particles``; results in shard order.
 
-    ``seed`` may be an int, a SeedSequence, or a Generator (single shard
-    only).  Each shard gets its own generator spawned from the seed, so
-    the results depend on (seed, shards) and never on ``threads``, which
-    only controls scheduling.  Shards left with no particles are neither
-    seeded nor run; children are spawned by index, so skipping them leaves
-    the other shards' streams unchanged.
+    ``seed`` is an int, or None for fresh entropy.  Each shard gets its
+    own generator spawned from ``SeedSequence(seed)``, so the results
+    depend on (seed, shards) and never on ``threads``, which only
+    controls scheduling.  Shards left with no particles are neither
+    seeded nor run; children are spawned by index, so skipping them
+    leaves the other shards' streams unchanged.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    if isinstance(seed, np.random.Generator):
-        if shards != 1:
-            raise ValueError("pass a seed, not a Generator, for sharded runs")
-        rngs = [seed]
-    else:
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        children = ss.spawn(min(shards, n_particles))
-        rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
+    children = np.random.SeedSequence(seed).spawn(min(shards, n_particles))
+    rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
 
     base, extra = divmod(n_particles, shards)
     jobs = [(base + (1 if i < extra else 0), rng) for i, rng in enumerate(rngs)]

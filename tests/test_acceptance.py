@@ -93,7 +93,7 @@ def test_criterion_2_free_motion_flatness():
     counts = np.zeros(2 * tau + 1)
     counts[hist.support + tau] = hist.counts
     freq = counts / n
-    rep = compare(freq, np.full(2 * tau + 1, 1.0 / (2 * tau + 1)), n, alpha=0.001)
+    rep = compare(freq, np.full(2 * tau + 1, 1.0 / (2 * tau + 1)), n)
     dev = float(np.abs(freq - 1.0 / (2 * tau + 1)).max())
     elapsed = time.time() - t0
     ok = rep.passed and dev <= 5.0 / math.sqrt(n) and elapsed < 60.0
@@ -144,9 +144,9 @@ def test_criterion_4_two_slit_interference():
     sites = np.arange(-window, window + 1)
 
     ref = bin_density(finite_time_slit_density(sites, tau, cfg.sources), sites, edges)
-    positive = compare(obs / total, ref, total, alpha=0.001)
+    positive = compare(obs / total, ref, total)
     flat = np.diff(edges)
-    negative = compare(obs / total, flat / flat.sum(), total, alpha=0.001)
+    negative = compare(obs / total, flat / flat.sum(), total)
     sharp = bin_density(two_slit_density(sites, tau, 0.5, 0.5, 2), sites, edges)
     l1_sharp = float(np.abs(obs / total - sharp).sum())
 

@@ -12,9 +12,7 @@ import pytest
 from latticemc.qforce import (
     TrainingLattice,
     effective_momentum,
-    expected_particle_boson,
     expected_site_momentum,
-    mean_effective_momentum,
     particle_boson_series,
     particle_damping,
     run_box,
@@ -27,6 +25,8 @@ from latticemc.qforce import (
 )
 from latticemc import cli, qforce
 from latticemc.scenarios import (
+    _memory_force,
+    _pair_terms,
     box_config,
     finite_time_slit_density,
     multi_slit_config,
@@ -37,7 +37,7 @@ from latticemc.scenarios import (
     two_slit_density,
 )
 from latticemc.stats import Histogram, compare, write_csv
-from latticemc.walker import ParticleState
+from latticemc.walker import ParticleState, _run_shards
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +204,10 @@ def test_particle_boson_series_sums_to_sqrt():
 
 
 def test_expected_particle_boson_value():
+    # the carried boson's steady value is sqrt(P1 P2) times the site value:
     # sqrt(1/4) * 0.25 * sinc(0.5) = 0.5 / (4 pi) * 2 = 1 / (4 pi)
-    value = expected_particle_boson(0.5, 0.5, 0.25, 2)
-    assert value == pytest.approx(0.5 / (2.0 * math.pi))
+    value = particle_boson_series(0.25, 10**5) * expected_site_momentum(0.25, 2)
+    assert value == pytest.approx(0.5 / (2.0 * math.pi), abs=1e-5)
 
 
 def test_effective_momentum_clamps():
@@ -218,7 +219,8 @@ def test_effective_momentum_clamps():
 
 
 def test_mean_effective_momentum_hand_value():
-    got = mean_effective_momentum(0.3, 0.5, 0.5, 0.25, 2)
+    # preparation minus the converged force of two equal sources on ray q
+    got = 0.3 - _memory_force(0.25, *_pair_terms([(1, 0.5), (-1, 0.5)]))
     assert got == pytest.approx(0.3 - math.sin(math.pi / 2.0) / (2.0 * math.pi))
 
 
@@ -317,7 +319,7 @@ def test_trained_single_source_is_free_motion():
     idx = hist.support - full[0]
     counts[idx] = hist.counts
     ref = np.full(len(full), 1.0 / (2 * tau + 1))
-    report = compare(counts / counts.sum(), ref, int(counts.sum()), alpha=0.001)
+    report = compare(counts / counts.sum(), ref, int(counts.sum()))
     assert report.passed, f"chi2 {report.chi2:.1f} critical {report.critical:.1f}"
 
 
@@ -344,12 +346,12 @@ def test_trained_fringes_match_finite_time_law():
     ref = np.zeros(25)
     np.add.at(ref, cell, exact)
     ref /= ref.sum()
-    report = compare(obs / total, ref, total, alpha=0.001)
+    report = compare(obs / total, ref, total)
     assert report.passed, f"chi2 {report.chi2:.1f} critical {report.critical:.1f}"
 
     flat = np.diff(edges)
     flat /= flat.sum()
-    negative = compare(obs / total, flat, total, alpha=0.001)
+    negative = compare(obs / total, flat, total)
     assert not negative.passed
 
     sharp = two_slit_density(sites, tau, 0.5, 0.5, 2)
@@ -359,18 +361,27 @@ def test_trained_fringes_match_finite_time_law():
     assert np.abs(obs / total - sharp_cells).sum() < 0.06
 
 
+def _trained_rays(cfg, shards):
+    """Per-particle (xi, p0, counter, q_star) of the trained run of ``cfg``, all shards."""
+    src = list(cfg.sources)
+    parts = _run_shards(
+        lambda n, rng: qforce._trained_shard(src, n, cfg.n_steps, rng),
+        cfg.n_particles, cfg.seed, shards, 1,
+    )
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
 def test_trained_diagnostics_expose_locked_rays():
     cfg = two_slit_config(delta=2, n_particles=5000, n_steps=150, seed=19)
-    hist, diag = run_trained_slits(cfg, shards=2, return_rays=True)
-    assert hist.counts.sum() == 5000
-    assert diag.xi.shape == diag.p0.shape == diag.counter.shape == (5000,)
+    xi, p0, counter, q_star = _trained_rays(cfg, shards=2)
+    hist = run_trained_slits(cfg, shards=2)
+    assert np.array_equal(hist.counts, Histogram.from_samples(xi).counts)
+    assert xi.shape == p0.shape == counter.shape == q_star.shape == (5000,)
     # every locked momentum solves the ray equation for its preparation
-    residual = np.array([
-        ray_equation(q, p0, 0.5, 0.5, 2) for q, p0 in zip(diag.p_eff, diag.p0)
-    ])
+    residual = np.array([ray_equation(q, p, 0.5, 0.5, 2) for q, p in zip(q_star, p0)])
     assert np.max(np.abs(residual)) < 1e-9
     # p_bar scatters around the locked ray with walk noise only
-    spread = diag.p_bar - diag.p_eff
+    spread = counter / cfg.n_steps - q_star
     assert abs(spread.mean()) < 0.005
     assert spread.std() < 2.0 * math.sqrt(0.5 / cfg.n_steps)
 
@@ -392,8 +403,8 @@ def test_trained_ten_sources_pinned_counts():
 
 
 def test_trained_rays_solved_once_and_match_every_pair(monkeypatch):
-    # the diagnostics reuse the rays the shards solved, and those rays solve
-    # the ray equation written out over all 45 unmerged source pairs
+    # each particle's ray is solved once, in its shard, and solves the ray
+    # equation written out over all 45 unmerged source pairs
     solved = []
     solve = qforce._solve_rays
 
@@ -403,27 +414,27 @@ def test_trained_rays_solved_once_and_match_every_pair(monkeypatch):
 
     monkeypatch.setattr(qforce, "_solve_rays", counting)
     cfg = multi_slit_config(TEN_SOURCES, n_particles=3000, n_steps=50, seed=8)
-    hist, diag = run_trained_slits(cfg, shards=3, return_rays=True)
+    hist = run_trained_slits(cfg, shards=3)
     assert sum(solved) == 3000 and len(solved) == 3
     monkeypatch.undo()
-    assert np.array_equal(hist.counts, run_trained_slits(cfg, shards=3).counts)
-    q = diag.p0 - diag.boson_sum
+    xi, p0, _, q = _trained_rays(cfg, shards=3)
+    assert np.array_equal(hist.counts, Histogram.from_samples(xi).counts)
     force = np.zeros_like(q)
     for i, (si, wi) in enumerate(TEN_SOURCES):
         for sj, wj in TEN_SOURCES[i + 1 :]:
             d = abs(si - sj)
             force += 2.0 * math.sqrt(wi * wj) * np.sin(math.pi * d * q) / (math.pi * d)
-    assert np.abs(q + force - diag.p0).max() < 1e-12
+    assert np.abs(q + force - p0).max() < 1e-12
 
 
 def test_trained_mean_momentum_tracks_sample_ray():
     cfg = two_slit_config(delta=2, n_particles=60000, n_steps=300, seed=20)
-    _, diag = run_trained_slits(cfg, shards=4, return_rays=True)
-    q = diag.xi / cfg.n_steps
+    xi, _, _, q_star = _trained_rays(cfg, shards=4)
+    q = xi / cfg.n_steps
     for center in (-0.3, 0.0, 0.3):
         sel = np.abs(q - center) < 0.02
         assert sel.sum() > 200
-        assert diag.p_eff[sel].mean() == pytest.approx(center, abs=0.05)
+        assert q_star[sel].mean() == pytest.approx(center, abs=0.05)
 
 
 def test_trained_l1_shrinks_with_ensemble_size():

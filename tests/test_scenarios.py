@@ -7,6 +7,8 @@ import pytest
 
 from latticemc import qm_oracle, scenarios
 
+EQUAL_PAIR = [(1, 0.5), (-1, 0.5)]
+
 
 # ---------------------------------------------------------------------------
 # rounding helper and configs
@@ -79,7 +81,7 @@ def test_two_slit_density_equals_wave_reference():
     tau, delta = 150, 4
     xi = np.arange(-tau, tau + 1)
     ours = scenarios.two_slit_density(xi, tau, 0.6, 0.4, delta)
-    ref = qm_oracle.qm_two_source(xi, tau, 0.6, 0.4, delta)
+    ref = qm_oracle.qm_multi_source(xi, tau, [(delta // 2, 0.6), (-delta // 2, 0.4)])
     assert np.abs(ours - ref).max() <= 1e-15
 
 
@@ -94,14 +96,14 @@ def test_multi_slit_density_equals_wave_reference():
 
 def test_momentum_density_two_slit():
     # fringe law in momentum: maxima at pbar = 2n/delta, zeros between
-    assert scenarios.momentum_density_two_slit(0.0, 0.5, 0.5, 2) == pytest.approx(1.0)
-    assert scenarios.momentum_density_two_slit(0.5, 0.5, 0.5, 2) == pytest.approx(0.0, abs=1e-15)
-    assert scenarios.momentum_density_two_slit(1.0, 0.5, 0.5, 2) == pytest.approx(1.0)
-    arr = scenarios.momentum_density_two_slit(np.array([0.0, 0.25]), 0.25, 0.25, 2)
+    assert scenarios.momentum_density_multi(0.0, EQUAL_PAIR) == pytest.approx(1.0)
+    assert scenarios.momentum_density_multi(0.5, EQUAL_PAIR) == pytest.approx(0.0, abs=1e-15)
+    assert scenarios.momentum_density_multi(1.0, EQUAL_PAIR) == pytest.approx(1.0)
+    arr = scenarios.momentum_density_multi(np.array([0.0, 0.25]), [(1, 0.25), (-1, 0.25)])
     assert arr[0] == pytest.approx(0.75)
     # momentum density integrates to 1 over the full range [-1, 1)
     q = np.linspace(-1.0, 1.0, 4001)[:-1]
-    dens = scenarios.momentum_density_two_slit(q, 0.5, 0.5, 2)
+    dens = scenarios.momentum_density_multi(q, EQUAL_PAIR)
     assert 2.0 * np.mean(dens) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -109,7 +111,7 @@ def test_density_domain_errors():
     with pytest.raises(ValueError):
         scenarios.two_slit_density(0, 0, 0.5, 0.5, 2)
     with pytest.raises(ValueError):
-        scenarios.momentum_density_two_slit(0.0, 0.5, 0.5, 0)
+        scenarios.momentum_density_multi(0.0, [(1, 0.5), (1, 0.5)])
     with pytest.raises(ValueError):
         scenarios.multi_slit_density(0, 10, [(1, 0.5), (1, 0.5)])
 
@@ -117,7 +119,7 @@ def test_density_domain_errors():
 def test_momentum_density_multi_reduces_to_pair_form():
     q = np.linspace(-1.0, 1.0, 201)
     got = scenarios.momentum_density_multi(q, [(1, 0.3), (-1, 0.7)])
-    want = scenarios.momentum_density_two_slit(q, 0.3, 0.7, 2)
+    want = (1.0 + 2.0 * math.sqrt(0.3 * 0.7) * np.cos(2.0 * math.pi * q)) / 2.0
     assert np.abs(got - want).max() <= 1e-15
     assert isinstance(scenarios.momentum_density_multi(0.2, [(1, 0.5), (-1, 0.5)]), float)
 
@@ -207,28 +209,31 @@ def test_finite_time_density_converges_to_fringe_law():
 
 def test_ray_equation_and_solver():
     for p in (0.0, 0.1, 0.3, -0.22):
-        q = scenarios.solve_ray(p, 0.5, 0.5, 2)
+        q = scenarios.solve_ray(p, EQUAL_PAIR)
         assert abs(scenarios.ray_equation(q, p, 0.5, 0.5, 2)) <= 1e-11
-    assert scenarios.solve_ray(0.0, 0.25, 0.25, 2) == pytest.approx(0.0, abs=1e-9)
+    for p1, p2, delta in ((0.3, 0.7, 2), (0.8, 0.2, 6)):
+        q = scenarios.solve_ray(0.41, [(delta // 2, p1), (-delta // 2, p2)])
+        assert abs(scenarios.ray_equation(q, 0.41, p1, p2, delta)) <= 1e-11
+    assert scenarios.solve_ray(0.0, [(1, 0.3), (-1, 0.7)]) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_solve_ray_pull_is_toward_origin():
     # the memory term opposes the preparation, so |q| < |p| off the maxima
-    q = scenarios.solve_ray(0.3, 0.5, 0.5, 2)
+    q = scenarios.solve_ray(0.3, EQUAL_PAIR)
     assert 0.0 < q < 0.3
 
 
 def test_solve_ray_unbracketed():
     for p in (3.0, -1.01):
         with pytest.raises(ValueError):
-            scenarios.solve_ray(p, 0.5, 0.5, 2)
+            scenarios.solve_ray(p, EQUAL_PAIR)
 
 
 def test_mean_motion_converges_to_locked_ray():
     tau_max = 5000
     for p in (0.1, 0.3, -0.22):
-        q_star = scenarios.solve_ray(p, 0.5, 0.5, 2)
-        xs, ps = scenarios.mean_motion(p, 0.5, 0.5, 2, tau_max)
+        q_star = scenarios.solve_ray(p, EQUAL_PAIR)
+        xs, ps = scenarios.mean_motion(p, EQUAL_PAIR, tau_max)
         assert xs.shape == (tau_max,)
         assert ps.shape == (tau_max,)
         assert xs[0] == p
@@ -238,7 +243,7 @@ def test_mean_motion_converges_to_locked_ray():
 
 def test_mean_motion_validates():
     with pytest.raises(ValueError):
-        scenarios.mean_motion(0.1, 0.5, 0.5, 2, 0)
+        scenarios.mean_motion(0.1, EQUAL_PAIR, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +262,26 @@ def test_ring_steady_momentum(p, ell, expected):
     "p,ell,expected", [(0.28, 10, 0.3), (0.05, 10, 0.1), (-0.33, 6, -0.3333333333333333)]
 )
 def test_box_steady_momentum(p, ell, expected):
-    assert scenarios.box_steady_momentum(p, ell) == pytest.approx(expected)
+    period = scenarios.box_config(ell, p).period
+    assert scenarios.ring_steady_momentum(p, period) == pytest.approx(expected)
 
 
 def test_box_levels_are_twice_as_dense():
-    # box of width ell quantizes like a ring of circumference 2*ell
-    for p in np.linspace(-0.9, 0.9, 19):
-        assert scenarios.box_steady_momentum(p, 5) == pytest.approx(
-            scenarios.ring_steady_momentum(p, 10)
-        )
+    # a box of width ell quantizes like a ring of circumference 2*ell, bit
+    # for bit the box rule round(p*ell)/ell
+    for ell in range(2, 60):
+        period = scenarios.box_config(ell, 0.0).period
+        assert period == 2 * ell and scenarios.ring_config(ell, 0.0).period == ell
+        for p in np.linspace(-1.0, 1.0, 201).tolist() + [0.5 / ell, -1.5 / ell]:
+            box_rule = scenarios.round_half_away(p * ell) / ell
+            assert scenarios.ring_steady_momentum(p, period) == box_rule
 
 
 def test_steady_momentum_domain():
     with pytest.raises(ValueError):
         scenarios.ring_steady_momentum(0.3, 1)
     with pytest.raises(ValueError):
-        scenarios.box_steady_momentum(1.2, 10)
+        scenarios.ring_steady_momentum(1.2, 10)
 
 
 def test_ring_limit_sum_converges_to_sawtooth():
@@ -337,11 +346,15 @@ def test_ring_memory_force_restores_toward_ray():
 
 
 def test_box_memory_force_is_ring_at_double_circumference():
-    for q in (0.05, 0.13, 0.27, -0.31):
-        assert scenarios.box_memory_force(q, 5) == scenarios.ring_memory_force(q, 10)
-    assert scenarios.box_memory_force(0.2, 5) == 0.0
+    # a box's force is the ring force at its period 2*ell: zero on every
+    # box ray n/ell, and a sawtooth of half the ring's spacing between them
+    period = scenarios.box_config(5, 0.3).period
+    assert period == 10
+    for n in range(-5, 6):
+        assert scenarios.ring_memory_force(n / 5, period) == 0.0
+    assert scenarios.ring_memory_force(0.13, period) != scenarios.ring_memory_force(0.13, 5)
     with pytest.raises(ValueError):
-        scenarios.box_memory_force(0.1, 1)
+        scenarios.box_config(1, 0.1)
 
 
 def test_forces_match_quantization_rules():

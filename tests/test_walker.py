@@ -117,12 +117,14 @@ def test_empty_shards_are_not_seeded():
     assert peak < 2 * 2**20
 
 
-def test_ensemble_generator_seed_single_shard_only():
-    rng = np.random.default_rng(9)
-    hist = walker.run_ensemble_free(100, 10, seed=rng)
-    assert hist.total == 100
-    with pytest.raises(ValueError):
-        walker.run_ensemble_free(100, 10, seed=np.random.default_rng(9), shards=2)
+def test_ensemble_seed_objects_are_rejected():
+    # a seed is an int: a reused SeedSequence would be changed by spawning,
+    # and a Generator has no per-shard children, so neither is accepted
+    for seed in (np.random.default_rng(9), np.random.SeedSequence(5)):
+        with pytest.raises(TypeError):
+            walker.run_ensemble_free(100, 10, seed=seed)
+        with pytest.raises(TypeError):
+            walker.run_ensemble_free(100, 10, seed=seed, shards=2)
 
 
 def test_ensemble_argument_validation():
