@@ -94,7 +94,7 @@ print("(second-order differences, so halving the spacing divides both by 4):")
 print(f"{'spacing':>8} {'continuity':>12} {'ham-jacobi':>12}")
 rows = {}
 for h in (1.0, 0.5):
-    cont, ham = dbb_residuals(100.0, 200.0, h)
+    cont, ham = dbb_residuals(h)
     rows[h] = (cont, ham)
     print(f"{h:8.1f} {cont:12.3e} {ham:12.3e}")
 print(f"measured ratios: continuity x{rows[1.0][0] / rows[0.5][0]:.2f}, "

@@ -16,7 +16,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -95,8 +94,8 @@ def pmf_recursive(tau: int, p: float) -> np.ndarray:
     return rho
 
 
-def gaussian_limit(xi, tau: int, p: float, xi0: int = 0):
-    """Large-tau normal density with mean p*tau + xi0 and variance stay*tau.
+def gaussian_limit(xi, tau: int, p: float):
+    """Large-tau normal density with mean p*tau and variance stay*tau.
 
     Degenerate when |p| = 1 (the per-step variance vanishes); that case
     raises instead of returning a point mass.
@@ -108,7 +107,7 @@ def gaussian_limit(xi, tau: int, p: float, xi0: int = 0):
         raise ValueError("|p| = 1 gives a point mass; no density exists")
     xi_arr = np.asarray(xi, dtype=float)
     var = b * tau
-    out = np.exp(-((xi_arr - xi0 - p * tau) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+    out = np.exp(-((xi_arr - p * tau) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
     return _scalar_or_array(xi, out)
 
 
@@ -245,54 +244,24 @@ def action_phase_gap(xi, tau: int):
 # continuum guidance checks
 
 
-def density_continuum(xi, tau, f: Callable[[np.ndarray], np.ndarray]):
-    """Continuum arrival density f(xi/tau)/tau for a ray-momentum density f."""
-    xi = np.asarray(xi, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    return f(xi / tau) / tau
-
-
-def sigma_continuum(xi, tau):
-    """Continuum action (xi^2 + tau^2)/(2*tau); includes the rest drift tau/2."""
-    xi = np.asarray(xi, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    return (xi * xi + tau * tau) / (2.0 * tau)
-
-
-def _sigma_centered(xi, tau):
-    # position-dependent part of the action; the tau/2 rest drift carries no
-    # spatial gradient and is removed before the Hamilton-Jacobi residual.
-    xi = np.asarray(xi, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    return xi * xi / (2.0 * tau)
-
-
-def dbb_residuals(
-    tau_min: float = 100.0,
-    tau_max: float = 200.0,
-    spacing: float = 1.0,
-    f: Callable[[np.ndarray], np.ndarray] | None = None,
-    xi_half_width: float | None = None,
-) -> tuple[float, float]:
+def dbb_residuals(spacing: float) -> tuple[float, float]:
     """Max residuals of the continuity and Hamilton-Jacobi relations.
 
-    All derivatives are second-order central differences of the continuum
-    fields on a rectangle tau in [tau_min, tau_max], |xi| <= xi_half_width
-    (default tau_min/2, so the ray coordinate stays inside (-1, 1)).
+    The fields are the free packet's in the continuum: the arrival density
+    f(xi/tau)/tau for the flat ray-momentum density f = 1/2, and the action
+    (xi^2 + tau^2)/(2*tau), which includes the rest drift tau/2.  All
+    derivatives are second-order central differences on the rectangle
+    tau in [100, 200], |xi| <= 50, so the ray coordinate stays inside
+    (-1, 1).
 
     Continuity uses the full action gradient; the Hamilton-Jacobi residual
     is evaluated for the centered action xi^2/(2*tau), i.e. with the rest
-    drift tau/2 removed, which is the form the phase correspondence refers
-    to.  Both residuals are pure discretization error and shrink as
-    spacing**2.  Returns (continuity_max, hamilton_jacobi_max).
+    drift removed (it carries no spatial gradient), which is the form the
+    phase correspondence refers to.  Both residuals are pure
+    discretization error and shrink as spacing**2.  Returns
+    (continuity_max, hamilton_jacobi_max).
     """
-    if f is None:
-
-        def f(q):
-            return np.full_like(np.asarray(q, dtype=float), 0.5)
-
-    if xi_half_width is None:
-        xi_half_width = tau_min / 2.0
+    tau_min, tau_max, xi_half_width = 100.0, 200.0, 50.0
     if tau_min <= 2.0 * spacing:
         raise ValueError("tau_min too small for the requested spacing")
 
@@ -303,17 +272,20 @@ def dbb_residuals(
     TAU = taus[None, :]
 
     def P(x, t):
-        return density_continuum(x, t, f)
+        return np.full_like(x / t, 0.5) / t
+
+    def sigma(x, t):
+        return (x * x + t * t) / (2.0 * t)
 
     def grad_sigma(x, t):
-        return (sigma_continuum(x + h, t) - sigma_continuum(x - h, t)) / (2.0 * h)
+        return (sigma(x + h, t) - sigma(x - h, t)) / (2.0 * h)
 
     dP_dtau = (P(XI, TAU + h) - P(XI, TAU - h)) / (2.0 * h)
     flux_right = P(XI + h, TAU) * grad_sigma(XI + h, TAU)
     flux_left = P(XI - h, TAU) * grad_sigma(XI - h, TAU)
     continuity = dP_dtau + (flux_right - flux_left) / (2.0 * h)
 
-    dSc_dtau = (_sigma_centered(XI, TAU + h) - _sigma_centered(XI, TAU - h)) / (2.0 * h)
+    dSc_dtau = (XI * XI / (2.0 * (TAU + h)) - XI * XI / (2.0 * (TAU - h))) / (2.0 * h)
     hamilton = dSc_dtau + 0.5 * grad_sigma(XI, TAU) ** 2
 
     return float(np.abs(continuity).max()), float(np.abs(hamilton).max())

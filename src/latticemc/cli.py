@@ -20,6 +20,7 @@ import os
 import shutil
 import sys
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,9 +73,9 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _convert(key: str, raw, kind):
-    """Parse a config-file string, or type-check a value from a flag or manifest."""
-    if isinstance(raw, str):
+def _convert(key: str, raw, kind, text: bool):
+    """Parse a config-file string (``text``), or type-check a flag or manifest value."""
+    if text and isinstance(raw, str):
         try:
             return kind(raw)
         except ValueError as exc:
@@ -88,35 +89,50 @@ def _convert(key: str, raw, kind):
 _REQUIRED = object()
 
 
+class _Option(NamedTuple):
+    """One run option: its flag's type and help, its default, and its allowed values."""
+
+    kind: type
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    floor: int | None = None
+
+
 def _apply_schema(values: dict, schema: dict, origin: str) -> dict:
-    """Check and convert option values against ``schema``; absent keys take defaults."""
+    """Check and convert option values against ``schema``; absent keys take defaults.
+
+    Strings are parsed only when ``origin`` is "config" (a config file's
+    text); flag and manifest values must already have the option's type.
+    Choices and floors are checked once every value is converted.
+    """
     unknown = set(values) - set(schema)
     if unknown:
         raise ConfigError(f"unknown {origin} keys: {', '.join(sorted(unknown))}")
     out = {}
-    for key, (kind, default) in schema.items():
+    for key, opt in schema.items():
         if values.get(key) is not None:
-            out[key] = _convert(key, values[key], kind)
-        elif default is _REQUIRED:
+            out[key] = _convert(key, values[key], opt.kind, origin == "config")
+        elif opt.default is _REQUIRED:
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
         else:
-            out[key] = default
+            out[key] = opt.default
+    for key, opt in schema.items():
+        value = out[key]
+        if opt.choices and value not in opt.choices:
+            raise ConfigError(f"{key} must be one of {', '.join(opt.choices)}, got {value!r}")
+        if opt.floor is not None and value is not None and value < opt.floor:
+            raise ConfigError(f"{key} must be >= {opt.floor}, got {value}")
     return out
 
 
 def _resolve(ns: argparse.Namespace, schema: dict) -> dict:
     """Merge CLI values, config-file values, and defaults into one dict."""
-    values = _load_config(ns.config) if getattr(ns, "config", None) else {}
+    values = _load_config(ns.config) if ns.config else {}
     for key in schema:
-        if getattr(ns, key, None) is not None:
+        if getattr(ns, key) is not None:
             values[key] = getattr(ns, key)
     return _apply_schema(values, schema, "config")
-
-
-def _positive(params: dict, *keys: str) -> None:
-    for key in keys:
-        if params[key] is not None and params[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {params[key]}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,22 +181,22 @@ def _dump(fh, doc: dict) -> None:
 # free
 
 
-_FREE_SCHEMA = {
-    "n_particles": (int, 50000),
-    "n_steps": (int, 300),
-    "p": (float, None),
-    "xi0": (int, 0),
-    "seed": (int, 0),
-    "shards": (int, 1),
-    "threads": (int, 1),
-    "out": (str, _REQUIRED),
-    "json_out": (str, None),
-    "manifest": (str, None),
+# Each table's key order is the order of a manifest's "params", a file format.
+_FREE_OPTIONS = {
+    "n_particles": _Option(int, 50000, floor=1),
+    "n_steps": _Option(int, 300, floor=1),
+    "p": _Option(float, help="fixed propensity; omit for uniform ensemble"),
+    "xi0": _Option(int, 0, "emission site (default 0)"),
+    "seed": _Option(int, 0),
+    "shards": _Option(int, 1, floor=1),
+    "threads": _Option(int, 1, floor=1),
+    "out": _Option(str, _REQUIRED, "output CSV path"),
+    "json_out": _Option(str, help="mirror the table as JSON"),
+    "manifest": _Option(str, help="write a rerunnable manifest JSON"),
 }
 
 
 def _execute_free(params: dict) -> dict:
-    _positive(params, "n_particles", "n_steps", "shards", "threads")
     p = params["p"]
     if p is not None and not -1.0 <= p <= 1.0:
         raise ConfigError(f"propensity must lie in [-1, 1], got {p}")
@@ -218,23 +234,23 @@ def _execute_free(params: dict) -> dict:
 # interfere
 
 
-_INTERFERE_SCHEMA = {
-    "scenario": (str, _REQUIRED),
-    "delta": (int, 2),
-    "p1": (float, 0.5),
-    "sources": (str, None),
-    "ell": (int, None),
-    "p": (float, None),
-    "mode": (str, "trained"),
-    "n_particles": (int, None),
-    "n_steps": (int, None),
-    "seed": (int, 0),
-    "shards": (int, 1),
-    "threads": (int, 1),
-    "out": (str, _REQUIRED),
-    "json_out": (str, None),
-    "manifest": (str, None),
-    "diagnostics": (str, None),
+_INTERFERE_OPTIONS = {
+    "scenario": _Option(str, _REQUIRED, choices=KINDS),
+    "delta": _Option(int, 2, "two-slit source separation (even)"),
+    "p1": _Option(float, 0.5, "two-slit first-source weight"),
+    "sources": _Option(str, help="multi-slit sources, site:weight,..."),
+    "ell": _Option(int, help="ring circumference / box width"),
+    "p": _Option(float, help="ring/box preparation propensity"),
+    "mode": _Option(str, "trained", choices=("trained", "training")),
+    "n_particles": _Option(int),
+    "n_steps": _Option(int),
+    "seed": _Option(int, 0),
+    "shards": _Option(int, 1, floor=1),
+    "threads": _Option(int, 1, floor=1),
+    "out": _Option(str, _REQUIRED, "output CSV path"),
+    "json_out": _Option(str, help="mirror the table as JSON"),
+    "manifest": _Option(str, help="write a rerunnable manifest JSON"),
+    "diagnostics": _Option(str, help="training mode: per-emission CSV"),
 }
 
 
@@ -258,8 +274,6 @@ def _parse_sources(spec: str) -> list[tuple[int, float]]:
 
 def _build_scenario(params: dict) -> ScenarioConfig:
     kind = params["scenario"]
-    if kind not in KINDS:
-        raise ConfigError(f"unknown scenario {kind!r}")
     slit = kind in ("two-slit", "multi-slit")
     if kind == "multi-slit" and not params["sources"]:
         raise ConfigError("multi-slit needs --sources site:weight,...")
@@ -286,9 +300,6 @@ def _build_scenario(params: dict) -> ScenarioConfig:
 
 
 def _execute_interfere(params: dict) -> dict:
-    _positive(params, "shards", "threads")
-    if params["mode"] not in ("trained", "training"):
-        raise ConfigError(f"mode must be trained or training, got {params['mode']!r}")
     config = _build_scenario(params)
     slit = config.kind in ("two-slit", "multi-slit")
     training = slit and params["mode"] == "training"
@@ -383,7 +394,7 @@ def _execute_rerun(manifest_path: str, out_dir: str | None) -> dict:
     command = doc.get("command") if isinstance(doc, dict) else None
     if command not in ("free", "interfere") or not isinstance(doc.get("params"), dict):
         raise ConfigError("manifest does not describe a rerunnable command")
-    schema = _FREE_SCHEMA if command == "free" else _INTERFERE_SCHEMA
+    schema = _FREE_OPTIONS if command == "free" else _INTERFERE_OPTIONS
     params = _apply_schema(doc["params"], schema, "manifest")
     if doc.get("version") != __version__:
         print(
@@ -412,40 +423,20 @@ def _execute_rerun(manifest_path: str, out_dir: str | None) -> dict:
 # parser wiring
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value option file")
-    sub.add_argument("--n-particles", dest="n_particles", type=int)
-    sub.add_argument("--n-steps", dest="n_steps", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--shards", type=int)
-    sub.add_argument("--threads", type=int)
-    sub.add_argument("--out", help="output CSV path")
-    sub.add_argument("--json", dest="json_out", help="mirror the table as JSON")
-    sub.add_argument("--manifest", help="write a rerunnable manifest JSON")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="latticemc", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"latticemc {__version__}")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    free = subs.add_parser("free", help="free-walk ensemble histogram")
-    _add_common(free)
-    free.add_argument("--p", type=float, help="fixed propensity; omit for uniform ensemble")
-    free.add_argument("--xi0", type=int, help="emission site (default 0)")
-
-    inter = subs.add_parser(
-        "interfere", help="slit, ring, or box interference run"
-    )
-    _add_common(inter)
-    inter.add_argument("--scenario", choices=KINDS, default=None)
-    inter.add_argument("--delta", type=int, help="two-slit source separation (even)")
-    inter.add_argument("--p1", type=float, help="two-slit first-source weight")
-    inter.add_argument("--sources", help="multi-slit sources, site:weight,...")
-    inter.add_argument("--ell", type=int, help="ring circumference / box width")
-    inter.add_argument("--p", type=float, help="ring/box preparation propensity")
-    inter.add_argument("--mode", choices=["trained", "training"], default=None)
-    inter.add_argument("--diagnostics", help="training mode: per-emission CSV")
+    for name, help_text, options in [
+        ("free", "free-walk ensemble histogram", _FREE_OPTIONS),
+        ("interfere", "slit, ring, or box interference run", _INTERFERE_OPTIONS),
+    ]:
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="flat key = value option file")
+        for key, opt in options.items():
+            flag = "--json" if key == "json_out" else "--" + key.replace("_", "-")
+            sub.add_argument(flag, dest=key, type=opt.kind, choices=opt.choices, help=opt.help)
 
     ver = subs.add_parser("verify", help="closed-form checks")
     ver.add_argument("--suite", action="append", help="suite name (repeatable; default all)")
@@ -461,10 +452,10 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         if ns.command == "free":
-            _execute_free(_resolve(ns, _FREE_SCHEMA))
+            _execute_free(_resolve(ns, _FREE_OPTIONS))
             return EXIT_OK
         if ns.command == "interfere":
-            _execute_interfere(_resolve(ns, _INTERFERE_SCHEMA))
+            _execute_interfere(_resolve(ns, _INTERFERE_OPTIONS))
             return EXIT_OK
         if ns.command == "verify":
             failed = _execute_verify({"suite": ns.suite})

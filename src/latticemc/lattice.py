@@ -132,9 +132,3 @@ def transition_probs(p: float) -> TransitionProbs:
     down = ((1.0 - p) / 2.0) ** 2
     stay = (1.0 - p * p) / 2.0
     return TransitionProbs(up=up, stay=stay, down=down, propensity=p)
-
-
-def energy_propensity(p: float) -> float:
-    """Probability (1 + p**2) / 2 that a step changes the position."""
-    p = _check_propensity(p)
-    return (1.0 + p * p) / 2.0

@@ -336,18 +336,19 @@ class BoundRun:
     ``p_bar[t]`` is counter/tau after tick t+1; ``p_eff[t]`` is the
     effective propensity used for that tick.  ``mean_p_bar`` averages the
     sample momentum over the second half of the run, after the lock-in
-    transient.
+    transient.  ``positions[t]`` is the walker's site after tick t+1.
     """
 
     p_bar: np.ndarray
     p_eff: np.ndarray
     mean_p_bar: float
-    positions: np.ndarray | None = None
+    positions: np.ndarray
 
-    def momentum_histogram(self, bin_width: float = 0.02):
+    def momentum_histogram(self):
         """(centers, counts) histogram of second-half sample momenta."""
         half = len(self.p_bar) // 2
-        edges = np.arange(-1.0 - bin_width / 2.0, 1.0 + bin_width, bin_width)
+        width = 0.02
+        edges = np.arange(-1.0 - width / 2.0, 1.0 + width, width)
         counts, _ = np.histogram(self.p_bar[half:], bins=edges)
         centers = (edges[:-1] + edges[1:]) / 2.0
         return centers, counts

@@ -207,7 +207,7 @@ def momentum_density_multi(pbar, sources):
     return _fringe(pbar, *_pair_terms(sources)) / 2.0
 
 
-def finite_time_slit_density(xi, tau: int, sources, n_nodes: int = 400):
+def finite_time_slit_density(xi, tau: int, sources):
     """Exact arrival pmf of the locked-ray walk after ``tau`` ticks.
 
     The cosine fringe law is the infinite-time limit of this pmf: a walker
@@ -216,8 +216,8 @@ def finite_time_slit_density(xi, tau: int, sources, n_nodes: int = 400):
     law is that density pushed through the kernel.  The second-order
     difference from the limit law, (step variance * tau / 2) * curvature,
     fills the fringe zeros at small tau and vanishes as tau grows.  The
-    quadrature resolves the kernel width sqrt(b/tau) provided n_nodes is
-    well above 2/sqrt(b/tau); the default covers tau up to a few thousand.
+    400-node quadrature resolves the kernel width sqrt(b/tau) while 400 is
+    well above 2/sqrt(b/tau), which covers tau up to a few thousand.
     """
     from .analytic import pmf_free
 
@@ -225,7 +225,7 @@ def finite_time_slit_density(xi, tau: int, sources, n_nodes: int = 400):
         raise ValueError("tau must be >= 1")
     sources = [(int(s), float(w)) for s, w in sources]
     x = np.asarray(xi, dtype=np.int64)
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(400)
     ray_density = momentum_density_multi(nodes, sources)
     out = np.zeros(x.shape, dtype=float)
     for site, w_src in sources:

@@ -131,14 +131,12 @@ def compare(
     frequency: np.ndarray,
     reference: np.ndarray,
     total: int,
-    *,
-    min_expected: float = 5.0,
 ) -> ComparisonReport:
     """Compare an empirical frequency vector against a reference pmf.
 
     ``frequency`` and ``reference`` must share the same support ordering and
     ``reference`` must sum to 1 (within 1e-6).  The chi-square statistic is
-    computed on bins pooled to ``min_expected`` expected counts and gated at
+    computed on bins pooled to 5 expected counts and gated at
     the upper 0.1% point for the pooled dof (``chi2_critical``).
     """
     frequency = np.asarray(frequency, dtype=float)
@@ -160,7 +158,7 @@ def compare(
 
     observed = frequency * total
     expected = reference * total
-    obs_g, exp_g = _pool(observed, expected, min_expected)
+    obs_g, exp_g = _pool(observed, expected, 5.0)
     if len(obs_g) < 2:
         raise ValueError("fewer than two pooled bins; chi-square undefined")
     chi2 = float(((obs_g - exp_g) ** 2 / exp_g).sum())

@@ -292,8 +292,8 @@ def test_criterion_9_boost_identities():
 
 
 def test_criterion_10_guidance_residuals_second_order():
-    coarse = analytic.dbb_residuals(100.0, 200.0, 1.0)
-    fine = analytic.dbb_residuals(100.0, 200.0, 0.5)
+    coarse = analytic.dbb_residuals(1.0)
+    fine = analytic.dbb_residuals(0.5)
     ratio_cont = coarse[0] / fine[0]
     ratio_hj = coarse[1] / fine[1]
     ok = ratio_cont >= 3.0 and ratio_hj >= 3.0

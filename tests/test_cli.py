@@ -207,6 +207,38 @@ def test_config_file_supplies_and_cli_overrides(tmp_path):
     assert counts2 == 900
 
 
+_CONFIG_VALUES = {
+    "scenario": "two-slit", "delta": "4", "p1": "0.3", "sources": "-2:0.5,2:0.5", "ell": "5",
+    "p": "0.2", "mode": "training", "xi0": "3", "n_particles": "60", "n_steps": "12",
+    "seed": "4", "shards": "2", "threads": "2", "out": "cfg.csv", "json_out": "cfg.json",
+    "manifest": "cfg.manifest.json", "diagnostics": "cfg.diag.csv",
+}
+
+
+@pytest.mark.parametrize("command, key", [
+    *[("free", key) for key in cli._FREE_OPTIONS],
+    *[("interfere", key) for key in cli._INTERFERE_OPTIONS],
+])
+def test_every_option_key_is_accepted_in_a_config_file(tmp_path, monkeypatch, capsys,
+                                                       command, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"{key} = {_CONFIG_VALUES[key]}\n")
+    flags = {"n_particles": "30", "n_steps": "8", "out": "run.csv", "manifest": "run.manifest.json"}
+    if command == "interfere":
+        flags["scenario"] = "two-slit"
+    flags.pop(key, None)
+    argv = [command, "--config", "run.cfg"]
+    for flag_key, value in flags.items():
+        argv += ["--" + flag_key.replace("_", "-"), value]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    options = cli._FREE_OPTIONS if command == "free" else cli._INTERFERE_OPTIONS
+    manifest = _CONFIG_VALUES["manifest"] if key == "manifest" else "run.manifest.json"
+    params = json.loads((tmp_path / manifest).read_text())["params"]
+    assert params[key] == options[key].kind(_CONFIG_VALUES[key])
+    if key == "json_out":
+        assert json.loads((tmp_path / "cfg.json").read_text())["columns"][0] == "xi"
+
+
 def test_config_file_errors(tmp_path, capsys):
     bad_key = tmp_path / "bad.cfg"
     bad_key.write_text("n_particels = 100\n")
@@ -286,6 +318,13 @@ def test_verify_selected_suite_passes(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_all_suites_pass(capsys):
+    assert cli.main(["verify"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    passed, total = last.removeprefix("verify: ").removesuffix(" checks passed").split("/")
+    assert passed == total and int(total) > 0
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     assert cli.main(["verify", "--suite", "astrology"]) == 2
     assert "unknown suite" in capsys.readouterr().err
@@ -334,12 +373,17 @@ def test_rerun_fills_missing_optional_keys(tmp_path):
 
 def test_rerun_rejects_mistyped_or_missing_params(tmp_path, capsys):
     _, manifest, doc = _recorded_free_run(tmp_path)
-    for key, value in [("seed", "abc"), ("n_steps", 2.5), ("shards", True), ("out", None)]:
+    for key, value in [
+        ("seed", "abc"), ("n_steps", "12"), ("n_steps", 2.5), ("shards", True), ("out", None),
+    ]:
         bad = json.loads(json.dumps(doc))
         bad["params"][key] = value
         manifest.write_text(json.dumps(bad))
         assert cli.main(["rerun", str(manifest), "--out-dir", str(tmp_path / "x")]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if isinstance(value, str):  # manifest values are typed JSON, never parsed from text
+            assert f"expected int, got {value!r}" in err
 
 
 def test_failed_rerun_removes_the_directories_it_made(tmp_path, capsys):
@@ -435,6 +479,25 @@ def test_diagnostics_outside_training_mode_is_noted(tmp_path, capsys, argv):
     assert captured.err.count("\n") == 1 and "training mode only" in captured.err
     assert captured.out.count("\n") == 1
     assert not diag.exists()
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (
+        ["free", "--n-particles", "100", "--n-steps", "10"],
+        ["n_particles", "n_steps", "p", "xi0", "seed", "shards", "threads", "out", "json_out",
+         "manifest"],
+    ),
+    (
+        ["interfere", "--scenario", "two-slit", "--n-particles", "100", "--n-steps", "10"],
+        ["scenario", "delta", "p1", "sources", "ell", "p", "mode", "n_particles", "n_steps",
+         "seed", "shards", "threads", "out", "json_out", "manifest", "diagnostics"],
+    ),
+], ids=["free", "interfere"])
+def test_manifest_params_keys_and_order_are_pinned(tmp_path, argv, keys):
+    # a manifest's "params" is a file format that rerun reads; recorded at version 0.2.0
+    manifest = tmp_path / "run.manifest.json"
+    assert cli.main(argv + ["--out", str(tmp_path / "run.csv"), "--manifest", str(manifest)]) == 0
+    assert list(json.loads(manifest.read_text())["params"]) == keys
 
 
 @pytest.mark.parametrize("argv, csv_sha, json_sha", [

@@ -11,7 +11,6 @@ from latticemc.lattice import (
     LIGHT_SPEED,
     PLANCK_H,
     LatticeUnits,
-    energy_propensity,
     lattice_units,
     transition_probs,
     uncertainty_product,
@@ -52,15 +51,15 @@ def test_transition_probs_invariants_property(p):
     assert 0.0 <= t.down <= 1.0
     assert abs(t.up + t.stay + t.down - 1.0) <= 1e-15
     assert abs(t.up - t.down - p) <= 2e-16
-    assert abs(t.energy - energy_propensity(p)) <= 1e-15
+    assert abs(t.energy - (1.0 + p * p) / 2.0) <= 1e-15
 
 
 def test_energy_propensity_range():
-    assert energy_propensity(0.0) == 0.5
-    assert energy_propensity(1.0) == 1.0
-    assert energy_propensity(-1.0) == 1.0
+    assert transition_probs(0.0).energy == 0.5
+    assert transition_probs(1.0).energy == 1.0
+    assert transition_probs(-1.0).energy == 1.0
     for p in np.linspace(-1, 1, 41):
-        e = energy_propensity(float(p))
+        e = transition_probs(float(p)).energy
         assert 0.5 <= e <= 1.0
         assert abs(e - (1.0 + p * p) / 2.0) <= 1e-15
 
