@@ -225,10 +225,12 @@ def _trained_shard(
     """One shard of trained-mode walks; returns (xi, p0, counter, q_star).
 
     With the lattice memory converged, a walker's effective propensity
-    settles at the root of the ray equation for its preparation, and the
-    transient before settling is negligible next to the run length.  The
-    walk is therefore sampled at the locked propensity, in one
-    ``endpoint_displacement`` draw per particle.
+    settles at the root q* of the ray equation for its preparation.
+    Trained mode samples the locked-ray shortcut: the whole walk at q*,
+    in one ``endpoint_displacement`` draw per particle.  That is the law
+    trained mode claims, and it differs from a tick-by-tick walk under
+    the converged memory, whose force pulls each walker back toward its
+    ray, so its endpoints spread less around q* * n_steps.
     """
     sites = np.array([s for s, _ in sources], dtype=np.int64)
     weights = np.array([w for _, w in sources], dtype=float)

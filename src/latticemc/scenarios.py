@@ -165,22 +165,47 @@ def _fringe(q, amps: np.ndarray, deltas: np.ndarray):
     return _scalar_or_array(q, out)
 
 
-def _solve_rays(p0: np.ndarray, amps: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Locked ray momenta: roots of q + g(q) = p0, elementwise.
+_RAY_TABLE_INTERVALS = 2**14  # grid cells of q + g(q) on [-1, 1] that bracket the rays
+_RAY_BLOCK = 2048  # rays polished together; bounds the solver's working set
+_RAY_STEP_TOL = 1e-14  # a ray is done when its step is this small: F's own rounding is ~1e-15
 
-    The map q -> q + g(q) is nondecreasing for any valid source weighting
-    (its slope is 2*tau times the arrival density, which is nonnegative)
-    and equals q at q = +/-1, so bisection on [-1, 1] converges to the
-    unique root of every |p0| <= 1.
+
+def _solve_rays(p0: np.ndarray, amps: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Locked ray momenta: roots of F(q) = q + g(q) = p0, elementwise.
+
+    F is nondecreasing for any valid source weighting (its slope is the
+    fringe law, 2*tau times the arrival density, so nonnegative) and
+    equals q at q = +/-1, so every |p0| <= 1 has a root in [-1, 1].  A
+    table of F on a fixed grid brackets each root in one cell; safeguarded
+    Newton with slope ``_fringe`` polishes it, bisecting the bracket when
+    a step would leave it.  Every step lands strictly inside a bracket
+    that shrinks, so each ray stops; near a fringe zero F is locally cubic
+    and Newton takes up to ~60 steps.  Rays are polished in blocks and
+    each stops on its own, so a ray's result depends on its own p0 only.
     """
-    lo = np.full_like(p0, -1.0)
-    hi = np.ones_like(p0)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        low_side = mid + _memory_force(mid, amps, deltas) < p0
-        lo = np.where(low_side, mid, lo)
-        hi = np.where(low_side, hi, mid)
-    return np.clip(0.5 * (lo + hi), -1.0, 1.0)
+    grid = np.linspace(-1.0, 1.0, _RAY_TABLE_INTERVALS + 1)
+    table = grid + _memory_force(grid, amps, deltas)
+    q = np.empty_like(p0)
+    for start in range(0, len(p0), _RAY_BLOCK):
+        p = p0[start : start + _RAY_BLOCK]
+        cell = np.clip(np.searchsorted(table, p, side="right") - 1, 0, _RAY_TABLE_INTERVALS - 1)
+        lo, hi = grid[cell], grid[cell + 1]
+        rise = table[cell + 1] - table[cell]
+        frac = np.divide(p - table[cell], rise, out=np.full_like(p, 0.5), where=rise > 0)
+        x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+        todo = np.arange(start, start + len(p))
+        while len(todo):
+            f = x - p + _memory_force(x, amps, deltas)
+            slope = _fringe(x, amps, deltas)
+            lo = np.where(f < 0, x, lo)
+            hi = np.where(f > 0, x, hi)
+            newton = x - np.divide(f, slope, out=np.full_like(f, np.inf), where=slope > 0)
+            inside = (newton > lo) & (newton < hi) | (newton == x)  # x may sit on lo or hi
+            step = np.where(inside, newton, 0.5 * (lo + hi))
+            done = np.abs(step - x) <= _RAY_STEP_TOL
+            q[todo[done]] = step[done]
+            todo, p, x, lo, hi = (a[~done] for a in (todo, p, step, lo, hi))
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +275,7 @@ def solve_ray(p: float, sources) -> float:
     moves rays toward fringe maxima, and between two consecutive
     repellers there is exactly one stable root.
     """
-    if abs(p) > 1.0:
+    if not abs(p) <= 1.0:
         raise ValueError("no bracketed ray for |p| > 1")
     return float(_solve_rays(np.array([float(p)]), *_pair_terms(sources))[0])
 
@@ -264,6 +289,8 @@ def mean_motion(p: float, sources, tau_max: int) -> tuple[np.ndarray, np.ndarray
     """
     if tau_max < 1:
         raise ValueError("tau_max must be >= 1")
+    if not abs(p) <= 1.0:
+        raise ValueError("p must lie in [-1, 1]")
     amps, deltas = _pair_terms(sources)
     xs = np.empty(tau_max)
     ps = np.empty(tau_max)
@@ -288,7 +315,7 @@ def ring_steady_momentum(p: float, ell: int) -> float:
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    if abs(p) > 1.0:
+    if not abs(p) <= 1.0:
         raise ValueError("p must lie in [-1, 1]")
     return 2.0 * round_half_away(p * ell / 2.0) / ell
 

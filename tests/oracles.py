@@ -1,8 +1,12 @@
-"""Independent oracles for the test suite.
+"""Independent oracles and slow references for the test suite.
 
-Everything here is computed from first principles (exhaustive path
-enumeration, Gauss-Legendre quadrature) without calling the library
+The closed-form oracles are computed from first principles (exhaustive
+path enumeration, Gauss-Legendre quadrature) without calling the library
 code under test, so closed forms can be checked against ground truth.
+The slow references (``bisect_rays``, ``trained_per_tick``) restate a
+fast path of the library the plain way; they share only the pairwise
+memory sum ``scenarios._memory_force`` with it, so a differential test
+checks the fast path and not the physics.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ import itertools
 from collections import defaultdict
 
 import numpy as np
+
+from latticemc.scenarios import _memory_force
 
 
 def step_probs(p: float) -> dict[int, float]:
@@ -77,3 +83,39 @@ def mean_and_var(pmf: dict[int, float]) -> tuple[float, float]:
     mean = sum(k * w for k, w in pmf.items())
     var = sum((k - mean) ** 2 * w for k, w in pmf.items())
     return mean, var
+
+
+def bisect_rays(p0: np.ndarray, amps: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Slow reference of ``scenarios._solve_rays``: 60 bisection steps on [-1, 1].
+
+    q + g(q) is nondecreasing and equals q at q = +/-1, so bisection
+    converges to the root of every |p0| <= 1.
+    """
+    lo = np.full_like(p0, -1.0)
+    hi = np.ones_like(p0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        low_side = mid + _memory_force(mid, amps, deltas) < p0
+        lo = np.where(low_side, mid, lo)
+        hi = np.where(low_side, hi, mid)
+    return np.clip(0.5 * (lo + hi), -1.0, 1.0)
+
+
+def trained_per_tick(
+    p0: np.ndarray, amps: np.ndarray, deltas: np.ndarray, n_steps: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Slow reference of trained mode: every walker steps tick by tick.
+
+    Under the converged pair table (amps, deltas), a walker with
+    preparation p0 moves on tick tau at p_eff = clip(p0 - g(counter/tau))
+    (p0 itself before it has moved, as in ``qforce._bound_walk``), with
+    one trinomial draw per walker per tick.  Returns the final counters.
+    """
+    counter = np.zeros(len(p0), dtype=np.int64)
+    for tau in range(1, n_steps + 1):
+        q = counter / tau if tau > 1 else p0
+        p = np.clip(p0 - _memory_force(q, amps, deltas), -1.0, 1.0)
+        up = ((1.0 + p) / 2.0) ** 2
+        u = rng.random(len(p0))
+        counter += (u < up).astype(np.int64) - (u >= up + (1.0 - p * p) / 2.0)
+    return counter

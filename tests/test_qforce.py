@@ -7,6 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 
 from latticemc.qforce import (
@@ -425,6 +426,20 @@ def test_trained_rays_solved_once_and_match_every_pair(monkeypatch):
             d = abs(si - sj)
             force += 2.0 * math.sqrt(wi * wj) * np.sin(math.pi * d * q) / (math.pi * d)
     assert np.abs(q + force - p0).max() < 1e-12
+
+
+def test_trained_per_tick_reference_settles_on_solved_rays():
+    # the slow reference of trained mode steps every walker under the
+    # converged memory; its sample momentum closes in on the ray q* the
+    # trained shortcut samples at, the more the longer it walks
+    amps, deltas = _pair_terms(two_slit_config(delta=2).sources)
+    p0 = np.random.default_rng(30).uniform(-1.0, 1.0, 2000)
+    q_star = qforce._solve_rays(p0, amps, deltas)
+    gaps = []
+    for tau in (100, 300):
+        counter = oracles.trained_per_tick(p0, amps, deltas, tau, np.random.default_rng(tau))
+        gaps.append(np.median(np.abs(counter / tau - q_star)))
+    assert gaps[1] < 0.03 and gaps[1] < gaps[0]
 
 
 def test_trained_mean_momentum_tracks_sample_ray():

@@ -1,13 +1,16 @@
 """Scenario configs, fringe densities, ray locking, bound geometries."""
 
 import math
+import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 
 from latticemc import qm_oracle, scenarios
 
 EQUAL_PAIR = [(1, 0.5), (-1, 0.5)]
+TEN_SOURCES = [(s, 0.1) for s in range(-15, 13, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +230,65 @@ def test_solve_ray_unbracketed():
     for p in (3.0, -1.01):
         with pytest.raises(ValueError):
             scenarios.solve_ray(p, EQUAL_PAIR)
+
+
+def test_propensity_guards_reject_nan_and_out_of_range():
+    for p in (float("nan"), 1.5, -1.01):
+        with pytest.raises(ValueError, match="no bracketed ray"):
+            scenarios.solve_ray(p, EQUAL_PAIR)
+        with pytest.raises(ValueError, match=r"p must lie in \[-1, 1\]"):
+            scenarios.mean_motion(p, EQUAL_PAIR, 3)
+        with pytest.raises(ValueError, match=r"p must lie in \[-1, 1\]"):
+            scenarios.ring_steady_momentum(p, 4)
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [[(1, 0.5), (-1, 0.5)], [(1, 0.3), (-1, 0.7)], [(4, 0.5), (-4, 0.5)], [(4, 0.3), (-4, 0.7)],
+     TEN_SOURCES],
+    ids=["d2", "d2-unequal", "d8", "d8-unequal", "ten-sources"],
+)
+def test_solve_rays_matches_bisection_residuals(sources):
+    # compare residuals |F(q) - p0|, not q: at a fringe zero F is locally
+    # cubic and every q in a window about 1e-5 wide solves F(q) = p0 to
+    # rounding.  p0 = +/-1 sits on a fringe zero of the ten-source row.
+    amps, deltas = scenarios._pair_terms(sources)
+    grid = np.linspace(-1.0, 1.0, 200_001)
+    flat = grid[np.argsort(scenarios._fringe(grid, amps, deltas))[:50]]
+    at_flat = flat + scenarios._memory_force(flat, amps, deltas)
+    p0 = np.concatenate([
+        np.random.default_rng(12).uniform(-1.0, 1.0, 20_000),
+        [-1.0, 0.0, 1.0],
+        np.clip(np.concatenate([at_flat - 1e-9, at_flat + 1e-9]), -1.0, 1.0),
+    ])
+
+    def residual(q):
+        return np.abs(q - p0 + scenarios._memory_force(q, amps, deltas))
+
+    q = scenarios._solve_rays(p0, amps, deltas)
+    reference = residual(oracles.bisect_rays(p0, amps, deltas))
+    assert np.all(residual(q) <= reference + 8 * np.finfo(float).eps)
+    half = len(p0) // 2
+    halves = [scenarios._solve_rays(part, amps, deltas) for part in (p0[:half], p0[half:])]
+    assert np.array_equal(q, np.concatenate(halves))
+
+
+def test_solve_rays_working_set_does_not_grow_with_rays():
+    # rays are polished in fixed-size blocks, so apart from the returned
+    # array the solver's peak memory is the same for 15k and 150k rays
+    amps, deltas = scenarios._pair_terms(TEN_SOURCES)
+
+    def working_set(n):
+        p0 = np.random.default_rng(13).uniform(-1.0, 1.0, n)
+        tracemalloc.start()
+        try:
+            q = scenarios._solve_rays(p0, amps, deltas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - q.nbytes
+
+    assert working_set(150_000) <= 1.5 * working_set(15_000)
 
 
 def test_mean_motion_converges_to_locked_ray():
