@@ -10,7 +10,7 @@ mirror images), so its levels are twice as dense: n/ell.
 
 import numpy as np
 
-from latticemc.qforce import run_box, run_ring
+from latticemc.qforce import run_ring
 from latticemc.scenarios import box_config, ring_config, ring_steady_momentum
 
 ELL = 10
@@ -44,7 +44,7 @@ print(f"  second-half momentum histogram peaks at {peak:.2f}")
 print(f"\nbox of width 5, {N_STEPS} ticks")
 for p in (0.22, 0.37, 0.68):
     config = box_config(ell=5, p=p, n_steps=N_STEPS, seed=28)
-    run = run_box(config)
+    run = run_ring(config)  # a box walks as a ring of 2*ell, folded
     target = ring_steady_momentum(p, config.period)  # a ring of circumference 2*ell
     inside = (run.positions >= 0).all() and (run.positions <= 5).all()
     print(f"  p={p:4.2f}: locked mean {run.mean_p_bar:7.4f}  target {target:4.1f}  "

@@ -6,8 +6,8 @@ distribution obtained by path counting, the discrete action and its
 continuum phase, first-return series for the internal clock frequency,
 and the velocity-boost map of the walk parameters.
 
-Binomial coefficients are evaluated exactly as integers up to tau = 30
-and through log-gamma beyond, so every pmf stays usable at tau ~ 1e4.
+Binomial coefficients are evaluated through a table of log-gamma values
+at every tau, so every pmf stays usable at tau ~ 1e4.
 """
 
 from __future__ import annotations
@@ -15,13 +15,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .lattice import _check_propensity, _scalar_or_array
-
-EXACT_BINOMIAL_MAX_TAU = 30
 
 
 @functools.lru_cache(maxsize=8)
@@ -158,9 +155,6 @@ def energy_pmf(sigma: int, xi: int, tau: int) -> float:
     if sigma < axi or sigma > tau or (sigma - axi) % 2 != 0:
         return 0.0
     n_up = (sigma + axi) // 2
-    if tau <= EXACT_BINOMIAL_MAX_TAU:
-        num = math.comb(tau, n_up) * math.comb(tau - n_up, tau - sigma) * (1 << (tau - sigma))
-        return float(Fraction(num, math.comb(2 * tau, tau + axi)))
     log_val = (
         _log_binomial(tau, n_up)
         + _log_binomial(tau - n_up, tau - sigma)
@@ -172,9 +166,7 @@ def energy_pmf(sigma: int, xi: int, tau: int) -> float:
 
 def energy_mean(xi: int, tau: int) -> float:
     """Mean moving-tick count given arrival at ``xi``: (xi^2+tau^2-tau)/(2tau-1)."""
-    tau = _check_tau(tau)
-    x2 = float(xi) ** 2
-    return (x2 + tau * tau - tau) / (2.0 * tau - 1.0)
+    return float(action(xi, tau))
 
 
 def energy_var(xi: int, tau: int) -> float:
@@ -201,8 +193,6 @@ def particle_energy_pmf(sigma: int, tau: int, e: float) -> float:
         raise ValueError(f"moving probability must lie in [0, 1], got {e!r}")
     if sigma < 0 or sigma > tau:
         return 0.0
-    if tau <= EXACT_BINOMIAL_MAX_TAU:
-        return float(math.comb(tau, sigma) * e**sigma * (1.0 - e) ** (tau - sigma))
     if e == 0.0 or e == 1.0:  # the log form would meet 0 * log(0); the count is certain
         return 1.0 if sigma == tau * e else 0.0
     log_val = _log_binomial(tau, sigma) + sigma * math.log(e) + (tau - sigma) * math.log(1.0 - e)
@@ -387,15 +377,7 @@ def matter_frequency(e: float) -> float:
 class BoostedFrame:
     """Walk parameters seen from a frame moving at lattice velocity beta."""
 
-    p: float
-    beta: float
-    q: float
-    xi: float
-    tau: float
     p_boosted: float
-    stay_boosted: float
-    xi_boosted: float
-    tau_boosted: float
     cell_scale: float
     shift_residual: float
     spread_residual: float
@@ -447,15 +429,7 @@ def lorentz_check(p: float, beta: float, xi: float, tau: float) -> BoostedFrame:
     gap = abs(rho_b - rho) / rho if rho > 0.0 else abs(rho_b - rho)
 
     return BoostedFrame(
-        p=p,
-        beta=beta,
-        q=q,
-        xi=xi,
-        tau=tau,
         p_boosted=p_b,
-        stay_boosted=b_b,
-        xi_boosted=xi_b,
-        tau_boosted=tau_b,
         cell_scale=cell_scale,
         shift_residual=shift_res,
         spread_residual=spread_res,

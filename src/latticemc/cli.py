@@ -187,7 +187,7 @@ _FREE_OPTIONS = {
     "n_steps": _Option(int, 300, floor=1),
     "p": _Option(float, help="fixed propensity; omit for uniform ensemble"),
     "xi0": _Option(int, 0, "emission site (default 0)"),
-    "seed": _Option(int, 0),
+    "seed": _Option(int, 0, floor=0),
     "shards": _Option(int, 1, floor=1),
     "threads": _Option(int, 1, floor=1),
     "out": _Option(str, _REQUIRED, "output CSV path"),
@@ -244,7 +244,7 @@ _INTERFERE_OPTIONS = {
     "mode": _Option(str, "trained", choices=("trained", "training")),
     "n_particles": _Option(int),
     "n_steps": _Option(int),
-    "seed": _Option(int, 0),
+    "seed": _Option(int, 0, floor=0),
     "shards": _Option(int, 1, floor=1),
     "threads": _Option(int, 1, floor=1),
     "out": _Option(str, _REQUIRED, "output CSV path"),
@@ -307,7 +307,7 @@ def _execute_interfere(params: dict) -> dict:
         print("interfere: --diagnostics applies to training mode only; ignored", file=sys.stderr)
 
     if not slit:
-        run = qforce.run_ring(config) if config.kind == "ring" else qforce.run_box(config)
+        run = qforce.run_ring(config)
         centers, counts = run.momentum_histogram()
         target = ring_steady_momentum(config.p, config.period)
         summary = {

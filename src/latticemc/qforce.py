@@ -25,6 +25,11 @@ of the ray equation q + sum_pairs 2*sqrt(Pi Pj)*sin(pi*d*q)/(pi*d) = p0
 for its preparation p0, so trained runs solve that root per particle and
 sample the walk at the locked propensity; the only randomness left is
 the source draw, the preparation draw, and the step noise itself.
+
+A bound walk (ring or box) is one long walk steered by its own converged
+memory.  One runner, ``run_ring``, walks both: a box of ell sites is a
+ring of 2*ell whose positions fold back into [0, ell].  It stores only
+the counter after each tick; sample momenta and positions follow from it.
 """
 
 from __future__ import annotations
@@ -34,10 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import _scalar_or_array
 from .stats import Histogram
 from .walker import ParticleState, _run_shards, endpoint_displacement, move
-from .scenarios import ScenarioConfig, _pair_terms, _solve_rays, ring_memory_force
+from .scenarios import ScenarioConfig, _memory_force, _pair_terms, _solve_rays, ring_memory_force
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +97,7 @@ def expected_site_momentum(q, delta: int):
     """Steady-state site-boson momentum q * sinc(delta*q) = sin(pi delta q)/(pi delta)."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    q_arr = np.asarray(q, dtype=float)
-    out = q_arr * np.sinc(delta * q_arr)
-    return _scalar_or_array(q, out)
+    return _memory_force(q, (1.0,), (delta,))  # one unit-amplitude pair row
 
 
 def site_momentum_series(q: float, delta: int, refresh_rate: float, n_terms: int) -> float:
@@ -284,11 +286,8 @@ class TrainingRun:
         return int(self.emissions["bosons_created"].sum())
 
 
-def run_training_slits(
-    config: ScenarioConfig,
-    lattice: TrainingLattice | None = None,
-) -> TrainingRun:
-    """Sequential training run: every emission walks the shared lattice.
+def run_training_slits(config: ScenarioConfig) -> TrainingRun:
+    """Sequential training run: every emission walks one fresh, shared lattice.
 
     Emissions follow each other with no idle ticks, so site bosons keep
     decaying on a single global clock.
@@ -296,7 +295,7 @@ def run_training_slits(
     if config.kind not in ("two-slit", "multi-slit"):
         raise ValueError("run_training_slits handles slit scenarios only")
     rng = np.random.default_rng(config.seed)
-    lattice = lattice if lattice is not None else TrainingLattice()
+    lattice = TrainingLattice()
     damp = particle_damping(config.n_steps).tolist()
     sites = [s for s, _ in config.sources]
     weights = [w for _, w in config.sources]
@@ -333,22 +332,37 @@ def run_training_slits(
 
 @dataclass
 class BoundRun:
-    """Trace of a ring or box walk: sample momentum and applied propensity.
+    """Counter trace of a ring or box walk; every other trace follows from it.
 
-    ``p_bar[t]`` is counter/tau after tick t+1; ``p_eff[t]`` is the
-    effective propensity used for that tick.  ``mean_p_bar`` averages the
-    sample momentum over the second half of the run, after the lock-in
-    transient.  ``positions[t]`` is the walker's site after tick t+1.
+    ``counters[t]`` is the displacement counter after tick t+1, on a ring
+    of ``period`` sites.  ``p_bar[t]`` is the sample momentum
+    counter/tau after tick t+1, and ``mean_p_bar`` averages it over the
+    second half of the run, after the lock-in transient.
+    ``positions[t]`` is the walker's site after tick t+1: the counter
+    wrapped onto [0, period), and folded back into [0, period/2] when
+    ``folded`` (a box).
     """
 
-    p_bar: np.ndarray
-    p_eff: np.ndarray
-    mean_p_bar: float
-    positions: np.ndarray
+    counters: np.ndarray
+    period: int
+    folded: bool
+
+    @property
+    def p_bar(self) -> np.ndarray:
+        return self.counters / np.arange(1, len(self.counters) + 1)
+
+    @property
+    def mean_p_bar(self) -> float:
+        return float(self.p_bar[len(self.counters) // 2 :].mean())
+
+    @property
+    def positions(self) -> np.ndarray:
+        wrapped = self.counters % self.period
+        return np.minimum(wrapped, self.period - wrapped) if self.folded else wrapped
 
     def momentum_histogram(self):
         """(centers, counts) histogram of second-half sample momenta."""
-        half = len(self.p_bar) // 2
+        half = len(self.counters) // 2
         width = 0.02
         edges = np.arange(-1.0 - width / 2.0, 1.0 + width, width)
         counts, _ = np.histogram(self.p_bar[half:], bins=edges)
@@ -356,63 +370,31 @@ class BoundRun:
         return centers, counts
 
 
-def _bound_walk(config: ScenarioConfig) -> BoundRun:
+def run_ring(config: ScenarioConfig) -> BoundRun:
     """One walk steered by the ring memory force of circumference ``config.period``.
 
-    The loop only stores the counter after each tick and the propensity
-    applied on it; ``p_bar`` follows from the counters afterwards, and
-    ``positions`` is the counter wrapped onto [0, period).
+    A ring of ``ell`` sites is equivalent to an infinite train of equal
+    sources spaced ell apart, so the memory force on a walker at sample
+    momentum q is the converged pairwise sum ``ring_memory_force(q, ell)``.
+    The walk locks onto the quantized ray (2/ell) * round(p*ell/2) and the
+    long-run mean of counter/tau settles there.
+
+    A box of ``ell`` sites between reflecting walls is the same walk on a
+    ring of 2*ell: a specular bounce negates the walker's preparation,
+    carried boson momenta and counter, which is the statistics of a free
+    walk among mirror images spaced 2*ell apart.  Its positions fold back
+    into [0, ell], and its stable rays sit at multiples of 1/ell.
     """
+    if config.kind not in ("ring", "box"):
+        raise ValueError("run_ring needs a ring or box config")
     rng = np.random.default_rng(config.seed)
     p0 = float(config.p)
     period = config.period
-    n_steps = config.n_steps
-    counters = np.empty(n_steps, dtype=np.int64)
-    p_eff_trace = np.empty(n_steps)
+    counters = np.empty(config.n_steps, dtype=np.int64)
     counter = 0
-    for tau, u in enumerate(rng.random(n_steps).tolist(), start=1):
+    for tau, u in enumerate(rng.random(config.n_steps).tolist(), start=1):
         q = counter / tau if tau > 1 else p0  # no self-history before the walk moves
         p_eff = max(-1.0, min(1.0, p0 - ring_memory_force(q, period)))
-        p_eff_trace[tau - 1] = p_eff
         counter += move(u, p_eff)
         counters[tau - 1] = counter
-    p_bar = counters / np.arange(1, n_steps + 1)
-    return BoundRun(
-        p_bar=p_bar,
-        p_eff=p_eff_trace,
-        mean_p_bar=float(p_bar[n_steps // 2 :].mean()),
-        positions=counters % period,
-    )
-
-
-def run_ring(config: ScenarioConfig) -> BoundRun:
-    """Walk a ring of ``ell`` sites; the counter wraps as xi = counter mod ell.
-
-    The closed path is equivalent to an infinite train of equal sources
-    spaced ell apart, so the memory force on a walker at sample momentum
-    q is the converged pairwise sum ``ring_memory_force(q, ell)``.  The
-    walk locks onto the quantized ray (2/ell) * round(p*ell/2) and the
-    long-run mean of counter/tau settles there.
-    """
-    if config.kind != "ring":
-        raise ValueError("run_ring needs a ring config")
-    return _bound_walk(config)
-
-
-def run_box(config: ScenarioConfig) -> BoundRun:
-    """Walk a segment of ``ell`` sites bounded by perfectly reflecting walls.
-
-    A specular bounce negates the walker's preparation, carried boson
-    momenta, and displacement counter and restarts its clock, which makes
-    successive traversals interfere at path differences that are multiples
-    of 2*ell.  That is the same statistics as a free walk among mirror
-    images spaced 2*ell apart, so the run unfolds the reflections: the
-    walk is driven by the ring force at circumference ``config.period``
-    = 2*ell and the position is folded back into [0, ell].  Stable rays
-    sit at multiples of 1/ell, half the ring spacing.
-    """
-    if config.kind != "box":
-        raise ValueError("run_box needs a box config")
-    run = _bound_walk(config)
-    run.positions = np.minimum(run.positions, config.period - run.positions)
-    return run
+    return BoundRun(counters, period, folded=config.kind == "box")

@@ -94,7 +94,6 @@ class ComparisonReport:
     l1: float
     chi2: float
     dof: int
-    max_abs_dev: float
     critical: float
     passed: bool
 
@@ -152,9 +151,7 @@ def compare(
     if np.any(reference < 0.0):
         raise ValueError("reference has negative entries")
 
-    dev = frequency - reference
-    l1 = float(np.abs(dev).sum())
-    max_abs_dev = float(np.abs(dev).max())
+    l1 = float(np.abs(frequency - reference).sum())
 
     observed = frequency * total
     expected = reference * total
@@ -168,7 +165,6 @@ def compare(
         l1=l1,
         chi2=chi2,
         dof=dof,
-        max_abs_dev=max_abs_dev,
         critical=critical,
         passed=chi2 < critical,
     )

@@ -2,13 +2,13 @@
 
 A walk carries an integer site, a tick counter, a net-displacement
 counter, and its preparation propensity.  ``move`` is the one trinomial
-step rule (u < up -> +1, u < up + stay -> 0, else -1) that ``step`` and
-the memory-driven walks in ``qforce`` apply tick by tick.  A free walk
+step rule (u < up -> +1, u < up + stay -> 0, else -1) that the
+memory-driven walks in ``qforce`` apply tick by tick.  A free walk
 needs no ticks: one trinomial tick at propensity p is two fair half-tick
 coin flips that each go up with probability (1+p)/2, so after tau ticks
 the displacement is Binomial(2 tau, (1+p)/2) - tau.  ``endpoint_displacement``
 draws that once per particle, for free ensembles and trained runs
-alike; ``step`` and ``run_free`` stay as the per-tick reference.
+alike; ``run_free`` stays as the per-tick reference.
 
 Sharded runs derive one child generator per nonempty shard from a single
 seed, so the merged histogram is bit-reproducible for a fixed (seed,
@@ -51,15 +51,6 @@ def endpoint_displacement(rng: np.random.Generator, n_steps: int, p):
     ``p`` may be an array, giving one draw per entry.
     """
     return rng.binomial(2 * n_steps, (1.0 + p) / 2.0) - n_steps
-
-
-def step(state: ParticleState, p_eff: float, rng: np.random.Generator) -> int:
-    """Advance one tick with effective propensity ``p_eff``; returns the move."""
-    v = move(rng.random(), _check_propensity(p_eff))
-    state.xi += v
-    state.counter += v
-    state.tau += 1
-    return v
 
 
 def run_free(xi0: int, p: float, n_steps: int, rng: np.random.Generator) -> int:

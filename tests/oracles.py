@@ -108,7 +108,7 @@ def trained_per_tick(
 
     Under the converged pair table (amps, deltas), a walker with
     preparation p0 moves on tick tau at p_eff = clip(p0 - g(counter/tau))
-    (p0 itself before it has moved, as in ``qforce._bound_walk``), with
+    (p0 itself before it has moved, as in ``qforce.run_ring``), with
     one trinomial draw per walker per tick.  Returns the final counters.
     """
     counter = np.zeros(len(p0), dtype=np.int64)

@@ -298,6 +298,38 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("latticemc: config error")
 
 
+NEGATIVE_SEED_RUNS = {
+    "free": ["free", "--n-particles", "10", "--n-steps", "5"],
+    "interfere": ["interfere", "--scenario", "ring", "--ell", "4", "--p", "0.3",
+                  "--n-steps", "50"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEGATIVE_SEED_RUNS))
+@pytest.mark.parametrize("origin", ["flag", "config", "manifest"])
+def test_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys, origin, command):
+    argv = NEGATIVE_SEED_RUNS[command]
+    out = tmp_path / "x.csv"
+    if origin == "flag":
+        argv = [*argv, "--seed", "-5", "--out", str(out)]
+    elif origin == "config":
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = -5\n")
+        argv = [*argv, "--config", str(config), "--out", str(out)]
+    else:
+        manifest = tmp_path / "run.manifest.json"
+        assert cli.main([*argv, "--out", str(out), "--manifest", str(manifest)]) == 0
+        doc = json.loads(manifest.read_text())
+        doc["params"]["seed"] = -5
+        manifest.write_text(json.dumps(doc))
+        argv = ["rerun", str(manifest), "--out-dir", str(tmp_path / "redo")]
+        out = tmp_path / "redo"
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "latticemc: config error: seed must be >= 0, got -5\n"
+    assert not out.exists()
+
+
 def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     # a ValueError past validation is a bug in the program, not bad input
     def broken(*args, **kwargs):
@@ -323,6 +355,13 @@ def test_verify_all_suites_pass(capsys):
     last = capsys.readouterr().out.splitlines()[-1]
     passed, total = last.removeprefix("verify: ").removesuffix(" checks passed").split("/")
     assert passed == total and int(total) > 0
+
+
+def test_verify_stdout_is_pinned(capsys):
+    # every verify check is deterministic, so its whole report is one fixed text
+    assert cli.main(["verify"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "9a14423cedb8c72ea935c93bb27244cc50b17613eb8d4e7c259d02464dcdcf49"
 
 
 def test_verify_unknown_suite_exits_2(capsys):

@@ -10,38 +10,12 @@ from latticemc.lattice import transition_probs
 from latticemc.stats import _pool, chi2_critical, compare
 
 
-def test_step_updates_state_and_returns_move():
-    state = walker.ParticleState(xi=3, p0=0.2)
-    rng = np.random.default_rng(0)
-    total = 0
-    for _ in range(20):
-        v = walker.step(state, 0.2, rng)
-        assert v in (-1, 0, 1)
-        total += v
-    assert state.tau == 20
-    assert state.xi == 3 + total
-    assert state.counter == total
-
-
-def test_step_extreme_propensities_are_deterministic():
-    rng = np.random.default_rng(1)
-    up_state = walker.ParticleState()
-    down_state = walker.ParticleState()
-    for _ in range(10):
-        assert walker.step(up_state, 1.0, rng) == 1
-        assert walker.step(down_state, -1.0, rng) == -1
-    assert up_state.xi == 10
-    assert down_state.xi == -10
-
-
 def test_step_matches_run_free_sampling():
-    # the scalar and vectorized paths consume draws identically
-    state = walker.ParticleState()
-    rng_a = np.random.default_rng(42)
-    rng_b = np.random.default_rng(42)
-    for _ in range(200):
-        walker.step(state, 0.3, rng_a)
-    assert walker.run_free(0, 0.3, 200, rng_b) == state.xi
+    # the scalar step rule and the vectorized walk consume draws identically
+    u = np.random.default_rng(42).random(200)
+    assert walker.run_free(0, 0.3, 200, np.random.default_rng(42)) == sum(
+        walker.move(x, 0.3) for x in u.tolist()
+    )
 
 
 def test_move_cuts_at_transition_probs():
@@ -50,8 +24,6 @@ def test_move_cuts_at_transition_probs():
         for u in np.linspace(0.0, 1.0, 201, endpoint=False):
             expected = 1 if u < probs.up else (0 if u < probs.up + probs.stay else -1)
             assert walker.move(u, p) == expected
-    with pytest.raises(ValueError):
-        walker.step(walker.ParticleState(), 1.5, np.random.default_rng(0))
 
 
 def test_run_free_zero_steps():
