@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from latticemc.qforce import (
+    ParticleState,
     TrainingLattice,
     effective_momentum,
     expected_site_momentum,
@@ -27,7 +28,6 @@ from latticemc.qforce import (
     visit,
 )
 from latticemc.scenarios import two_slit_config, two_slit_density
-from latticemc.walker import ParticleState
 
 # ---------------------------------------------------------------------------
 # 1. the site boson decays tick by tick toward q * sinc(delta * q)
@@ -81,12 +81,14 @@ print(f"equal sources at q=0.25, delta=2: carried momentum {hand:.6f} "
 print("\nvisit walkthrough at a single site:")
 lattice = TrainingLattice()
 first = ParticleState(xi=0, tau=4, counter=3, p0=0.6)
-shift = visit(lattice, first, now=1)
+lattice.ticks = 1
+shift = visit(lattice, first)
 print(f"  first arrival (counter 3): register := {lattice.registers[0]}, "
       f"pair created: {shift is not None}")
 
 second = ParticleState(xi=0, tau=4, counter=1, p0=0.2)
-shift = visit(lattice, second, now=2)
+lattice.ticks = 2
+shift = visit(lattice, second)
 planted_q, born = lattice.site_bosons[0][shift]
 print(f"  second arrival (counter 1): shift = {shift}, counters exchanged "
       f"(walker now carries {second.counter}, register = {lattice.registers[0]})")
@@ -94,11 +96,12 @@ print(f"    site boson starts at w0 = {planted_q:.4f} with delta*q = {abs(shift)
 print(f"    walker inherits {second.bosons[shift][0]:.4f} (slot was empty)")
 
 third = ParticleState(xi=0, tau=5, counter=-1, p0=0.1)
-shift = visit(lattice, third, now=born + 2)
+lattice.ticks = born + 2
+shift = visit(lattice, third)
 carried, _ = third.bosons[shift]
 print(f"  third arrival (counter -1) two ticks later: same shift {shift}, "
       f"inherits w = {carried:.6f}")
-p_eff = effective_momentum(third, particle_damping(1), born + 2)
+p_eff = effective_momentum(third, particle_damping(1), lattice.ticks)
 print(f"    effective propensity {p_eff:.6f} (preparation 0.1 minus the carried momentum)")
 
 # ---------------------------------------------------------------------------

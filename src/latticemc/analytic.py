@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _check_propensity, _scalar_or_array
+from .lattice import _check_propensity, _scalar_or_array, transition_probs
 
 
 @functools.lru_cache(maxsize=8)
@@ -80,12 +80,9 @@ def pmf_recursive(tau: int, p: float) -> np.ndarray:
     tick; serves as an independent route to ``pmf_free``.
     """
     tau = _check_tau(tau)
-    p = _check_propensity(p)
-    up = ((1.0 + p) / 2.0) ** 2
-    down = ((1.0 - p) / 2.0) ** 2
-    stay = (1.0 - p * p) / 2.0
+    probs = transition_probs(p)
     rho = np.array([1.0])
-    kernel = np.array([down, stay, up])
+    kernel = np.array([probs.down, probs.stay, probs.up])
     for _ in range(tau):
         rho = np.convolve(rho, kernel)
     return rho
@@ -98,8 +95,8 @@ def gaussian_limit(xi, tau: int, p: float):
     raises instead of returning a point mass.
     """
     tau = _check_tau(tau)
-    p = _check_propensity(p)
-    b = (1.0 - p * p) / 2.0
+    probs = transition_probs(p)
+    p, b = probs.propensity, probs.stay
     if b == 0.0:
         raise ValueError("|p| = 1 gives a point mass; no density exists")
     xi_arr = np.asarray(xi, dtype=float)
@@ -410,7 +407,7 @@ def lorentz_check(p: float, beta: float, xi: float, tau: float) -> BoostedFrame:
     if abs(q) > 1.0:
         raise ValueError("|xi/tau| must be <= 1")
 
-    b = (1.0 - p * p) / 2.0
+    b = transition_probs(p).stay
     p_b = (p - beta) / (1.0 - beta * p)
     b_b = b * (1.0 - beta * beta) / (1.0 - p * beta) ** 2
     factor = (1.0 - p * beta) ** 2 / ((1.0 - beta * beta) * (1.0 - q * beta))

@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, analytic, qforce, verify
+from .lattice import _check_light_cone
 from .stats import Histogram, table_rows, write_csv, write_files
 from .walker import run_ensemble_free
 from .scenarios import (
@@ -202,6 +203,10 @@ def _execute_free(params: dict) -> dict:
         raise ConfigError(f"propensity must lie in [-1, 1], got {p}")
     tau = params["n_steps"]
     xi0 = params["xi0"]
+    try:
+        _check_light_cone(xi0, xi0, tau)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     hist = run_ensemble_free(
         params["n_particles"], tau, p=p, xi0=xi0, seed=params["seed"],

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .stats import Histogram
-from .walker import ParticleState, _run_shards, endpoint_displacement, move
+from .walker import _run_shards, endpoint_displacement, move
 from .scenarios import ScenarioConfig, _memory_force, _pair_terms, _solve_rays, ring_memory_force
 
 
@@ -160,6 +160,17 @@ def effective_momentum(particle: ParticleState, damp, now: int) -> float:
 
 
 @dataclass
+class ParticleState:
+    """Mutable walk state; ``bosons`` maps a pair shift to a carried (momentum, birth tick)."""
+
+    xi: int = 0
+    tau: int = 0
+    counter: int = 0
+    p0: float = 0.0
+    bosons: dict = field(default_factory=dict)
+
+
+@dataclass
 class TrainingLattice:
     """Persistent lattice memory accumulated over training emissions.
 
@@ -182,21 +193,21 @@ class TrainingLattice:
         ]
 
 
-def visit(lattice: TrainingLattice, particle: ParticleState, now: int) -> int | None:
-    """Process a walker's arrival at its site on tick ``now``; returns the pair shift.
+def visit(lattice: TrainingLattice, particle: ParticleState) -> int | None:
+    """Process a walker's arrival at its site at clock t = ``lattice.ticks``; returns the pair shift.
 
     A site with no register, or with one equal to the walker's counter,
     stores the counter and creates nothing (None).  Otherwise a boson pair
     of shift = register - counter is created: the walker carries
-    (momentum of the resident same-shift site boson, now), that momentum
+    (momentum of the resident same-shift site boson, t), that momentum
     being 0 if there is none; the site boson restarts as (counter/tau,
-    now); and register and counter are exchanged.  A pair with
+    t); and register and counter are exchanged.  A pair with
     |shift * q| >= 1 is counted as overdriven, since its early decay
     factors change sign.  The walker must have tau >= 1.
     """
     if particle.tau < 1:
         raise ValueError("visits start after the first tick; tau must be >= 1")
-    xi, lam = particle.xi, particle.counter
+    xi, lam, now = particle.xi, particle.counter, lattice.ticks
     register = lattice.registers.get(xi)
     lattice.registers[xi] = lam
     if register is None or register == lam:
@@ -318,7 +329,7 @@ def run_training_slits(config: ScenarioConfig) -> TrainingRun:
             particle.counter += v
             particle.tau += 1
             lattice.ticks += 1
-            if visit(lattice, particle, lattice.ticks) is not None:
+            if visit(lattice, particle) is not None:
                 created += 1
         for column, value in zip(emissions.values(), (sites[src], particle.xi, created, p_eff)):
             column[emission] = value

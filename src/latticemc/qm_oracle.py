@@ -2,13 +2,12 @@
 
 A point source prepared with every momentum equally likely spreads into a
 flat packet of density 1/(2*tau); several coherent sources add pairwise
-cosine terms with phase pi * separation * xi / tau.  Bound geometries
-(ring, box) quantize the stationary momenta.  The walk results are
-validated against these; no physical constants appear because the
-lattice units absorb them.  ``qm_multi_source`` restates the same
-far-field law as ``scenarios.multi_slit_density`` with its own pair
-loop, so it checks that code path, not the law.  A single source is a
-one-entry list.
+cosine terms with phase pi * separation * xi / tau.  The CLI writes this
+density as the ``qm_oracle`` column of a slit run; no physical constants
+appear because the lattice units absorb them.  ``qm_multi_source``
+restates the same far-field law as ``scenarios.multi_slit_density``
+with its own pair loop, so it checks that code path, not the law.  A
+single source is a one-entry list.
 """
 
 from __future__ import annotations
@@ -45,23 +44,3 @@ def qm_multi_source(xi, tau: int, sources):
     out = out / (2.0 * tau)
     return _scalar_or_array(xi, out)
 
-
-def qm_ring_momenta(ell: int, n_max: int) -> np.ndarray:
-    """Stationary lattice momenta on a ring of ``ell`` sites: 2n/ell."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return np.array([2.0 * n / ell for n in range(n_max + 1)])
-
-
-def qm_box_momenta(ell: int, n_max: int) -> np.ndarray:
-    """Stationary lattice momentum magnitudes in a box of ``ell`` sites: n/ell.
-
-    n starts at 1; the n = 0 state vanishes identically.
-    """
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    return np.array([n / ell for n in range(1, n_max + 1)])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _scalar_or_array
+from .lattice import _check_light_cone, _scalar_or_array
 
 
 def round_half_away(x: float) -> int:
@@ -55,10 +55,10 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.n_particles < 1 or self.n_steps < 1:
             raise ValueError("n_particles and n_steps must be >= 1")
+        sites = [s for s, _ in self.sources]
         if self.kind in ("two-slit", "multi-slit"):
             if len(self.sources) < 2:
                 raise ValueError("slit scenarios need at least two sources")
-            sites = [s for s, _ in self.sources]
             if len(set(sites)) != len(sites):
                 raise ValueError("sources must occupy distinct sites")
             weights = [w for _, w in self.sources]
@@ -74,6 +74,8 @@ class ScenarioConfig:
                 raise ValueError("ring/box needs ell >= 2")
             if self.p is None or not -1.0 <= self.p <= 1.0:
                 raise ValueError("ring/box needs a fixed propensity in [-1, 1]")
+        sites = sites or [0]  # a bound walk's counter starts at 0
+        _check_light_cone(min(sites), max(sites), self.n_steps)
 
     @property
     def period(self) -> int:
@@ -260,51 +262,6 @@ def finite_time_slit_density(xi, tau: int, sources):
 
 
 # ---------------------------------------------------------------------------
-# mean motion
-
-
-def ray_equation(q: float, p: float, p1: float, p2: float, delta: int) -> float:
-    """Residual of the locked-ray condition q = p - g(q)."""
-    return q - p + 2.0 * math.sqrt(p1 * p2) * math.sin(math.pi * delta * q) / (math.pi * delta)
-
-
-def solve_ray(p: float, sources) -> float:
-    """Stable ray momentum for preparation ``p`` under a weighted source list.
-
-    The root of the ray equation q + g(q) = p; the map q -> p - g(q)
-    moves rays toward fringe maxima, and between two consecutive
-    repellers there is exactly one stable root.
-    """
-    if not abs(p) <= 1.0:
-        raise ValueError("no bracketed ray for |p| > 1")
-    return float(_solve_rays(np.array([float(p)]), *_pair_terms(sources))[0])
-
-
-def mean_motion(p: float, sources, tau_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic mean trajectory of the walk under the memory force of ``sources``.
-
-    Iterates mean position and effective momentum from one tick after
-    emission; returns (positions, momenta) arrays of length ``tau_max``
-    indexed by tick (entry 0 is tick 1).
-    """
-    if tau_max < 1:
-        raise ValueError("tau_max must be >= 1")
-    if not abs(p) <= 1.0:
-        raise ValueError("p must lie in [-1, 1]")
-    amps, deltas = _pair_terms(sources)
-    xs = np.empty(tau_max)
-    ps = np.empty(tau_max)
-    x = p  # one free tick from the source
-    for i in range(tau_max):
-        tau = i + 1
-        xs[i] = x
-        p_eff = max(-1.0, min(1.0, p - _memory_force(x / tau, amps, deltas)))
-        ps[i] = p_eff
-        x += p_eff
-    return xs, ps
-
-
-# ---------------------------------------------------------------------------
 # bound geometries
 
 
@@ -318,21 +275,6 @@ def ring_steady_momentum(p: float, ell: int) -> float:
     if not abs(p) <= 1.0:
         raise ValueError("p must lie in [-1, 1]")
     return 2.0 * round_half_away(p * ell / 2.0) / ell
-
-
-def ring_limit_sum(pbar: float, ell: int, n_sources: int) -> float:
-    """Partial pairwise memory sum for a ring seen as equally spaced sources.
-
-    The memory force of ``n_sources`` equal sources spaced ell apart:
-    separation d*ell occurs n_sources - d times with amplitude
-    2/n_sources each, so the pair table has rows (2 (n_sources - d) /
-    n_sources, d*ell) for d = 1..n_sources-1.  Converges (in the averaged
-    sense) to ``ring_limit_closed``.
-    """
-    if ell < 2 or n_sources < 2:
-        raise ValueError("ell and n_sources must be >= 2")
-    d = np.arange(1, n_sources, dtype=float)
-    return _memory_force(float(pbar), 2.0 * (n_sources - d) / n_sources, d * ell)
 
 
 def ring_limit_closed(pbar: float, ell: int) -> float:

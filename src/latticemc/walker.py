@@ -1,14 +1,13 @@
 """Monte Carlo engine for free (non-interfering) walks.
 
-A walk carries an integer site, a tick counter, a net-displacement
-counter, and its preparation propensity.  ``move`` is the one trinomial
-step rule (u < up -> +1, u < up + stay -> 0, else -1) that the
-memory-driven walks in ``qforce`` apply tick by tick.  A free walk
-needs no ticks: one trinomial tick at propensity p is two fair half-tick
-coin flips that each go up with probability (1+p)/2, so after tau ticks
-the displacement is Binomial(2 tau, (1+p)/2) - tau.  ``endpoint_displacement``
-draws that once per particle, for free ensembles and trained runs
-alike; ``run_free`` stays as the per-tick reference.
+``move`` is the one trinomial step rule (u < up -> +1, u < up + stay
+-> 0, else -1) that the memory-driven walks in ``qforce`` apply tick by
+tick; it writes out the law of ``lattice.transition_probs`` inline,
+being the hot scalar form.  A free walk needs no ticks: one trinomial
+tick at propensity p is two fair half-tick coin flips that each go up
+with probability (1+p)/2, so after tau ticks the displacement is
+Binomial(2 tau, (1+p)/2) - tau.  ``endpoint_displacement`` draws that
+once per particle, for free ensembles and trained runs alike.
 
 Sharded runs derive one child generator per nonempty shard from a single
 seed, so the merged histogram is bit-reproducible for a fixed (seed,
@@ -18,23 +17,11 @@ shards) pair no matter how shards are scheduled.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import _check_propensity, transition_probs
+from .lattice import _check_propensity
 from .stats import Histogram, merge
-
-
-@dataclass
-class ParticleState:
-    """Mutable walk state; ``bosons`` maps a pair shift to a carried (momentum, birth tick)."""
-
-    xi: int = 0
-    tau: int = 0
-    counter: int = 0
-    p0: float = 0.0
-    bosons: dict = field(default_factory=dict)
 
 
 def move(u: float, p: float) -> int:
@@ -51,18 +38,6 @@ def endpoint_displacement(rng: np.random.Generator, n_steps: int, p):
     ``p`` may be an array, giving one draw per entry.
     """
     return rng.binomial(2 * n_steps, (1.0 + p) / 2.0) - n_steps
-
-
-def run_free(xi0: int, p: float, n_steps: int, rng: np.random.Generator) -> int:
-    """Final site of one free walk of ``n_steps`` ticks at constant propensity."""
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    probs = transition_probs(p)
-    if n_steps == 0:
-        return int(xi0)
-    u = rng.random(n_steps)
-    moves = (u < probs.up).astype(np.int64) - (u >= probs.up + probs.stay)
-    return int(xi0 + moves.sum())
 
 
 def _simulate_free_shard(

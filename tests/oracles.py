@@ -3,20 +3,28 @@
 The closed-form oracles are computed from first principles (exhaustive
 path enumeration, Gauss-Legendre quadrature) without calling the library
 code under test, so closed forms can be checked against ground truth.
-The slow references (``bisect_rays``, ``trained_per_tick``) restate a
-fast path of the library the plain way; they share only the pairwise
-memory sum ``scenarios._memory_force`` with it, so a differential test
-checks the fast path and not the physics.
+The slow references restate a fast path or a law of the library the
+plain way: ``run_free`` walks tick by tick where the library draws one
+endpoint, ``bisect_rays`` bisects where ``_solve_rays`` polishes a
+tabulated bracket, ``trained_per_tick`` and ``mean_motion`` step a walk
+under the converged memory force, ``ray_equation`` writes the two-source
+ray condition out by hand, and ``ring_limit_sum`` sums a finite train of
+ring sources.  They share only the transition law and the pairwise
+memory sum (``scenarios._pair_terms``, ``scenarios._memory_force``)
+with the library, so a differential test checks the fast path and not
+the physics.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 
 import numpy as np
 
-from latticemc.scenarios import _memory_force
+from latticemc.lattice import transition_probs
+from latticemc.scenarios import _memory_force, _pair_terms
 
 
 def step_probs(p: float) -> dict[int, float]:
@@ -119,3 +127,59 @@ def trained_per_tick(
         u = rng.random(len(p0))
         counter += (u < up).astype(np.int64) - (u >= up + (1.0 - p * p) / 2.0)
     return counter
+
+
+def run_free(xi0: int, p: float, n_steps: int, rng: np.random.Generator) -> int:
+    """Final site of one free walk of ``n_steps`` ticks at constant propensity, tick by tick."""
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    probs = transition_probs(p)
+    if n_steps == 0:
+        return int(xi0)
+    u = rng.random(n_steps)
+    moves = (u < probs.up).astype(np.int64) - (u >= probs.up + probs.stay)
+    return int(xi0 + moves.sum())
+
+
+def ray_equation(q: float, p: float, p1: float, p2: float, delta: int) -> float:
+    """Residual of the two-source locked-ray condition q = p - g(q)."""
+    return q - p + 2.0 * math.sqrt(p1 * p2) * math.sin(math.pi * delta * q) / (math.pi * delta)
+
+
+def mean_motion(p: float, sources, tau_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic mean trajectory of the walk under the memory force of ``sources``.
+
+    Iterates mean position and effective momentum from one tick after
+    emission; returns (positions, momenta) arrays of length ``tau_max``
+    indexed by tick (entry 0 is tick 1).
+    """
+    if tau_max < 1:
+        raise ValueError("tau_max must be >= 1")
+    if not abs(p) <= 1.0:
+        raise ValueError("p must lie in [-1, 1]")
+    amps, deltas = _pair_terms(sources)
+    xs = np.empty(tau_max)
+    ps = np.empty(tau_max)
+    x = p  # one free tick from the source
+    for i in range(tau_max):
+        tau = i + 1
+        xs[i] = x
+        p_eff = max(-1.0, min(1.0, p - _memory_force(x / tau, amps, deltas)))
+        ps[i] = p_eff
+        x += p_eff
+    return xs, ps
+
+
+def ring_limit_sum(pbar: float, ell: int, n_sources: int) -> float:
+    """Partial pairwise memory sum for a ring seen as equally spaced sources.
+
+    The memory force of ``n_sources`` equal sources spaced ell apart:
+    separation d*ell occurs n_sources - d times with amplitude
+    2/n_sources each, so the pair table has rows (2 (n_sources - d) /
+    n_sources, d*ell) for d = 1..n_sources-1.  Converges (in the averaged
+    sense) to ``scenarios.ring_limit_closed``.
+    """
+    if ell < 2 or n_sources < 2:
+        raise ValueError("ell and n_sources must be >= 2")
+    d = np.arange(1, n_sources, dtype=float)
+    return _memory_force(float(pbar), 2.0 * (n_sources - d) / n_sources, d * ell)

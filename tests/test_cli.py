@@ -287,15 +287,27 @@ def test_config_errors_exit_2(tmp_path, capsys):
         "--out", str(tmp_path / "x.csv"),
     ]) == 2
     out = str(tmp_path / "x.csv")
+    huge = str(2**70)
+    small = ["--n-particles", "10", "--n-steps", "5"]
     for argv in [
         ["free", "--p", "nan", "--out", out],
         ["interfere", "--scenario", "ring", "--ell", "10", "--p", "nan", "--out", out],
         ["interfere", "--scenario", "two-slit", "--p1", "nan", "--out", out],
         ["interfere", "--scenario", "multi-slit", "--sources=-1:nan,1:nan", "--out", out],
+        # light cones that leave int64: past it, wrapping past its top, or
+        # ending the support one past the largest int64
+        ["free", *small, "--xi0", huge, "--out", out],
+        ["free", *small, "--xi0", str(2**63 - 3), "--out", out],
+        ["free", *small, "--xi0", str(2**63 - 1 - 5), "--out", out],
+        ["free", "--n-particles", "1", "--n-steps", huge, "--out", out],
+        ["interfere", "--scenario", "two-slit", "--delta", huge, *small, "--out", out],
+        ["interfere", "--scenario", "multi-slit", f"--sources=0:0.5,{huge}:0.5", *small,
+         "--out", out],
     ]:
         capsys.readouterr()
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("latticemc: config error")
+        assert not os.path.exists(out), argv
 
 
 NEGATIVE_SEED_RUNS = {
@@ -328,6 +340,18 @@ def test_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys, origin, comm
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "latticemc: config error: seed must be >= 0, got -5\n"
     assert not out.exists()
+
+
+# the top site stays below the int64 maximum, so the support's exclusive end fits
+@pytest.mark.parametrize("xi0", [2**63 - 2 - 5, -(2**63) + 5])
+def test_light_cone_at_int64_limits_runs(tmp_path, xi0):
+    out = tmp_path / "x.csv"
+    assert cli.main([
+        "free", "--n-steps", "5", "--n-particles", "10", "--p", "0.2", "--xi0", str(xi0),
+        "--out", str(out),
+    ]) == 0
+    sites = [int(row[0]) for row in read_rows(out)[1:]]
+    assert sites == list(range(xi0 - 5, xi0 + 6))
 
 
 def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):

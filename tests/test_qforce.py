@@ -11,6 +11,7 @@ import oracles
 import pytest
 
 from latticemc.qforce import (
+    ParticleState,
     TrainingLattice,
     effective_momentum,
     expected_site_momentum,
@@ -30,14 +31,13 @@ from latticemc.scenarios import (
     box_config,
     finite_time_slit_density,
     multi_slit_config,
-    ray_equation,
     ring_config,
     ring_steady_momentum,
     two_slit_config,
     two_slit_density,
 )
 from latticemc.stats import Histogram, compare, write_csv
-from latticemc.walker import ParticleState, _run_shards
+from latticemc.walker import _run_shards
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +54,8 @@ def test_site_boson_decay_tick_math():
 def test_site_boson_overdriven_flag():
     # a pair with |shift * q| >= 1 has early decay factors that change sign
     for q_tau, counter, overdriven in [(5, 3, True), (10, 3, False)]:
-        lattice = TrainingLattice(registers={0: 5})
-        assert visit(lattice, ParticleState(tau=q_tau, counter=counter), 1) == 2
+        lattice = TrainingLattice(registers={0: 5}, ticks=1)
+        assert visit(lattice, ParticleState(tau=q_tau, counter=counter)) == 2
         assert lattice.overdriven_events == int(overdriven)
 
 
@@ -168,7 +168,7 @@ def test_idle_boson_is_valued_in_constant_memory():
     tracemalloc.start()
     try:
         rows = lattice.boson_snapshot()
-        assert visit(lattice, particle, idle) == 2
+        assert visit(lattice, particle) == 2
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -230,30 +230,30 @@ def test_mean_effective_momentum_hand_value():
 
 def test_visit_requires_started_walk():
     with pytest.raises(ValueError):
-        visit(TrainingLattice(), ParticleState(tau=0), 0)
+        visit(TrainingLattice(), ParticleState(tau=0))
 
 
 def test_first_visit_registers_without_boson():
-    lattice = TrainingLattice()
+    lattice = TrainingLattice(ticks=4)
     particle = ParticleState(xi=7, tau=4, counter=2)
-    assert visit(lattice, particle, 4) is None
+    assert visit(lattice, particle) is None
     assert lattice.registers == {7: 2}
     assert lattice.site_bosons == {} and particle.bosons == {}
 
 
 def test_matching_register_rewrites_without_boson():
-    lattice = TrainingLattice(registers={0: 2})
+    lattice = TrainingLattice(registers={0: 2}, ticks=4)
     particle = ParticleState(tau=4, counter=2)
-    assert visit(lattice, particle, 4) is None
+    assert visit(lattice, particle) is None
     assert lattice.registers[0] == 2 and particle.counter == 2
     assert lattice.site_bosons == {}
 
 
 def test_visit_creates_pair_and_swaps():
-    lattice = TrainingLattice(registers={0: 3})
+    lattice = TrainingLattice(registers={0: 3}, ticks=9)
     particle = ParticleState(tau=4, counter=1)
     # the pair's shift is register - counter
-    assert visit(lattice, particle, 9) == 2
+    assert visit(lattice, particle) == 2
     # walker found no prior boson of this shift, so it carries zero momentum
     assert particle.bosons[2] == (0.0, 9)
     # the site boson restarts at the visitor's sample momentum, x = 2 * 0.25
@@ -267,9 +267,9 @@ def test_visit_creates_pair_and_swaps():
 
 
 def test_visit_inherits_previous_boson_momentum():
-    lattice = TrainingLattice(registers={0: 5}, site_bosons={0: {2: (0.4, 3)}})
+    lattice = TrainingLattice(registers={0: 5}, site_bosons={0: {2: (0.4, 3)}}, ticks=10)
     particle = ParticleState(tau=10, counter=3)
-    assert visit(lattice, particle, 10) == 2
+    assert visit(lattice, particle) == 2
     # the walker inherits the resident boson valued 7 ticks after its birth
     assert particle.bosons[2] == (pytest.approx(site_decay_product(0.4, 2, 7)), 10)
     assert particle.bosons[2][0] == pytest.approx(
@@ -280,9 +280,9 @@ def test_visit_inherits_previous_boson_momentum():
 
 
 def test_visit_negative_shift_uses_own_slot():
-    lattice = TrainingLattice(registers={0: 1})
+    lattice = TrainingLattice(registers={0: 1}, ticks=4)
     particle = ParticleState(tau=4, counter=3)
-    assert visit(lattice, particle, 4) == -2
+    assert visit(lattice, particle) == -2
     assert -2 in lattice.site_bosons[0] and -2 in particle.bosons
     # |x| = 2 * 3/4 >= 1
     assert lattice.overdriven_events == 1
@@ -378,7 +378,7 @@ def test_trained_diagnostics_expose_locked_rays():
     assert np.array_equal(hist.counts, Histogram.from_samples(xi).counts)
     assert xi.shape == p0.shape == counter.shape == q_star.shape == (5000,)
     # every locked momentum solves the ray equation for its preparation
-    residual = np.array([ray_equation(q, p, 0.5, 0.5, 2) for q, p in zip(q_star, p0)])
+    residual = np.array([oracles.ray_equation(q, p, 0.5, 0.5, 2) for q, p in zip(q_star, p0)])
     assert np.max(np.abs(residual)) < 1e-9
     # p_bar scatters around the locked ray with walk noise only
     spread = counter / cfg.n_steps - q_star
@@ -513,8 +513,8 @@ def test_training_runs_through_visit(monkeypatch):
     shifts = []
     rule = qforce.visit
 
-    def recording(lattice, particle, now):
-        shifts.append(rule(lattice, particle, now))
+    def recording(lattice, particle):
+        shifts.append(rule(lattice, particle))
         return shifts[-1]
 
     monkeypatch.setattr(qforce, "visit", recording)
@@ -613,7 +613,11 @@ def test_ring_locks_to_quantized_momentum(p):
     run = run_ring(cfg)
     target = ring_steady_momentum(p, 10)
     assert run.mean_p_bar == pytest.approx(target, abs=0.05)
-    assert np.all(run.positions >= 0) and np.all(run.positions < 10)
+    # the wrapped walk visits every site and steps at most one site per
+    # tick, crossing the seam between sites ell-1 and 0 as one step
+    steps = np.diff(run.positions)
+    assert np.bincount(run.positions, minlength=10).all()
+    assert np.all((steps + 1) % 10 <= 2)
 
 
 def test_ring_momentum_histogram_peaks_at_ray():
@@ -627,7 +631,10 @@ def test_box_locks_to_half_spacing():
     cfg = box_config(ell=5, p=0.37, n_steps=100000, seed=28)
     run = run_ring(cfg)
     assert run.mean_p_bar == pytest.approx(0.4, abs=0.1)
-    assert np.all(run.positions >= 0) and np.all(run.positions <= 5)
+    # the folded walk reaches both walls and steps at most one site per
+    # tick, so it reflects at each wall instead of jumping
+    assert run.positions.min() == 0 and run.positions.max() == 5
+    assert np.all(np.abs(np.diff(run.positions)) <= 1)
 
 
 # Exact 200-tick paths (one character per tick: + up, 0 stay, - down) and

@@ -100,12 +100,3 @@ def test_phase_argument_convention():
     assert a == pytest.approx(1.0 / tau)
     assert b == pytest.approx(0.0, abs=1e-15)
     assert math.isclose(a + b, 1.0 / tau, abs_tol=1e-15)
-
-
-def test_ring_and_box_momenta():
-    assert qm_oracle.qm_ring_momenta(10, 3).tolist() == [0.0, 0.2, 0.4, 0.6]
-    assert qm_oracle.qm_box_momenta(10, 3).tolist() == [0.1, 0.2, 0.3]
-    with pytest.raises(ValueError):
-        qm_oracle.qm_ring_momenta(1, 3)
-    with pytest.raises(ValueError):
-        qm_oracle.qm_box_momenta(10, 0)

@@ -210,34 +210,31 @@ def test_finite_time_density_converges_to_fringe_law():
 # ray locking
 
 
+def _solve_ray(p, sources):
+    """The locked ray of one preparation ``p``."""
+    return float(scenarios._solve_rays(np.array([p]), *scenarios._pair_terms(sources))[0])
+
+
 def test_ray_equation_and_solver():
     for p in (0.0, 0.1, 0.3, -0.22):
-        q = scenarios.solve_ray(p, EQUAL_PAIR)
-        assert abs(scenarios.ray_equation(q, p, 0.5, 0.5, 2)) <= 1e-11
+        q = _solve_ray(p, EQUAL_PAIR)
+        assert abs(oracles.ray_equation(q, p, 0.5, 0.5, 2)) <= 1e-11
     for p1, p2, delta in ((0.3, 0.7, 2), (0.8, 0.2, 6)):
-        q = scenarios.solve_ray(0.41, [(delta // 2, p1), (-delta // 2, p2)])
-        assert abs(scenarios.ray_equation(q, 0.41, p1, p2, delta)) <= 1e-11
-    assert scenarios.solve_ray(0.0, [(1, 0.3), (-1, 0.7)]) == pytest.approx(0.0, abs=1e-9)
+        q = _solve_ray(0.41, [(delta // 2, p1), (-delta // 2, p2)])
+        assert abs(oracles.ray_equation(q, 0.41, p1, p2, delta)) <= 1e-11
+    assert _solve_ray(0.0, [(1, 0.3), (-1, 0.7)]) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_solve_ray_pull_is_toward_origin():
     # the memory term opposes the preparation, so |q| < |p| off the maxima
-    q = scenarios.solve_ray(0.3, EQUAL_PAIR)
+    q = _solve_ray(0.3, EQUAL_PAIR)
     assert 0.0 < q < 0.3
-
-
-def test_solve_ray_unbracketed():
-    for p in (3.0, -1.01):
-        with pytest.raises(ValueError):
-            scenarios.solve_ray(p, EQUAL_PAIR)
 
 
 def test_propensity_guards_reject_nan_and_out_of_range():
     for p in (float("nan"), 1.5, -1.01):
-        with pytest.raises(ValueError, match="no bracketed ray"):
-            scenarios.solve_ray(p, EQUAL_PAIR)
         with pytest.raises(ValueError, match=r"p must lie in \[-1, 1\]"):
-            scenarios.mean_motion(p, EQUAL_PAIR, 3)
+            oracles.mean_motion(p, EQUAL_PAIR, 3)
         with pytest.raises(ValueError, match=r"p must lie in \[-1, 1\]"):
             scenarios.ring_steady_momentum(p, 4)
 
@@ -294,8 +291,8 @@ def test_solve_rays_working_set_does_not_grow_with_rays():
 def test_mean_motion_converges_to_locked_ray():
     tau_max = 5000
     for p in (0.1, 0.3, -0.22):
-        q_star = scenarios.solve_ray(p, EQUAL_PAIR)
-        xs, ps = scenarios.mean_motion(p, EQUAL_PAIR, tau_max)
+        q_star = _solve_ray(p, EQUAL_PAIR)
+        xs, ps = oracles.mean_motion(p, EQUAL_PAIR, tau_max)
         assert xs.shape == (tau_max,)
         assert ps.shape == (tau_max,)
         assert xs[0] == p
@@ -305,7 +302,7 @@ def test_mean_motion_converges_to_locked_ray():
 
 def test_mean_motion_validates():
     with pytest.raises(ValueError):
-        scenarios.mean_motion(0.1, EQUAL_PAIR, 0)
+        oracles.mean_motion(0.1, EQUAL_PAIR, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +346,11 @@ def test_steady_momentum_domain():
 def test_ring_limit_sum_converges_to_sawtooth():
     # Fejer-weighted pair sum against the closed sawtooth, away from jumps
     for pbar, ell in [(0.13, 5), (0.07, 10), (0.31, 4), (-0.18, 7)]:
-        partial = scenarios.ring_limit_sum(pbar, ell, 1000)
+        partial = oracles.ring_limit_sum(pbar, ell, 1000)
         closed = scenarios.ring_limit_closed(pbar, ell)
         assert abs(partial - closed) <= 1e-2
     with pytest.raises(ValueError):
-        scenarios.ring_limit_sum(0.1, 5, 1)
+        oracles.ring_limit_sum(0.1, 5, 1)
 
 
 def test_ring_limit_sum_is_the_equal_source_pair_table():
@@ -363,14 +360,14 @@ def test_ring_limit_sum_is_the_equal_source_pair_table():
     table = scenarios._pair_terms(sources)
     for pbar in (0.13, -0.29, 0.5, 0.77):
         merged = scenarios._memory_force(pbar, *table)
-        assert abs(scenarios.ring_limit_sum(pbar, 5, 50) - merged) <= 1e-15
+        assert abs(oracles.ring_limit_sum(pbar, 5, 50) - merged) <= 1e-15
 
 
 def test_ring_limit_sum_truncation_settles():
     # consecutive truncations agree once the tail weight fades
     pbar, ell = 0.13, 5
-    a = scenarios.ring_limit_sum(pbar, ell, 4000)
-    b = scenarios.ring_limit_sum(pbar, ell, 8000)
+    a = oracles.ring_limit_sum(pbar, ell, 4000)
+    b = oracles.ring_limit_sum(pbar, ell, 8000)
     assert abs(a - b) <= 1e-5
 
 

@@ -3,6 +3,7 @@
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 
 from latticemc import analytic, walker
@@ -13,7 +14,7 @@ from latticemc.stats import _pool, chi2_critical, compare
 def test_step_matches_run_free_sampling():
     # the scalar step rule and the vectorized walk consume draws identically
     u = np.random.default_rng(42).random(200)
-    assert walker.run_free(0, 0.3, 200, np.random.default_rng(42)) == sum(
+    assert oracles.run_free(0, 0.3, 200, np.random.default_rng(42)) == sum(
         walker.move(x, 0.3) for x in u.tolist()
     )
 
@@ -28,15 +29,15 @@ def test_move_cuts_at_transition_probs():
 
 def test_run_free_zero_steps():
     rng = np.random.default_rng(0)
-    assert walker.run_free(5, 0.4, 0, rng) == 5
+    assert oracles.run_free(5, 0.4, 0, rng) == 5
     with pytest.raises(ValueError):
-        walker.run_free(0, 0.4, -1, rng)
+        oracles.run_free(0, 0.4, -1, rng)
 
 
 def test_run_free_stays_within_horizon():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        xi = walker.run_free(0, 0.9, 30, rng)
+        xi = oracles.run_free(0, 0.9, 30, rng)
         assert -30 <= xi <= 30
 
 
@@ -178,7 +179,7 @@ def test_ensemble_matches_per_tick_reference(preparation):
     fast = np.repeat(hist.support, hist.counts)
     rng = np.random.default_rng(607)
     ps = np.full(n_particles, p) if fixed else rng.uniform(-1.0, 1.0, n_particles)
-    slow = np.array([walker.run_free(0, float(q), n_steps, rng) for q in ps])
+    slow = np.array([oracles.run_free(0, float(q), n_steps, rng) for q in ps])
     chi2, dof = _two_sample_chi2(fast, slow)
     assert dof > 20
     assert chi2 < chi2_critical(dof), f"chi2={chi2:.1f} on {dof} dof"
