@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, analytic, qforce, verify
-from .lattice import _check_light_cone
-from .stats import Histogram, table_rows, write_csv, write_files
+from .lattice import light_cone
+from .stats import table_rows, write_csv, write_files
 from .walker import run_ensemble_free
 from .scenarios import (
     KINDS,
@@ -204,7 +204,7 @@ def _execute_free(params: dict) -> dict:
     tau = params["n_steps"]
     xi0 = params["xi0"]
     try:
-        _check_light_cone(xi0, xi0, tau)
+        light_cone(xi0, xi0, tau)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -212,7 +212,6 @@ def _execute_free(params: dict) -> dict:
         params["n_particles"], tau, p=p, xi0=xi0, seed=params["seed"],
         shards=params["shards"], threads=params["threads"],
     )
-    hist = hist.merge(Histogram(xi0 - tau, np.zeros(2 * tau + 1)))
     support = hist.support
     if p is None:
         model = analytic.ensemble_probability(support - xi0, tau)
@@ -247,8 +246,8 @@ _INTERFERE_OPTIONS = {
     "ell": _Option(int, help="ring circumference / box width"),
     "p": _Option(float, help="ring/box preparation propensity"),
     "mode": _Option(str, "trained", choices=("trained", "training")),
-    "n_particles": _Option(int),
-    "n_steps": _Option(int),
+    "n_particles": _Option(int, floor=1),
+    "n_steps": _Option(int, floor=1),
     "seed": _Option(int, 0, floor=0),
     "shards": _Option(int, 1, floor=1),
     "threads": _Option(int, 1, floor=1),
@@ -343,9 +342,6 @@ def _execute_interfere(params: dict) -> dict:
         if params["diagnostics"]:
             names = ["emission", *run.emissions]
             diagnostics = (names, [np.arange(config.n_particles), *run.emissions.values()])
-    sites = [s for s, _ in config.sources]
-    lo, hi = min(sites) - config.n_steps, max(sites) + config.n_steps
-    hist = hist.merge(Histogram(lo, np.zeros(hi - lo + 1)))
     support = hist.support
     model = multi_slit_density(support, config.n_steps, config.sources)
     from .qm_oracle import qm_multi_source

@@ -55,16 +55,23 @@ def _check_propensity(p: float) -> float:
     return p
 
 
-def _check_light_cone(lo: int, hi: int, n_steps: int) -> None:
-    """Reject a walk of ``n_steps`` ticks from sites lo..hi that int64 cannot hold.
+def light_cone(lo: int, hi: int, n_steps: int) -> tuple[int, int]:
+    """First and last site a walk of ``n_steps`` ticks from sites lo..hi can reach.
 
-    Sites, counters and histograms are int64 arrays, so every site of the
-    light cone lo - n_steps .. hi + n_steps must fit, and so must the
-    exclusive end of its support and the 2 * n_steps half-steps of the
-    one-draw sampler.
+    A run's histogram has one int64 count per site of this cone, so every
+    site must fit in int64, and so must the exclusive end of its support;
+    the count array must be one numpy can address, which also keeps the
+    2 * n_steps half-steps of the one-draw sampler in range.
     """
-    if lo - n_steps < _INT64.min or hi + n_steps >= _INT64.max or 2 * n_steps > _INT64.max:
+    first, last = lo - n_steps, hi + n_steps
+    if first < _INT64.min or last >= _INT64.max:
         raise ValueError(f"a {n_steps}-tick walk from sites {lo}..{hi} leaves the int64 range")
+    if last - first + 1 > _INT64.max // 8:
+        raise ValueError(
+            f"a {n_steps}-tick walk from sites {lo}..{hi} has {last - first + 1} sites, "
+            "too many for an int64 count array"
+        )
+    return first, last
 
 
 def transition_probs(p: float) -> TransitionProbs:

@@ -258,10 +258,10 @@ def _trained_shard(
 
 
 def run_trained_slits(config: ScenarioConfig, shards: int = 1, threads: int = 1) -> Histogram:
-    """Trained-mode interference run; returns the Histogram of final sites.
+    """Trained-mode interference run; returns the Histogram of final sites on ``config.cone``.
 
     Each shard is one ``_trained_shard`` call; the final sites of all
-    shards are binned together, in shard order.
+    shards are binned together.
     """
     if config.kind not in ("two-slit", "multi-slit"):
         raise ValueError("run_trained_slits handles slit scenarios only")
@@ -273,7 +273,7 @@ def run_trained_slits(config: ScenarioConfig, shards: int = 1, threads: int = 1)
         shards,
         threads,
     )
-    return Histogram.from_samples(np.concatenate([xi for xi, _, _, _ in parts]))
+    return Histogram.on_cone(np.concatenate([xi for xi, _, _, _ in parts]), config.cone)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,7 @@ def run_trained_slits(config: ScenarioConfig, shards: int = 1, threads: int = 1)
 
 @dataclass
 class TrainingRun:
-    """Final positions, the lattice, and per-emission columns of a training run.
+    """Final positions on the run's light cone, the lattice, and per-emission columns.
 
     ``emissions`` maps source, final_xi, bosons_created and final_p_eff
     (the last tick's propensity) to one array entry per emission.
@@ -334,7 +334,7 @@ def run_training_slits(config: ScenarioConfig) -> TrainingRun:
         for column, value in zip(emissions.values(), (sites[src], particle.xi, created, p_eff)):
             column[emission] = value
 
-    return TrainingRun(Histogram.from_samples(emissions["final_xi"]), lattice, emissions)
+    return TrainingRun(Histogram.on_cone(emissions["final_xi"], config.cone), lattice, emissions)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _check_light_cone, _scalar_or_array
+from .lattice import _scalar_or_array, light_cone
 
 
-def round_half_away(x: float) -> int:
+def _round_half_away(x: float) -> int:
     """Round to the nearest integer, halves away from zero."""
     return int(math.floor(abs(x) + 0.5)) * (1 if x >= 0 else -1)
 
@@ -74,8 +74,16 @@ class ScenarioConfig:
                 raise ValueError("ring/box needs ell >= 2")
             if self.p is None or not -1.0 <= self.p <= 1.0:
                 raise ValueError("ring/box needs a fixed propensity in [-1, 1]")
-        sites = sites or [0]  # a bound walk's counter starts at 0
-        _check_light_cone(min(sites), max(sites), self.n_steps)
+        self.cone  # raises ValueError for a cone that int64 arrays cannot hold
+
+    @property
+    def cone(self) -> tuple[int, int]:
+        """(first, last) site the run can reach; a slit run's histogram covers exactly these.
+
+        A bound walk's counter starts at 0, so its cone is -n_steps..n_steps.
+        """
+        sites = [s for s, _ in self.sources] or [0]
+        return light_cone(min(sites), max(sites), self.n_steps)
 
     @property
     def period(self) -> int:
@@ -274,7 +282,7 @@ def ring_steady_momentum(p: float, ell: int) -> float:
         raise ValueError("ell must be >= 2")
     if not abs(p) <= 1.0:
         raise ValueError("p must lie in [-1, 1]")
-    return 2.0 * round_half_away(p * ell / 2.0) / ell
+    return 2.0 * _round_half_away(p * ell / 2.0) / ell
 
 
 def ring_limit_closed(pbar: float, ell: int) -> float:

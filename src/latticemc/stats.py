@@ -1,11 +1,11 @@
 """Histogram accumulation, goodness-of-fit reporting and output files.
 
 Counts are kept as int64 on a contiguous integer support starting at
-``offset``.  Merging histograms adds counts (associative and commutative),
-which is what makes sharded runs reproducible: the merged result depends
-only on the per-shard streams, not on scheduling.  ``write_csv`` is the
-one row rule of the program's tables and ``write_files`` the one way
-a run's files reach disk.
+``offset``.  A run bins its final sites on its whole light cone
+(``lattice.light_cone``), so shards binned on one cone add their counts
+and the sum depends only on the per-shard streams, not on scheduling.
+``write_csv`` is the one row rule of the program's tables and
+``write_files`` the one way a run's files reach disk.
 """
 
 from __future__ import annotations
@@ -33,13 +33,14 @@ class Histogram:
             raise ValueError("counts must be one-dimensional")
 
     @classmethod
-    def from_samples(cls, xs: np.ndarray) -> "Histogram":
-        xs = np.asarray(xs, dtype=np.int64)
-        if xs.size == 0:
-            raise ValueError("cannot build a histogram from no samples")
-        offset = int(xs.min())
-        counts = np.bincount(xs - offset)
-        return cls(offset=offset, counts=counts)
+    def on_cone(cls, sites, cone: tuple[int, int]) -> "Histogram":
+        """Counts of ``sites`` at every site of ``cone`` = (first, last), zeros included."""
+        first, last = cone
+        rows = last - first + 1
+        counts = np.bincount(np.asarray(sites, dtype=np.int64) - first, minlength=rows)
+        if len(counts) != rows:
+            raise ValueError(f"a site lies past the light cone's last site {last}")
+        return cls(offset=first, counts=counts)
 
     @property
     def total(self) -> int:
@@ -55,26 +56,6 @@ class Histogram:
         if total == 0:
             raise ValueError("empty histogram has no frequencies")
         return self.counts / total
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.counts), other.offset + len(other.counts))
-        counts = np.zeros(hi - lo, dtype=np.int64)
-        counts[self.offset - lo : self.offset - lo + len(self.counts)] += self.counts
-        counts[other.offset - lo : other.offset - lo + len(other.counts)] += other.counts
-        return Histogram(offset=lo, counts=counts)
-
-
-def merge(histograms) -> Histogram:
-    """Fold a sequence of histograms into one by adding counts."""
-    it = iter(histograms)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise ValueError("merge needs at least one histogram") from None
-    for h in it:
-        acc = acc.merge(h)
-    return acc
 
 
 def chi2_critical(dof: int) -> float:

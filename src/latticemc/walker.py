@@ -10,8 +10,9 @@ Binomial(2 tau, (1+p)/2) - tau.  ``endpoint_displacement`` draws that
 once per particle, for free ensembles and trained runs alike.
 
 Sharded runs derive one child generator per nonempty shard from a single
-seed, so the merged histogram is bit-reproducible for a fixed (seed,
-shards) pair no matter how shards are scheduled.
+seed, and each shard bins on the run's light cone, so the summed counts
+are bit-reproducible for a fixed (seed, shards) pair no matter how
+shards are scheduled.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .lattice import _check_propensity
-from .stats import Histogram, merge
+from .lattice import _check_propensity, light_cone
+from .stats import Histogram
 
 
 def move(u: float, p: float) -> int:
@@ -41,11 +42,12 @@ def endpoint_displacement(rng: np.random.Generator, n_steps: int, p):
 
 
 def _simulate_free_shard(
-    n_particles: int, n_steps: int, p: float | None, xi0: int, rng: np.random.Generator
+    n_particles: int, n_steps: int, p: float | None, xi0: int, cone: tuple[int, int],
+    rng: np.random.Generator,
 ) -> Histogram:
     # one uniform p per particle, or the fixed p as an array so the binomial draws once per particle
     p = rng.uniform(-1.0, 1.0, size=n_particles) if p is None else np.full(n_particles, p)
-    return Histogram.from_samples(xi0 + endpoint_displacement(rng, n_steps, p))
+    return Histogram.on_cone(xi0 + endpoint_displacement(rng, n_steps, p), cone)
 
 
 def run_ensemble_free(
@@ -60,7 +62,8 @@ def run_ensemble_free(
     """Histogram of final sites for an ensemble of independent free walks.
 
     Every particle is emitted from site ``xi0`` with propensity ``p``, or
-    with its own propensity uniform on [-1, 1] when ``p`` is None.
+    with its own propensity uniform on [-1, 1] when ``p`` is None.  The
+    histogram covers the light cone xi0 - n_steps .. xi0 + n_steps.
     ``seed`` is an int, or None for fresh entropy.  With ``shards > 1``
     the particles are split as evenly as possible and each shard gets its
     own spawned generator; ``threads`` only controls scheduling and never
@@ -72,14 +75,15 @@ def run_ensemble_free(
         raise ValueError("n_steps must be >= 0")
     p = None if p is None else _check_propensity(p)
     xi0 = int(xi0)
+    cone = light_cone(xi0, xi0, n_steps)
     parts = _run_shards(
-        lambda n, rng: _simulate_free_shard(n, n_steps, p, xi0, rng),
+        lambda n, rng: _simulate_free_shard(n, n_steps, p, xi0, cone, rng),
         n_particles,
         seed,
         shards,
         threads,
     )
-    return merge(parts)
+    return Histogram(cone[0], sum(part.counts for part in parts))
 
 
 def _run_shards(shard, n_particles: int, seed: int | None, shards: int, threads: int) -> list:

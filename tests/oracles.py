@@ -12,7 +12,8 @@ ray condition out by hand, and ``ring_limit_sum`` sums a finite train of
 ring sources.  They share only the transition law and the pairwise
 memory sum (``scenarios._pair_terms``, ``scenarios._memory_force``)
 with the library, so a differential test checks the fast path and not
-the physics.
+the physics.  ``pad_to_cone`` places a pinned count list on a run's
+light cone.
 """
 
 from __future__ import annotations
@@ -183,3 +184,9 @@ def ring_limit_sum(pbar: float, ell: int, n_sources: int) -> float:
         raise ValueError("ell and n_sources must be >= 2")
     d = np.arange(1, n_sources, dtype=float)
     return _memory_force(float(pbar), 2.0 * (n_sources - d) / n_sources, d * ell)
+
+
+def pad_to_cone(counts, offset: int, cone: tuple[int, int]) -> list[int]:
+    """``counts`` from site ``offset`` on, with a zero at every other site of ``cone``."""
+    first, last = cone
+    return [0] * (offset - first) + list(counts) + [0] * (last + 1 - offset - len(counts))

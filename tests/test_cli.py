@@ -303,6 +303,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ["interfere", "--scenario", "two-slit", "--delta", huge, *small, "--out", out],
         ["interfere", "--scenario", "multi-slit", f"--sources=0:0.5,{huge}:0.5", *small,
          "--out", out],
+        # sources whose cones fit but whose joint cone has more rows than
+        # int64 can count, or more than an int64 count array can hold
+        ["interfere", "--scenario", "multi-slit",
+         "--sources=-9223372036854775000:0.5,9223372036854775000:0.5", *small, "--out", out],
+        ["interfere", "--scenario", "multi-slit",
+         "--sources=-4611686018427387000:0.5,4611686018427387000:0.5", *small, "--out", out],
     ]:
         capsys.readouterr()
         assert cli.main(argv) == 2, argv
@@ -339,6 +345,35 @@ def test_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys, origin, comm
     capsys.readouterr()
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "latticemc: config error: seed must be >= 0, got -5\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["ring", "box"])
+@pytest.mark.parametrize("key", ["n_particles", "n_steps"])
+@pytest.mark.parametrize("origin", ["flag", "config", "manifest"])
+def test_interfere_sizes_below_one_exit_2(tmp_path, capsys, kind, key, origin):
+    argv = ["interfere", "--scenario", kind, "--ell", "10", "--p", "0.3"]
+    values = {"n_steps": 50, key: -5}
+    out = tmp_path / "x.csv"
+    if origin == "flag":
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in values.items()]
+        argv = [*argv, *flags, "--out", str(out)]
+    elif origin == "config":
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        argv = [*argv, "--config", str(config), "--out", str(out)]
+    else:
+        manifest = tmp_path / "run.manifest.json"
+        assert cli.main([*argv, "--n-steps", "50", "--out", str(out),
+                         "--manifest", str(manifest)]) == 0
+        doc = json.loads(manifest.read_text())
+        doc["params"][key] = -5
+        manifest.write_text(json.dumps(doc))
+        argv = ["rerun", str(manifest), "--out-dir", str(tmp_path / "redo")]
+        out = tmp_path / "redo"
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"latticemc: config error: {key} must be >= 1, got -5\n"
     assert not out.exists()
 
 

@@ -24,7 +24,8 @@ from latticemc.qforce import (
     site_momentum_series,
     visit,
 )
-from latticemc import cli, qforce
+from latticemc import cli, qforce, walker
+from latticemc.lattice import light_cone
 from latticemc.scenarios import (
     _memory_force,
     _pair_terms,
@@ -314,13 +315,28 @@ def test_trained_single_source_is_free_motion():
     cfg = two_slit_config(delta=2, p1=1.0, n_particles=40000, n_steps=50, seed=16)
     hist = run_trained_slits(cfg, shards=4)
     tau = cfg.n_steps
-    full = np.arange(-tau + 1, tau + 2)  # all sites reachable from source +1
-    counts = np.zeros(len(full))
-    idx = hist.support - full[0]
-    counts[idx] = hist.counts
-    ref = np.full(len(full), 1.0 / (2 * tau + 1))
+    assert hist.offset == -tau - 1 and hist.counts[:2].sum() == 0  # out of reach of source +1
+    counts = hist.counts[2:]
+    ref = np.full(len(counts), 1.0 / (2 * tau + 1))
     report = compare(counts / counts.sum(), ref, int(counts.sum()))
     assert report.passed, f"chi2 {report.chi2:.1f} critical {report.critical:.1f}"
+
+
+@pytest.mark.parametrize("run", ["free-1", "free-3", "trained", "training"])
+def test_runs_bin_on_their_light_cone(run):
+    # every runner's histogram covers its whole cone, though 40 walks reach only part of it
+    cfg = multi_slit_config([(-3, 0.5), (5, 0.5)], n_particles=40, n_steps=30, seed=4)
+    assert cfg.cone == (-33, 35)
+    if run == "trained":
+        hist, cone = run_trained_slits(cfg), cfg.cone
+    elif run == "training":
+        hist, cone = run_training_slits(cfg).positions, cfg.cone
+    else:
+        hist = walker.run_ensemble_free(40, 30, p=0.2, xi0=7, seed=4, shards=int(run[-1]))
+        cone = light_cone(7, 7, 30)
+    assert hist.offset == cone[0]
+    assert len(hist.counts) == cone[1] - cone[0] + 1
+    assert hist.total == 40
 
 
 def test_trained_light_cone():
@@ -375,7 +391,7 @@ def test_trained_diagnostics_expose_locked_rays():
     cfg = two_slit_config(delta=2, n_particles=5000, n_steps=150, seed=19)
     xi, p0, counter, q_star = _trained_rays(cfg, shards=2)
     hist = run_trained_slits(cfg, shards=2)
-    assert np.array_equal(hist.counts, Histogram.from_samples(xi).counts)
+    assert np.array_equal(hist.counts, Histogram.on_cone(xi, cfg.cone).counts)
     assert xi.shape == p0.shape == counter.shape == q_star.shape == (5000,)
     # every locked momentum solves the ray equation for its preparation
     residual = np.array([oracles.ray_equation(q, p, 0.5, 0.5, 2) for q, p in zip(q_star, p0)])
@@ -394,12 +410,12 @@ def test_trained_ten_sources_pinned_counts():
     # source pairs merge into 9 distinct separations without moving it
     cfg = multi_slit_config(TEN_SOURCES, n_particles=300, n_steps=20, seed=5)
     hist = run_trained_slits(cfg, shards=2, threads=2)
-    assert hist.offset == -16
-    assert hist.counts.tolist() == [
+    assert hist.offset == cfg.cone[0] == -20
+    assert hist.counts.tolist() == oracles.pad_to_cone([
         1, 1, 0, 3, 5, 1, 4, 4, 7, 2, 1, 4, 2, 3, 5, 6, 4, 5, 3, 6, 7, 12, 11, 7,
         7, 7, 8, 13, 14, 4, 16, 9, 13, 7, 4, 7, 5, 5, 2, 5, 5, 3, 7, 8, 4, 7, 2,
         3, 2, 6, 4, 2, 2, 5, 4, 4, 0, 0, 1, 1,
-    ]
+    ], -16, cfg.cone)
 
 
 def test_trained_rays_solved_once_and_match_every_pair(monkeypatch):
@@ -418,7 +434,7 @@ def test_trained_rays_solved_once_and_match_every_pair(monkeypatch):
     assert sum(solved) == 3000 and len(solved) == 3
     monkeypatch.undo()
     xi, p0, _, q = _trained_rays(cfg, shards=3)
-    assert np.array_equal(hist.counts, Histogram.from_samples(xi).counts)
+    assert np.array_equal(hist.counts, Histogram.on_cone(xi, cfg.cone).counts)
     force = np.zeros_like(q)
     for i, (si, wi) in enumerate(TEN_SOURCES):
         for sj, wj in TEN_SOURCES[i + 1 :]:
@@ -496,13 +512,13 @@ def test_training_pinned_counts():
     cfg = two_slit_config(delta=2, n_particles=100, n_steps=40, seed=3)
     run = run_training_slits(cfg)
     assert (run.bosons_created, run.lattice.overdriven_events) == (1392, 655)
-    assert run.positions.offset == -37
-    assert run.positions.counts.tolist() == [
+    assert run.positions.offset == cfg.cone[0] == -41
+    assert run.positions.counts.tolist() == oracles.pad_to_cone([
         1, 1, 1, 4, 2, 1, 2, 1, 3, 2, 1, 0, 4, 1, 2, 1, 0, 1, 2, 1, 0, 2, 1, 0, 1,
         0, 1, 1, 1, 1, 0, 0, 1, 1, 3, 2, 1, 1, 1, 2, 1, 1, 1, 3, 3, 1, 2, 2, 0, 2,
         1, 2, 0, 0, 3, 0, 0, 0, 2, 1, 3, 1, 3, 3, 1, 0, 1, 1, 2, 1, 1, 1, 0, 0, 3,
         0, 1, 1, 1,
-    ]
+    ], -37, cfg.cone)
 
 
 def test_training_runs_through_visit(monkeypatch):
@@ -539,7 +555,7 @@ def test_training_diagnostics_csv():
         assert int(fields[1]) in (-1, 1)
         assert -1.0 <= float(fields[4]) <= 1.0
     final_xi = run.emissions["final_xi"]
-    assert np.array_equal(Histogram.from_samples(final_xi).counts, run.positions.counts)
+    assert np.array_equal(Histogram.on_cone(final_xi, cfg.cone).counts, run.positions.counts)
     assert run.emissions["bosons_created"].sum() == run.bosons_created
 
 

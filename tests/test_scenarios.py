@@ -22,7 +22,7 @@ TEN_SOURCES = [(s, 0.1) for s in range(-15, 13, 3)]
     [(0.0, 0), (0.5, 1), (-0.5, -1), (1.5, 2), (2.4, 2), (-2.5, -3), (-2.4, -2)],
 )
 def test_round_half_away(x, expected):
-    assert scenarios.round_half_away(x) == expected
+    assert scenarios._round_half_away(x) == expected
 
 
 def test_two_slit_config_layout():
@@ -332,7 +332,7 @@ def test_box_levels_are_twice_as_dense():
         period = scenarios.box_config(ell, 0.0).period
         assert period == 2 * ell and scenarios.ring_config(ell, 0.0).period == ell
         for p in np.linspace(-1.0, 1.0, 201).tolist() + [0.5 / ell, -1.5 / ell]:
-            box_rule = scenarios.round_half_away(p * ell) / ell
+            box_rule = scenarios._round_half_away(p * ell) / ell
             assert scenarios.ring_steady_momentum(p, period) == box_rule
 
 

@@ -1,4 +1,4 @@
-"""Histogram algebra, chi-square gate, pooling, binning, CSV layout."""
+"""Histogram binning, chi-square gate, pooling, binning, CSV layout."""
 
 import csv
 import os
@@ -7,8 +7,6 @@ import stat
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from latticemc import stats
 
@@ -17,21 +15,24 @@ from latticemc import stats
 # histogram container
 
 
-def test_from_samples_counts_and_offset():
-    hist = stats.Histogram.from_samples([3, -2, 3, 0, 3])
-    assert hist.offset == -2
-    assert hist.counts.tolist() == [1, 0, 1, 0, 0, 3]
+def test_on_cone_counts_and_offset():
+    hist = stats.Histogram.on_cone([3, -2, 3, 0, 3], (-4, 4))
+    assert hist.offset == -4
+    assert hist.counts.tolist() == [0, 0, 1, 0, 1, 0, 0, 3, 0]
     assert hist.total == 5
-    assert hist.support.tolist() == [-2, -1, 0, 1, 2, 3]
+    assert hist.support.tolist() == list(range(-4, 5))
+    # with no sites the cone still has every row
+    assert stats.Histogram.on_cone([], (2, 4)).counts.tolist() == [0, 0, 0]
 
 
-def test_from_samples_rejects_empty():
-    with pytest.raises(ValueError):
-        stats.Histogram.from_samples(np.array([], dtype=np.int64))
+def test_on_cone_rejects_sites_off_the_cone():
+    for sites in ([-5, 0], [0, 5]):
+        with pytest.raises(ValueError):
+            stats.Histogram.on_cone(sites, (-4, 4))
 
 
 def test_frequency_sums_to_one():
-    hist = stats.Histogram.from_samples([0, 0, 1, 2])
+    hist = stats.Histogram.on_cone([0, 0, 1, 2], (0, 2))
     freq = hist.frequency()
     assert freq.sum() == pytest.approx(1.0, abs=1e-15)
     assert freq.tolist() == [0.5, 0.25, 0.25]
@@ -46,41 +47,6 @@ def test_frequency_of_empty_counts_raises():
 def test_counts_must_be_one_dimensional():
     with pytest.raises(ValueError):
         stats.Histogram(offset=0, counts=np.zeros((2, 2)))
-
-
-def test_merge_disjoint_and_overlapping():
-    a = stats.Histogram(offset=0, counts=[1, 2])
-    b = stats.Histogram(offset=1, counts=[10, 20])
-    merged = a.merge(b)
-    assert merged.offset == 0
-    assert merged.counts.tolist() == [1, 12, 20]
-    far = stats.Histogram(offset=5, counts=[7])
-    merged = a.merge(far)
-    assert merged.counts.tolist() == [1, 2, 0, 0, 0, 7]
-
-
-def test_merge_function_folds_and_validates():
-    parts = [stats.Histogram.from_samples([i, i + 1]) for i in range(4)]
-    merged = stats.merge(parts)
-    assert merged.total == 8
-    assert merged.counts.tolist() == [1, 2, 2, 2, 1]
-    with pytest.raises(ValueError):
-        stats.merge([])
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=40),
-    st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=40),
-)
-def test_merge_equals_pooled_samples(xs, ys):
-    merged = stats.Histogram.from_samples(xs).merge(stats.Histogram.from_samples(ys))
-    pooled = stats.Histogram.from_samples(xs + ys)
-    lo = merged.offset
-    assert pooled.offset >= lo
-    padded = np.zeros(len(merged.counts), dtype=np.int64)
-    padded[pooled.offset - lo : pooled.offset - lo + len(pooled.counts)] = pooled.counts
-    assert np.array_equal(merged.counts, padded)
 
 
 # ---------------------------------------------------------------------------
