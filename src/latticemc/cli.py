@@ -311,6 +311,9 @@ def _execute_interfere(params: dict) -> dict:
         print("interfere: --diagnostics applies to training mode only; ignored", file=sys.stderr)
 
     if not slit:
+        if params["threads"] > 1 or params["shards"] > 1:
+            print(f"interfere: a {config.kind} run is one sequential walk; using one thread",
+                  file=sys.stderr)
         run = qforce.run_ring(config)
         centers, counts = run.momentum_histogram()
         target = ring_steady_momentum(config.p, config.period)

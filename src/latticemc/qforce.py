@@ -30,6 +30,10 @@ A bound walk (ring or box) is one long walk steered by its own converged
 memory.  One runner, ``run_ring``, walks both: a box of ell sites is a
 ring of 2*ell whose positions fold back into [0, ell].  It stores only
 the counter after each tick; sample momenta and positions follow from it.
+The ring force never exceeds 1/period in size and a move is
+nondecreasing in p, so a draw that moves the same at both ends of the
+bracket p0 -/+ 1/period moves so on any tick; ``run_ring`` decides those
+ticks in one array pass and steps only the rest, exactly as tick by tick.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .stats import Histogram
-from .walker import _run_shards, endpoint_displacement, move
+from .walker import _bracket_moves, _run_shards, endpoint_displacement, move
 from .scenarios import ScenarioConfig, _memory_force, _pair_terms, _solve_rays, ring_memory_force
 
 
@@ -340,6 +344,9 @@ def run_training_slits(config: ScenarioConfig) -> TrainingRun:
 # ---------------------------------------------------------------------------
 # bound geometries (a single long walk steered by its own memory)
 
+_RING_BLOCK = 8192  # ticks drawn and bracketed together; bounds the walk's working set
+_RING_FORCE_SLACK = 1e-9  # rounding allowance on |ring_memory_force(q, period)| <= 1/period
+
 
 @dataclass
 class BoundRun:
@@ -395,17 +402,39 @@ def run_ring(config: ScenarioConfig) -> BoundRun:
     carried boson momenta and counter, which is the statistics of a free
     walk among mirror images spaced 2*ell apart.  Its positions fold back
     into [0, ell], and its stable rays sit at multiples of 1/ell.
+
+    The draws come in blocks of ``_RING_BLOCK``.  |ring_memory_force| is
+    at most 1/period, so every p_eff the walk can reach lies in the
+    bracket clamp(p0 -/+ 1/period), and ``walker._bracket_moves``
+    decides in one array pass each tick whose move is the same across
+    it.  Only the open ticks are stepped one by one, with ``move`` at
+    their own p_eff from the counter so far, so the trace is exactly
+    that of stepping every tick.
     """
     if config.kind not in ("ring", "box"):
         raise ValueError("run_ring needs a ring or box config")
     rng = np.random.default_rng(config.seed)
     p0 = float(config.p)
     period = config.period
+    reach = 1.0 / period + _RING_FORCE_SLACK  # |ring_memory_force| never exceeds 1/period
+    p_lo, p_hi = max(-1.0, p0 - reach), min(1.0, p0 + reach)
     counters = np.empty(config.n_steps, dtype=np.int64)
     counter = 0
-    for tau, u in enumerate(rng.random(config.n_steps).tolist(), start=1):
-        q = counter / tau if tau > 1 else p0  # no self-history before the walk moves
-        p_eff = max(-1.0, min(1.0, p0 - ring_memory_force(q, period)))
-        counter += move(u, p_eff)
-        counters[tau - 1] = counter
+    for start in range(0, config.n_steps, _RING_BLOCK):
+        u = rng.random(min(_RING_BLOCK, config.n_steps - start))
+        moves, open_ = _bracket_moves(u, p_lo, p_hi)
+        ticks = np.flatnonzero(open_)
+        decided = np.cumsum(moves)[ticks]  # decided moves before each open tick (its own is 0)
+        taus = (ticks + start + 1).tolist()
+        gain = counter  # counter before the block plus the open moves taken so far
+        taken = []
+        for tau, u_t, known in zip(taus, u[ticks].tolist(), decided.tolist()):
+            q = (gain + known) / tau if tau > 1 else p0  # no self-history before the walk moves
+            p_eff = max(-1.0, min(1.0, p0 - ring_memory_force(q, period)))
+            v = move(u_t, p_eff)
+            gain += v
+            taken.append(v)
+        moves[ticks] = taken
+        counters[start : start + len(u)] = counter + np.cumsum(moves)
+        counter = int(counters[start + len(u) - 1])
     return BoundRun(counters, period, folded=config.kind == "box")

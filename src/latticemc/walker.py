@@ -3,9 +3,12 @@
 ``move`` is the one trinomial step rule (u < up -> +1, u < up + stay
 -> 0, else -1) that the memory-driven walks in ``qforce`` apply tick by
 tick; it writes out the law of ``lattice.transition_probs`` inline,
-being the hot scalar form.  A free walk needs no ticks: one trinomial
-tick at propensity p is two fair half-tick coin flips that each go up
-with probability (1+p)/2, so after tau ticks the displacement is
+being the hot scalar form.  ``_bracket_moves`` applies the same cuts
+(``_cuts``) to a block of draws at once and decides every draw whose
+move is the same anywhere in a propensity bracket, leaving the rest open
+for ``move``.  A free walk needs no ticks: one trinomial tick at
+propensity p is two fair half-tick coin flips that each go up with
+probability (1+p)/2, so after tau ticks the displacement is
 Binomial(2 tau, (1+p)/2) - tau.  ``endpoint_displacement`` draws that
 once per particle, for free ensembles and trained runs alike.
 
@@ -29,6 +32,38 @@ def move(u: float, p: float) -> int:
     """Trinomial move for a uniform draw ``u`` at propensity ``p``: +1, 0 or -1."""
     up = ((1.0 + p) / 2.0) ** 2
     return 1 if u < up else (0 if u < up + (1.0 - p * p) / 2.0 else -1)
+
+
+_CUT_SLACK = 1e-12  # rounding makes the second cut of ``_cuts`` non-monotone in p by a few ulps
+
+
+def _cuts(p: float) -> tuple[float, float]:
+    """``move``'s two cuts at propensity ``p``, in its own expressions: up and up + stay.
+
+    ``move`` writes them inline, being called once per tick; the tests
+    hold the two forms to the same switching draws.
+    """
+    up = ((1.0 + p) / 2.0) ** 2
+    return up, up + (1.0 - p * p) / 2.0
+
+
+def _bracket_moves(u: np.ndarray, p_lo: float, p_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Moves of draws ``u`` that are the same at every propensity in [p_lo, p_hi]; (moves, open).
+
+    For a fixed u, ``move(u, p)`` is nondecreasing in p, so a draw below
+    the first cut at p_lo is +1 for every p in the bracket, one at or
+    above the second cut at p_hi is -1, and one between the first cut at
+    p_hi and the second at p_lo is 0.  The second cut rounds a few ulps
+    off monotone, so it is widened by ``_CUT_SLACK``; that only moves
+    draws into the open set.  ``moves`` is the int64 move of each decided
+    draw and 0 at the open ones, which ``move`` must step at their own p.
+    """
+    up_lo, not_down_lo = _cuts(p_lo)
+    up_hi, not_down_hi = _cuts(p_hi)
+    plus = u < up_lo
+    minus = u >= not_down_hi + _CUT_SLACK
+    stay = (u >= up_hi) & (u < not_down_lo - _CUT_SLACK)
+    return plus.astype(np.int64) - minus, ~(plus | minus | stay)
 
 
 def endpoint_displacement(rng: np.random.Generator, n_steps: int, p):

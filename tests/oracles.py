@@ -7,13 +7,15 @@ The slow references restate a fast path or a law of the library the
 plain way: ``run_free`` walks tick by tick where the library draws one
 endpoint, ``bisect_rays`` bisects where ``_solve_rays`` polishes a
 tabulated bracket, ``trained_per_tick`` and ``mean_motion`` step a walk
-under the converged memory force, ``ray_equation`` writes the two-source
-ray condition out by hand, and ``ring_limit_sum`` sums a finite train of
-ring sources.  They share only the transition law and the pairwise
-memory sum (``scenarios._pair_terms``, ``scenarios._memory_force``)
-with the library, so a differential test checks the fast path and not
-the physics.  ``pad_to_cone`` places a pinned count list on a run's
-light cone.
+under the converged memory force, ``ring_per_tick`` steps every tick of
+a bound walk where ``qforce.run_ring`` decides most of them in a bracket,
+``ray_equation`` writes the two-source ray condition out by hand, and
+``ring_limit_sum`` sums a finite train of ring sources.  They share only
+the transition law, the step rule ``walker.move`` and the memory sums
+(``scenarios._pair_terms``, ``scenarios._memory_force``,
+``scenarios.ring_memory_force``) with the library, so a differential
+test checks the fast path and not the physics.  ``pad_to_cone`` places
+a pinned count list on a run's light cone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from collections import defaultdict
 import numpy as np
 
 from latticemc.lattice import transition_probs
-from latticemc.scenarios import _memory_force, _pair_terms
+from latticemc.scenarios import _memory_force, _pair_terms, ring_memory_force
+from latticemc.walker import move
 
 
 def step_probs(p: float) -> dict[int, float]:
@@ -117,7 +120,7 @@ def trained_per_tick(
 
     Under the converged pair table (amps, deltas), a walker with
     preparation p0 moves on tick tau at p_eff = clip(p0 - g(counter/tau))
-    (p0 itself before it has moved, as in ``qforce.run_ring``), with
+    (p0 itself before it has moved, as in ``ring_per_tick``), with
     one trinomial draw per walker per tick.  Returns the final counters.
     """
     counter = np.zeros(len(p0), dtype=np.int64)
@@ -128,6 +131,26 @@ def trained_per_tick(
         u = rng.random(len(p0))
         counter += (u < up).astype(np.int64) - (u >= up + (1.0 - p * p) / 2.0)
     return counter
+
+
+def ring_per_tick(config) -> np.ndarray:
+    """Slow reference of ``qforce.run_ring``: a ring or box walk's counter trace, tick by tick.
+
+    Every tick steps ``walker.move`` at
+    p_eff = clip(p0 - ring_memory_force(counter/tau)), p0 itself on the
+    first tick, with one uniform draw per tick.
+    """
+    rng = np.random.default_rng(config.seed)
+    p0 = float(config.p)
+    period = config.period
+    counters = np.empty(config.n_steps, dtype=np.int64)
+    counter = 0
+    for tau, u in enumerate(rng.random(config.n_steps).tolist(), start=1):
+        q = counter / tau if tau > 1 else p0  # no self-history before the walk moves
+        p_eff = max(-1.0, min(1.0, p0 - ring_memory_force(q, period)))
+        counter += move(u, p_eff)
+        counters[tau - 1] = counter
+    return counters
 
 
 def run_free(xi0: int, p: float, n_steps: int, rng: np.random.Generator) -> int:

@@ -179,6 +179,28 @@ def test_interfere_box_reports_lock(tmp_path, capsys):
     assert "interfere: box ell=5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind", ["ring", "box"])
+def test_interfere_bound_run_notes_it_is_sequential(tmp_path, capsys, kind):
+    # shards and threads cannot split one walk: a notice on stderr, and the
+    # same stdout line and output bytes as without the flags
+    argv = ["interfere", "--scenario", kind, "--ell", "10", "--p", "0.37",
+            "--n-steps", "1000", "--seed", "5"]
+
+    def run(name, flags):
+        paths = (tmp_path / f"{name}.csv", tmp_path / f"{name}.json")
+        assert cli.main([*argv, *flags, "--out", str(paths[0]), "--json", str(paths[1])]) == 0
+        return capsys.readouterr(), [path.read_bytes() for path in paths]
+
+    plain, plain_bytes = run("plain", [])
+    assert plain.err == "" and plain.out.count("\n") == 1
+    for i, flags in enumerate([["--shards", "4", "--threads", "4"], ["--shards", "2"],
+                               ["--threads", "3"]]):
+        captured, output_bytes = run(f"flagged{i}", flags)
+        assert captured.err == f"interfere: a {kind} run is one sequential walk; using one thread\n"
+        assert captured.out == plain.out
+        assert output_bytes == plain_bytes
+
+
 def test_interfere_ring_needs_geometry(tmp_path, capsys):
     code = cli.main([
         "interfere", "--scenario", "ring", "--out", str(tmp_path / "x.csv"),

@@ -703,6 +703,50 @@ def test_bound_walk_pinned_paths(kind):
     assert np.bincount(long_run.positions).tolist() == occupancy
 
 
+# Configs where the bracket decides most ticks, where the clamp binds, where
+# most ticks stay open (ring of 2), at the ends of the propensity range, and
+# where p0 sits on a ray.
+BRACKET_CONFIGS = {
+    "ring-l10-p0.37": ring_config(ell=10, p=0.37),
+    "box-l7-p-0.95": box_config(ell=7, p=-0.95),
+    "box-l5-p0.37": box_config(ell=5, p=0.37),
+    "ring-l4-p-0.95": ring_config(ell=4, p=-0.95),
+    "ring-l2-p0.3": ring_config(ell=2, p=0.3),
+    "ring-l3-p1": ring_config(ell=3, p=1.0),
+    "box-l2-p-1": box_config(ell=2, p=-1.0),
+    "ring-l10-p0.4": ring_config(ell=10, p=0.4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_CONFIGS))
+def test_run_ring_matches_per_tick_reference(name):
+    # many one-tick runs, since tick 1 steps at p0 itself and is open only
+    # for some draws; then runs that end at and around a block edge
+    block = qforce._RING_BLOCK
+    runs = [(1, seed) for seed in range(40)]
+    runs += [(n, seed) for n in (block - 1, block, block + 1) for seed in (0, 4, 29)]
+    for n_steps, seed in runs:
+        cfg = replace(BRACKET_CONFIGS[name], n_steps=n_steps, seed=seed)
+        assert np.array_equal(run_ring(cfg).counters, oracles.ring_per_tick(cfg))
+
+
+def test_run_ring_working_set_does_not_grow_with_ticks():
+    # draws are bracketed in fixed-size blocks, so apart from the returned
+    # counter trace the walk's peak memory is the same for 30k and 300k ticks
+    def working_set(n):
+        cfg = ring_config(ell=10, p=0.37, n_steps=n, seed=3)
+        tracemalloc.start()
+        try:
+            run = run_ring(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - run.counters.nbytes
+
+    working_set(100)  # the first run in a process also allocates one-off state
+    assert working_set(300_000) <= 1.5 * working_set(30_000)
+
+
 def test_bound_runners_check_config_kind():
     with pytest.raises(ValueError):
         run_ring(two_slit_config(delta=2, n_particles=10, n_steps=50))

@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, strategies as st
 
 from latticemc import qm_oracle, scenarios
+from latticemc.qforce import _RING_FORCE_SLACK
 
 EQUAL_PAIR = [(1, 0.5), (-1, 0.5)]
 TEN_SOURCES = [(s, 0.1) for s in range(-15, 13, 3)]
@@ -395,6 +397,27 @@ def test_ring_memory_force_vanishes_on_quantized_rays():
             assert scenarios.ring_memory_force(q, ell) == 0.0
     # and is nonzero just off the ray
     assert scenarios.ring_memory_force(0.41, 10) != 0.0
+
+
+@given(q=st.floats(-1.0, 1.0), period=st.integers(2, 1000))
+def test_ring_memory_force_is_bounded_by_the_ray_spacing(q, period):
+    # the premise of run_ring's bracket: the force never moves p_eff by more than 1/period
+    assert abs(scenarios.ring_memory_force(q, period)) <= 1.0 / period + _RING_FORCE_SLACK
+
+
+@given(period=st.integers(2, 200))
+def test_ring_memory_force_is_bounded_at_the_cell_edges(period):
+    # the sawtooth jumps by 2/period at each ray 2n/period, so on the rounded
+    # ray and a few ulps either side of it the force is 0 or near +/-1/period
+    for n in range(-(period // 2), period // 2 + 1):
+        for direction in (-np.inf, np.inf):
+            q = 2.0 * n / period
+            for _ in range(5):
+                if abs(q) <= 1.0:
+                    assert abs(scenarios.ring_memory_force(q, period)) <= (
+                        1.0 / period + _RING_FORCE_SLACK
+                    )
+                q = float(np.nextafter(q, direction))
 
 
 def test_ring_memory_force_restores_toward_ray():

@@ -27,6 +27,41 @@ def test_move_cuts_at_transition_probs():
             assert walker.move(u, p) == expected
 
 
+def test_cuts_are_where_move_switches():
+    # _cuts restates move's inline cuts; a draw one ulp below a cut moves up a class
+    for p in [-1.0, 1.0, *np.random.default_rng(5).uniform(-1.0, 1.0, 500).tolist()]:
+        up, not_down = walker._cuts(p)
+        assert walker.move(up, p) == (0 if up < not_down else -1)
+        assert walker.move(np.nextafter(up, -np.inf), p) == 1
+        assert walker.move(not_down, p) == -1
+        assert walker.move(np.nextafter(not_down, -np.inf), p) == (0 if up < not_down else 1)
+
+
+# the last bracket is one ulp wide, and its second cut at p_hi rounds one ulp
+# below the one at p_lo
+BRACKETS = [
+    (-1.0, -1.0), (-1.0, -0.9), (-0.2, 0.1), (0.27, 0.47), (0.3, 0.3), (0.9, 1.0), (1.0, 1.0),
+    (0.2739233746429086, 0.27392337464290867),
+]
+
+
+@pytest.mark.parametrize("p_lo,p_hi", BRACKETS)
+def test_bracket_moves_agree_with_move_at_every_cut(p_lo, p_hi):
+    # draws one ulp either side of each cut at p_lo, p_hi and +/-1, and of the
+    # slack-widened cuts; a decided draw moves the same at every p in the bracket
+    cuts = [c for p in (p_lo, p_hi, -1.0, 1.0) for c in walker._cuts(p)]
+    cuts += [c + s for c in cuts for s in (-walker._CUT_SLACK, walker._CUT_SLACK)]
+    near = [np.nextafter(c, d) for c in cuts for d in (-np.inf, np.inf)] + cuts
+    u = np.unique(np.clip(near + [0.0, 0.5], 0.0, np.nextafter(1.0, 0.0)))
+    u = np.concatenate([u, np.random.default_rng(8).random(2000)])
+    moves, open_ = walker._bracket_moves(u, p_lo, p_hi)
+    assert moves.dtype == np.int64 and not moves[open_].any()
+    assert (~open_).any()
+    ps = [p_lo, p_hi, *np.linspace(p_lo, p_hi, 41).tolist()]
+    for x, m in zip(u[~open_].tolist(), moves[~open_].tolist()):
+        assert all(walker.move(x, p) == m for p in ps)
+
+
 def test_run_free_zero_steps():
     rng = np.random.default_rng(0)
     assert oracles.run_free(5, 0.4, 0, rng) == 5
