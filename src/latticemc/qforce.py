@@ -416,7 +416,7 @@ def run_ring(config: ScenarioConfig) -> BoundRun:
     rng = np.random.default_rng(config.seed)
     p0 = float(config.p)
     period = config.period
-    reach = 1.0 / period + _RING_FORCE_SLACK  # |ring_memory_force| never exceeds 1/period
+    reach = 1.0 / period + _RING_FORCE_SLACK
     p_lo, p_hi = max(-1.0, p0 - reach), min(1.0, p0 + reach)
     counters = np.empty(config.n_steps, dtype=np.int64)
     counter = 0
