@@ -314,6 +314,9 @@ def _execute_interfere(params: dict) -> dict:
         if params["threads"] > 1 or params["shards"] > 1:
             print(f"interfere: a {config.kind} run is one sequential walk; using one thread",
                   file=sys.stderr)
+        if (params["n_particles"] or 1) > 1 or params["mode"] == "training":
+            print(f"interfere: a {config.kind} run follows one walker in converged memory; "
+                  "--n-particles and --mode are ignored", file=sys.stderr)
         run = qforce.run_ring(config)
         centers, counts = run.momentum_histogram()
         target = ring_steady_momentum(config.p, config.period)

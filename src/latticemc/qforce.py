@@ -238,8 +238,8 @@ def _trained_shard(
     n_particles: int,
     n_steps: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One shard of trained-mode walks; returns (xi, p0, counter, q_star).
+) -> np.ndarray:
+    """Final sites of one shard of trained-mode walks.
 
     With the lattice memory converged, a walker's effective propensity
     settles at the root q* of the ray equation for its preparation.
@@ -256,28 +256,25 @@ def _trained_shard(
     p0 = rng.uniform(-1.0, 1.0, n_particles)
     amps, deltas = _pair_terms(sources)
     q_star = _solve_rays(p0, amps, deltas)
-    counter = endpoint_displacement(rng, n_steps, q_star)
-    xi = sites[src] + counter
-    return xi, p0, counter, q_star
+    return sites[src] + endpoint_displacement(rng, n_steps, q_star)
 
 
 def run_trained_slits(config: ScenarioConfig, shards: int = 1, threads: int = 1) -> Histogram:
     """Trained-mode interference run; returns the Histogram of final sites on ``config.cone``.
 
-    Each shard is one ``_trained_shard`` call; the final sites of all
-    shards are binned together.
+    Each shard is one ``_trained_shard`` call.
     """
     if config.kind not in ("two-slit", "multi-slit"):
         raise ValueError("run_trained_slits handles slit scenarios only")
     src = list(config.sources)
-    parts = _run_shards(
+    return _run_shards(
         lambda n, rng: _trained_shard(src, n, config.n_steps, rng),
+        config.cone,
         config.n_particles,
         config.seed,
         shards,
         threads,
     )
-    return Histogram.on_cone(np.concatenate([xi for xi, _, _, _ in parts]), config.cone)
 
 
 # ---------------------------------------------------------------------------

@@ -298,9 +298,12 @@ def ring_memory_force(pbar: float, ell: int) -> float:
     The ring is equivalent to infinitely many equal sources spaced ell
     apart, so the pairwise memory sum converges to the sawtooth
     ``ring_limit_closed`` except at the quantized rays pbar = 2n/ell,
-    where every sine term vanishes and the force is exactly zero.  The
-    force is zero there and follows the sawtooth elsewhere; a walker is
-    pushed toward the nearest quantized ray and chatters around it.
+    where every sine term vanishes and the force is zero; a walker is
+    pushed toward the nearest quantized ray and chatters around it.  The
+    ray test is a float test that rounding can miss (pbar = -28/41 at
+    ell 41 gives pbar*ell/2 = -14.000000000000002 and a force of about -1/41),
+    but |force| <= 1/ell holds everywhere, and ``run_ring`` relies on
+    that bound alone.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")

@@ -3,18 +3,19 @@
 ``move`` is the one trinomial step rule (u < up -> +1, u < up + stay
 -> 0, else -1) that the memory-driven walks in ``qforce`` apply tick by
 tick; it writes out the law of ``lattice.transition_probs`` inline,
-being the hot scalar form.  ``_bracket_moves`` applies the same cuts
-(``_cuts``) to a block of draws at once and decides every draw whose
-move is the same anywhere in a propensity bracket, leaving the rest open
-for ``move``.  A free walk needs no ticks: one trinomial tick at
-propensity p is two fair half-tick coin flips that each go up with
+being the hot scalar form.  ``_bracket_moves`` reads the same cuts from
+``transition_probs`` to decide a block of draws at once: every draw
+whose move is the same anywhere in a propensity bracket, leaving the
+rest open for ``move``.  A free walk needs no ticks: one trinomial tick
+at propensity p is two fair half-tick coin flips that each go up with
 probability (1+p)/2, so after tau ticks the displacement is
 Binomial(2 tau, (1+p)/2) - tau.  ``endpoint_displacement`` draws that
 once per particle, for free ensembles and trained runs alike.
 
-Sharded runs derive one child generator per nonempty shard from a single
-seed, and each shard bins on the run's light cone, so the summed counts
-are bit-reproducible for a fixed (seed, shards) pair no matter how
+``_run_shards`` runs every ensemble, free or trained: it derives one
+child generator per nonempty shard from a single seed, bins each
+shard's final sites on the run's light cone, and sums the counts, so a
+run is bit-reproducible for a fixed (seed, shards) pair no matter how
 shards are scheduled.
 """
 
@@ -24,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .lattice import _check_propensity, light_cone
+from .lattice import _check_propensity, light_cone, transition_probs
 from .stats import Histogram
 
 
@@ -34,17 +35,7 @@ def move(u: float, p: float) -> int:
     return 1 if u < up else (0 if u < up + (1.0 - p * p) / 2.0 else -1)
 
 
-_CUT_SLACK = 1e-12  # rounding makes the second cut of ``_cuts`` non-monotone in p by a few ulps
-
-
-def _cuts(p: float) -> tuple[float, float]:
-    """``move``'s two cuts at propensity ``p``, in its own expressions: up and up + stay.
-
-    ``move`` writes them inline, being called once per tick; the tests
-    hold the two forms to the same switching draws.
-    """
-    up = ((1.0 + p) / 2.0) ** 2
-    return up, up + (1.0 - p * p) / 2.0
+_CUT_SLACK = 1e-12  # rounding makes the second cut, up + stay, non-monotone in p by a few ulps
 
 
 def _bracket_moves(u: np.ndarray, p_lo: float, p_hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -58,11 +49,10 @@ def _bracket_moves(u: np.ndarray, p_lo: float, p_hi: float) -> tuple[np.ndarray,
     draws into the open set.  ``moves`` is the int64 move of each decided
     draw and 0 at the open ones, which ``move`` must step at their own p.
     """
-    up_lo, not_down_lo = _cuts(p_lo)
-    up_hi, not_down_hi = _cuts(p_hi)
-    plus = u < up_lo
-    minus = u >= not_down_hi + _CUT_SLACK
-    stay = (u >= up_hi) & (u < not_down_lo - _CUT_SLACK)
+    lo, hi = transition_probs(p_lo), transition_probs(p_hi)
+    plus = u < lo.up
+    minus = u >= hi.up + hi.stay + _CUT_SLACK
+    stay = (u >= hi.up) & (u < lo.up + lo.stay - _CUT_SLACK)
     return plus.astype(np.int64) - minus, ~(plus | minus | stay)
 
 
@@ -77,12 +67,11 @@ def endpoint_displacement(rng: np.random.Generator, n_steps: int, p):
 
 
 def _simulate_free_shard(
-    n_particles: int, n_steps: int, p: float | None, xi0: int, cone: tuple[int, int],
-    rng: np.random.Generator,
-) -> Histogram:
+    n_particles: int, n_steps: int, p: float | None, xi0: int, rng: np.random.Generator,
+) -> np.ndarray:
     # one uniform p per particle, or the fixed p as an array so the binomial draws once per particle
     p = rng.uniform(-1.0, 1.0, size=n_particles) if p is None else np.full(n_particles, p)
-    return Histogram.on_cone(xi0 + endpoint_displacement(rng, n_steps, p), cone)
+    return xi0 + endpoint_displacement(rng, n_steps, p)
 
 
 def run_ensemble_free(
@@ -110,23 +99,25 @@ def run_ensemble_free(
         raise ValueError("n_steps must be >= 0")
     p = None if p is None else _check_propensity(p)
     xi0 = int(xi0)
-    cone = light_cone(xi0, xi0, n_steps)
-    parts = _run_shards(
-        lambda n, rng: _simulate_free_shard(n, n_steps, p, xi0, cone, rng),
+    return _run_shards(
+        lambda n, rng: _simulate_free_shard(n, n_steps, p, xi0, rng),
+        light_cone(xi0, xi0, n_steps),
         n_particles,
         seed,
         shards,
         threads,
     )
-    return Histogram(cone[0], sum(part.counts for part in parts))
 
 
-def _run_shards(shard, n_particles: int, seed: int | None, shards: int, threads: int) -> list:
-    """Run ``shard(n, rng)`` over an even split of ``n_particles``; results in shard order.
+def _run_shards(
+    shard, cone: tuple[int, int], n_particles: int, seed: int | None, shards: int, threads: int,
+) -> Histogram:
+    """Histogram on ``cone`` of the final sites ``shard(n, rng)`` returns over an even split.
 
     ``seed`` is an int, or None for fresh entropy.  Each shard gets its
-    own generator spawned from ``SeedSequence(seed)``, so the results
-    depend on (seed, shards) and never on ``threads``, which only
+    own generator spawned from ``SeedSequence(seed)`` and bins its sites
+    on ``cone`` in its own job; the shard counts are summed, so the
+    result depends on (seed, shards) and never on ``threads``, which only
     controls scheduling.  Shards left with no particles are neither
     seeded nor run; children are spawned by index, so skipping them
     leaves the other shards' streams unchanged.
@@ -136,10 +127,12 @@ def _run_shards(shard, n_particles: int, seed: int | None, shards: int, threads:
     children = np.random.SeedSequence(seed).spawn(min(shards, n_particles))
     rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
 
+    def binned(n: int, rng: np.random.Generator) -> np.ndarray:
+        return Histogram.on_cone(shard(n, rng), cone).counts
+
     base, extra = divmod(n_particles, shards)
-    jobs = [(base + (1 if i < extra else 0), rng) for i, rng in enumerate(rngs)]
-    if threads > 1 and len(jobs) > 1:
+    sizes = [base + (1 if i < extra else 0) for i in range(len(rngs))]
+    if threads > 1 and len(rngs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(shard, n, rng) for n, rng in jobs]
-            return [f.result() for f in futures]
-    return [shard(n, rng) for n, rng in jobs]
+            return Histogram(cone[0], sum(pool.map(binned, sizes, rngs)))
+    return Histogram(cone[0], sum(map(binned, sizes, rngs)))

@@ -181,8 +181,9 @@ def test_interfere_box_reports_lock(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["ring", "box"])
 def test_interfere_bound_run_notes_it_is_sequential(tmp_path, capsys, kind):
-    # shards and threads cannot split one walk: a notice on stderr, and the
-    # same stdout line and output bytes as without the flags
+    # shards and threads cannot split one walk, and a run of one walker in
+    # converged memory has no ensemble and no training mode: a notice on
+    # stderr, and the same stdout line and output bytes as without the flags
     argv = ["interfere", "--scenario", kind, "--ell", "10", "--p", "0.37",
             "--n-steps", "1000", "--seed", "5"]
 
@@ -193,10 +194,17 @@ def test_interfere_bound_run_notes_it_is_sequential(tmp_path, capsys, kind):
 
     plain, plain_bytes = run("plain", [])
     assert plain.err == "" and plain.out.count("\n") == 1
-    for i, flags in enumerate([["--shards", "4", "--threads", "4"], ["--shards", "2"],
-                               ["--threads", "3"]]):
+    sequential = f"interfere: a {kind} run is one sequential walk; using one thread\n"
+    one_walker = (f"interfere: a {kind} run follows one walker in converged memory; "
+                  "--n-particles and --mode are ignored\n")
+    for i, (flags, err) in enumerate([
+        (["--shards", "4", "--threads", "4"], sequential), (["--shards", "2"], sequential),
+        (["--threads", "3"], sequential), (["--n-particles", "1"], ""), (["--mode", "trained"], ""),
+        (["--n-particles", "500"], one_walker), (["--mode", "training"], one_walker),
+        (["--n-particles", "2", "--mode", "training", "--shards", "2"], sequential + one_walker),
+    ]):
         captured, output_bytes = run(f"flagged{i}", flags)
-        assert captured.err == f"interfere: a {kind} run is one sequential walk; using one thread\n"
+        assert captured.err == err
         assert captured.out == plain.out
         assert output_bytes == plain_bytes
 

@@ -38,7 +38,6 @@ from latticemc.scenarios import (
     two_slit_density,
 )
 from latticemc.stats import Histogram, compare, write_csv
-from latticemc.walker import _run_shards
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +377,33 @@ def test_trained_fringes_match_finite_time_law():
 
 
 def _trained_rays(cfg, shards):
-    """Per-particle (xi, p0, counter, q_star) of the trained run of ``cfg``, all shards."""
-    src = list(cfg.sources)
-    parts = _run_shards(
-        lambda n, rng: qforce._trained_shard(src, n, cfg.n_steps, rng),
-        cfg.n_particles, cfg.seed, shards, 1,
-    )
-    return [np.concatenate(column) for column in zip(*parts)]
+    """Per-particle (xi, p0, counter, q_star) of the trained run of ``cfg``, all shards.
+
+    Spies on the shard, the ray solver and the endpoint sampler record
+    each shard's columns as the run draws them, one shard after another.
+    """
+    xi, p0, counter, q_star = [], [], [], []
+    shard, solve, sample = qforce._trained_shard, qforce._solve_rays, qforce.endpoint_displacement
+
+    def shard_spy(*args):
+        xi.append(shard(*args))
+        return xi[-1]
+
+    def solve_spy(p, amps, deltas):
+        p0.append(p)
+        q_star.append(solve(p, amps, deltas))
+        return q_star[-1]
+
+    def sample_spy(rng, n_steps, q):
+        counter.append(sample(rng, n_steps, q))
+        return counter[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qforce, "_trained_shard", shard_spy)
+        mp.setattr(qforce, "_solve_rays", solve_spy)
+        mp.setattr(qforce, "endpoint_displacement", sample_spy)
+        run_trained_slits(cfg, shards=shards)
+    return [np.concatenate(column) for column in (xi, p0, counter, q_star)]
 
 
 def test_trained_diagnostics_expose_locked_rays():

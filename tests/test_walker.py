@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, strategies as st
 
 from latticemc import analytic, walker
 from latticemc.lattice import transition_probs
@@ -27,10 +28,16 @@ def test_move_cuts_at_transition_probs():
             assert walker.move(u, p) == expected
 
 
+def _law_cuts(p):
+    """The step law's two cuts at ``p``, as ``_bracket_moves`` reads them: up and up + stay."""
+    probs = transition_probs(p)
+    return probs.up, probs.up + probs.stay
+
+
 def test_cuts_are_where_move_switches():
-    # _cuts restates move's inline cuts; a draw one ulp below a cut moves up a class
+    # move inlines the cuts of transition_probs; a draw one ulp below a cut moves up a class
     for p in [-1.0, 1.0, *np.random.default_rng(5).uniform(-1.0, 1.0, 500).tolist()]:
-        up, not_down = walker._cuts(p)
+        up, not_down = _law_cuts(p)
         assert walker.move(up, p) == (0 if up < not_down else -1)
         assert walker.move(np.nextafter(up, -np.inf), p) == 1
         assert walker.move(not_down, p) == -1
@@ -49,7 +56,7 @@ BRACKETS = [
 def test_bracket_moves_agree_with_move_at_every_cut(p_lo, p_hi):
     # draws one ulp either side of each cut at p_lo, p_hi and +/-1, and of the
     # slack-widened cuts; a decided draw moves the same at every p in the bracket
-    cuts = [c for p in (p_lo, p_hi, -1.0, 1.0) for c in walker._cuts(p)]
+    cuts = [c for p in (p_lo, p_hi, -1.0, 1.0) for c in _law_cuts(p)]
     cuts += [c + s for c in cuts for s in (-walker._CUT_SLACK, walker._CUT_SLACK)]
     near = [np.nextafter(c, d) for c in cuts for d in (-np.inf, np.inf)] + cuts
     u = np.unique(np.clip(near + [0.0, 0.5], 0.0, np.nextafter(1.0, 0.0)))
@@ -60,6 +67,21 @@ def test_bracket_moves_agree_with_move_at_every_cut(p_lo, p_hi):
     ps = [p_lo, p_hi, *np.linspace(p_lo, p_hi, 41).tolist()]
     for x, m in zip(u[~open_].tolist(), moves[~open_].tolist()):
         assert all(walker.move(x, p) == m for p in ps)
+
+
+@given(p=st.floats(-1.0, 1.0), draws=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+def test_bracket_moves_at_one_propensity_decide_like_move(p, draws):
+    # a bracket of one propensity decides every draw as move does, leaving
+    # open only draws within the slack of the second cut
+    up, not_down = _law_cuts(p)
+    near = [np.nextafter(c, d) for c in (up, not_down) for d in (-np.inf, np.inf)]
+    u = np.clip(np.array([*draws, up, not_down, *near]), 0.0, np.nextafter(1.0, 0.0))
+    moves, open_ = walker._bracket_moves(u, p, p)
+    for x, m, is_open in zip(u.tolist(), moves.tolist(), open_.tolist()):
+        if is_open:
+            assert m == 0 and abs(x - not_down) <= walker._CUT_SLACK
+        else:
+            assert m == walker.move(x, p)
 
 
 def test_run_free_zero_steps():
