@@ -112,7 +112,7 @@ run = run_training_slits(cfg)
 print(f"\ntraining run: {cfg.n_particles} emissions x {cfg.n_steps} ticks")
 print(f"  boson pairs created: {run.bosons_created}")
 print(f"  lattice clock: {run.lattice.ticks} ticks, "
-      f"{len(run.lattice.boson_snapshot())} site bosons alive, "
+      f"{sum(map(len, run.lattice.site_bosons.values()))} site bosons alive, "
       f"{run.lattice.overdriven_events} overdriven")
 
 window, tau = 90, cfg.n_steps

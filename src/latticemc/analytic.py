@@ -38,6 +38,17 @@ def _log_binomial(n, k):
     return table[n] - table[k] - table[n - k]
 
 
+def _binomial_pmf(n, k, a: float, b: float):
+    """Binomial pmf exp(log C(n, k) + k log a + (n - k) log b), with b = 1 - a passed in.
+
+    When a or b is 0 the count is certain (n or 0), and the log form
+    would meet 0 * log(0); that case returns the point mass.
+    """
+    if a == 0.0 or b == 0.0:
+        return np.where(k == (n if b == 0.0 else 0), 1.0, 0.0)
+    return np.exp(_log_binomial(n, k) + k * math.log(a) + (n - k) * math.log(b))
+
+
 def _check_tau(tau: int) -> int:
     if tau != int(tau) or tau < 1:
         raise ValueError(f"tau must be a positive integer, got {tau!r}")
@@ -64,12 +75,7 @@ def pmf_free(xi, tau: int, p: float, xi0: int = 0):
     up = (1.0 + p) / 2.0
     down = (1.0 - p) / 2.0
     k = np.where(inside, tau + d, 0)
-    if p == 1.0 or p == -1.0:
-        target = tau if p == 1.0 else -tau
-        out = np.where(inside & (d == target), 1.0, 0.0)
-    else:
-        log_pmf = _log_binomial(2 * tau, k) + k * math.log(up) + (2 * tau - k) * math.log(down)
-        out = np.where(inside, np.exp(log_pmf), 0.0)
+    out = np.where(inside, _binomial_pmf(2 * tau, k, up, down), 0.0)
     return _scalar_or_array(xi, out)
 
 
@@ -190,10 +196,7 @@ def particle_energy_pmf(sigma: int, tau: int, e: float) -> float:
         raise ValueError(f"moving probability must lie in [0, 1], got {e!r}")
     if sigma < 0 or sigma > tau:
         return 0.0
-    if e == 0.0 or e == 1.0:  # the log form would meet 0 * log(0); the count is certain
-        return 1.0 if sigma == tau * e else 0.0
-    log_val = _log_binomial(tau, sigma) + sigma * math.log(e) + (tau - sigma) * math.log(1.0 - e)
-    return float(np.exp(log_val))
+    return float(_binomial_pmf(tau, sigma, e, 1.0 - e))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from . import __version__, analytic, qforce, verify
 from .lattice import light_cone
 from .stats import table_rows, write_csv, write_files
 from .walker import run_ensemble_free
+from .qm_oracle import qm_multi_source
 from .scenarios import (
     KINDS,
     ScenarioConfig,
@@ -141,7 +142,7 @@ def _resolve(ns: argparse.Namespace, schema: dict) -> dict:
 
 
 def _write_outputs(params: dict, command: str, names, columns, summary: dict, line: str,
-                   diagnostics=None) -> dict:
+                   diagnostics=None) -> None:
     """Write a run's CSV, ``--json`` mirror, ``--manifest`` and diagnostics, then print ``line``.
 
     ``columns`` are arrays, one per name, a row per index; ``diagnostics``
@@ -170,7 +171,6 @@ def _write_outputs(params: dict, command: str, names, columns, summary: dict, li
         targets.append((params["manifest"], lambda fh: _dump(fh, manifest)))
     write_files(targets)
     print(line)
-    return summary
 
 
 def _dump(fh, doc: dict) -> None:
@@ -197,7 +197,7 @@ _FREE_OPTIONS = {
 }
 
 
-def _execute_free(params: dict) -> dict:
+def _execute_free(params: dict) -> None:
     p = params["p"]
     if p is not None and not -1.0 <= p <= 1.0:
         raise ConfigError(f"propensity must lie in [-1, 1], got {p}")
@@ -228,7 +228,7 @@ def _execute_free(params: dict) -> dict:
         "free: N={n_particles} tau={n_steps} mean={mean:.4f} "
         "l1_to_model={l1_to_model:.4f}".format(**summary)
     )
-    return _write_outputs(
+    _write_outputs(
         params, "free", ["xi", "count", "frequency", "model_P"],
         [support, hist.counts, freq, model], summary, line,
     )
@@ -303,10 +303,22 @@ def _build_scenario(params: dict) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _execute_interfere(params: dict) -> dict:
+def _execute_interfere(params: dict) -> None:
     config = _build_scenario(params)
     slit = config.kind in ("two-slit", "multi-slit")
     training = slit and params["mode"] == "training"
+    # the geometry options _build_scenario read; a value given to another one goes unused
+    if not slit:
+        read = ("ell", "p")
+    else:
+        read = ("sources",) if params["sources"] else ("delta", "p1")
+    unread = [
+        "--" + key for key in ("delta", "p1", "sources", "ell", "p")
+        if key not in read and params[key] not in (None, _INTERFERE_OPTIONS[key].default)
+    ]
+    if unread:
+        flags = ", ".join(unread[:-1]) + " and " + unread[-1] if len(unread) > 1 else unread[0]
+        print(f"interfere: this {config.kind} run does not read {flags}; ignored", file=sys.stderr)
     if params["diagnostics"] and not training:
         print("interfere: --diagnostics applies to training mode only; ignored", file=sys.stderr)
 
@@ -332,10 +344,11 @@ def _execute_interfere(params: dict) -> dict:
             "interfere: {scenario} ell={ell} p={p} mean_p_bar={mean_p_bar:.4f} "
             "target={quantized_target:.4f}".format(**summary)
         )
-        return _write_outputs(
+        _write_outputs(
             params, "interfere", ["pbar", "count", "frequency"],
             [centers, counts, counts / max(1, counts.sum())], summary, line,
         )
+        return
 
     diagnostics = None
     if not training:
@@ -350,8 +363,6 @@ def _execute_interfere(params: dict) -> dict:
             diagnostics = (names, [np.arange(config.n_particles), *run.emissions.values()])
     support = hist.support
     model = multi_slit_density(support, config.n_steps, config.sources)
-    from .qm_oracle import qm_multi_source
-
     oracle = qm_multi_source(support, config.n_steps, config.sources)
     freq = hist.frequency()
     summary = {
@@ -365,7 +376,7 @@ def _execute_interfere(params: dict) -> dict:
         "interfere: {scenario} mode={mode} N={n_particles} tau={n_steps} "
         "l1_to_model={l1_to_model:.4f}".format(**summary)
     )
-    return _write_outputs(
+    _write_outputs(
         params, "interfere", ["xi", "count", "frequency", "model_P", "qm_oracle"],
         [support, hist.counts, freq, model, oracle], summary, line, diagnostics,
     )
@@ -376,15 +387,10 @@ def _execute_interfere(params: dict) -> dict:
 
 
 def _execute_verify(params: dict) -> int:
-    names = params["suite"]
-    if names:
-        unknown = set(names) - set(verify.suite_names())
-        if unknown:
-            raise ConfigError(
-                f"unknown suite(s) {', '.join(sorted(unknown))}; "
-                f"choose from {', '.join(verify.suite_names())}"
-            )
-    checks = verify.run_all(names)
+    try:
+        checks = verify.run_all(params["suite"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     failed = sum(1 for c in checks if not c.passed)
     for check in checks:
         print(check.row())
@@ -392,7 +398,7 @@ def _execute_verify(params: dict) -> int:
     return failed
 
 
-def _execute_rerun(manifest_path: str, out_dir: str | None) -> dict:
+def _execute_rerun(manifest_path: str, out_dir: str | None) -> None:
     try:
         with open(manifest_path) as fh:
             doc = json.load(fh)
@@ -419,7 +425,7 @@ def _execute_rerun(manifest_path: str, out_dir: str | None) -> dict:
             if params.get(key):
                 params[key] = os.path.join(out_dir, os.path.basename(params[key]))
     try:
-        return (_execute_free if command == "free" else _execute_interfere)(params)
+        (_execute_free if command == "free" else _execute_interfere)(params)
     except BaseException:
         if made is not None:
             shutil.rmtree(made, ignore_errors=True)

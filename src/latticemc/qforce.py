@@ -104,6 +104,12 @@ def expected_site_momentum(q, delta: int):
     return _memory_force(q, (1.0,), (delta,))  # one unit-amplitude pair row
 
 
+def _refresh_sum(rate: float, values: np.ndarray) -> float:
+    """rate * sum_k (1-rate)**k * values[k]: the mean of values[age] under refreshes at ``rate``."""
+    k = np.arange(len(values), dtype=float)
+    return float(rate * np.sum((1.0 - rate) ** k * values))
+
+
 def site_momentum_series(q: float, delta: int, refresh_rate: float, n_terms: int) -> float:
     """Expected site-boson momentum when refreshed at a constant rate.
 
@@ -112,14 +118,11 @@ def site_momentum_series(q: float, delta: int, refresh_rate: float, n_terms: int
     """
     if not 0.0 < refresh_rate < 1.0:
         raise ValueError("refresh_rate must lie in (0, 1)")
-    ages = np.arange(0, n_terms + 1, dtype=float)
     x = delta * q
     factors = np.ones(n_terms + 1)
     j = np.arange(1, n_terms + 1, dtype=float)
     factors[1:] = 1.0 - (x / j) ** 2
-    w = q * np.cumprod(factors)
-    weights = refresh_rate * (1.0 - refresh_rate) ** ages
-    return float(np.sum(weights * w))
+    return _refresh_sum(refresh_rate, q * np.cumprod(factors))
 
 
 def particle_damping(k_max: int) -> np.ndarray:
@@ -141,9 +144,7 @@ def particle_boson_series(p_pair: float, k_max: int) -> float:
     """Partial sum p_pair * sum_k (1-p_pair)**k * damp(k); converges to sqrt(p_pair)."""
     if not 0.0 < p_pair <= 1.0:
         raise ValueError("p_pair must lie in (0, 1]")
-    damp = particle_damping(k_max)
-    k = np.arange(0, k_max + 1, dtype=float)
-    return float(p_pair * np.sum((1.0 - p_pair) ** k * damp))
+    return _refresh_sum(p_pair, particle_damping(k_max))
 
 
 def effective_momentum(particle: ParticleState, damp, now: int) -> float:
@@ -187,14 +188,6 @@ class TrainingLattice:
     site_bosons: dict = field(default_factory=dict)
     ticks: int = 0
     overdriven_events: int = 0
-
-    def boson_snapshot(self):
-        """(site, shift, w, w0) for every live site boson, valued at the current tick."""
-        return [
-            (site, shift, site_decay_product(q, abs(shift), self.ticks - born), q)
-            for site, by_shift in sorted(self.site_bosons.items())
-            for shift, (q, born) in sorted(by_shift.items())
-        ]
 
 
 def visit(lattice: TrainingLattice, particle: ParticleState) -> int | None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import pmf_free
 from .lattice import _scalar_or_array, light_cone
 
 
@@ -48,9 +49,6 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         sources = tuple((int(s), float(w)) for s, w in self.sources)
         object.__setattr__(self, "sources", sources)
-        self.validate()
-
-    def validate(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.n_particles < 1 or self.n_steps < 1:
@@ -254,8 +252,6 @@ def finite_time_slit_density(xi, tau: int, sources):
     400-node quadrature resolves the kernel width sqrt(b/tau) while 400 is
     well above 2/sqrt(b/tau), which covers tau up to a few thousand.
     """
-    from .analytic import pmf_free
-
     if tau < 1:
         raise ValueError("tau must be >= 1")
     sources = [(int(s), float(w)) for s, w in sources]
@@ -285,29 +281,23 @@ def ring_steady_momentum(p: float, ell: int) -> float:
     return 2.0 * _round_half_away(p * ell / 2.0) / ell
 
 
-def ring_limit_closed(pbar: float, ell: int) -> float:
-    """Sawtooth limit of the ring memory sum: 1/ell - pbar + (2/ell)*floor(pbar*ell/2)."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    return 1.0 / ell - pbar + (2.0 / ell) * math.floor(pbar * ell / 2.0)
-
-
 def ring_memory_force(pbar: float, ell: int) -> float:
     """Memory force on a ring walker moving at sample momentum ``pbar``.
 
     The ring is equivalent to infinitely many equal sources spaced ell
     apart, so the pairwise memory sum converges to the sawtooth
-    ``ring_limit_closed`` except at the quantized rays pbar = 2n/ell,
-    where every sine term vanishes and the force is zero; a walker is
-    pushed toward the nearest quantized ray and chatters around it.  The
-    ray test is a float test that rounding can miss (pbar = -28/41 at
-    ell 41 gives pbar*ell/2 = -14.000000000000002 and a force of about -1/41),
-    but |force| <= 1/ell holds everywhere, and ``run_ring`` relies on
-    that bound alone.
+    1/ell - pbar + (2/ell)*floor(pbar*ell/2) except at the quantized rays
+    pbar = 2n/ell, where every sine term vanishes and the force is zero; a
+    walker is pushed toward the nearest quantized ray and chatters around
+    it.  The ray test is a float test that rounding can miss (pbar =
+    -28/41 at ell 41 gives pbar*ell/2 = -14.000000000000002 and a force
+    of about -1/41), but |force| <= 1/ell holds everywhere, and
+    ``run_ring`` relies on that bound alone.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
     half = pbar * ell / 2.0
-    if half == math.floor(half):
+    cell = math.floor(half)
+    if half == cell:
         return 0.0
-    return ring_limit_closed(pbar, ell)
+    return 1.0 / ell - pbar + (2.0 / ell) * cell

@@ -219,18 +219,12 @@ _SUITES = {
 }
 
 
-def suite_names() -> list[str]:
-    return list(_SUITES)
-
-
-def run_suite(name: str) -> list[Check]:
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}")
-    return _SUITES[name]()
-
-
 def run_all(names=None) -> list[Check]:
-    out = []
-    for name in names if names is not None else _SUITES:
-        out.extend(run_suite(name))
-    return out
+    """Checks of the named suites (default all), in order; unknown names raise ValueError."""
+    names = list(_SUITES) if names is None else names
+    unknown = set(names) - set(_SUITES)
+    if unknown:
+        raise ValueError(
+            f"unknown suite(s) {', '.join(sorted(unknown))}; choose from {', '.join(_SUITES)}"
+        )
+    return [check for name in names for check in _SUITES[name]()]

@@ -201,7 +201,7 @@ def ring_limit_sum(pbar: float, ell: int, n_sources: int) -> float:
     separation d*ell occurs n_sources - d times with amplitude
     2/n_sources each, so the pair table has rows (2 (n_sources - d) /
     n_sources, d*ell) for d = 1..n_sources-1.  Converges (in the averaged
-    sense) to ``scenarios.ring_limit_closed``.
+    sense) to ``scenarios.ring_memory_force`` off its quantized rays.
     """
     if ell < 2 or n_sources < 2:
         raise ValueError("ell and n_sources must be >= 2")

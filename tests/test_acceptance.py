@@ -25,7 +25,7 @@ from latticemc.scenarios import (
     multi_slit_config,
     multi_slit_density,
     ring_config,
-    ring_limit_closed,
+    ring_memory_force,
     ring_steady_momentum,
     two_slit_config,
     two_slit_density,
@@ -242,7 +242,7 @@ def test_criterion_7_ring_quantization():
     for q in np.linspace(-0.99, 0.99, 67):
         if abs(q * 5.0 - round(q * 5.0)) < 0.08:
             continue
-        gap = abs(oracles.ring_limit_sum(q, 10, 1000) - ring_limit_closed(q, 10))
+        gap = abs(oracles.ring_limit_sum(q, 10, 1000) - ring_memory_force(q, 10))
         worst_sum = max(worst_sum, gap)
     elapsed = time.time() - t0
     ok = worst_lock <= 0.5 / 10.0 and worst_sum <= 1e-2

@@ -58,6 +58,9 @@ def test_pmf_free_point_mass_at_unit_propensity():
     assert analytic.pmf_free(7, 7, 1.0) == 1.0
     assert analytic.pmf_free(6, 7, 1.0) == 0.0
     assert analytic.pmf_free(-5, 5, -1.0) == 1.0
+    cone = np.arange(-7, 8)
+    assert analytic.pmf_free(cone, 7, 1.0).tolist() == [0.0] * 14 + [1.0]
+    assert analytic.pmf_free(cone, 7, -1.0).tolist() == [1.0] + [0.0] * 14
 
 
 def test_pmf_free_shifted_origin():

@@ -209,6 +209,40 @@ def test_interfere_bound_run_notes_it_is_sequential(tmp_path, capsys, kind):
         assert output_bytes == plain_bytes
 
 
+@pytest.mark.parametrize("base, unread, err", [
+    (["--scenario", "ring", "--ell", "10", "--p", "0.37"],
+     ["--delta", "8", "--p1", "0.9", "--sources=0:0.5,4:0.5"], "--delta, --p1 and --sources"),
+    (["--scenario", "multi-slit", "--sources=-3:0.25,0:0.5,3:0.25"],
+     ["--ell", "7", "--p", "0.2", "--delta", "10"], "--delta, --ell and --p"),
+    (["--scenario", "two-slit", "--sources=-3:0.5,3:0.5"],
+     ["--delta", "10", "--p1", "0.9"], "--delta and --p1"),
+    (["--scenario", "two-slit", "--delta", "4"], ["--ell", "7"], "--ell"),
+    (["--scenario", "multi-slit", "--sources=-3:0.25,0:0.5,3:0.25"],
+     ["--delta", "2", "--p1", "0.5"], None),
+    (["--scenario", "box", "--ell", "6", "--p", "0.2"],
+     ["--delta", "2", "--p1", "0.5"], None),
+])
+def test_interfere_notes_options_the_scenario_does_not_read(tmp_path, capsys, base, unread, err):
+    # a value for an option the scenario does not read (--delta and --p1 count
+    # only off their defaults) draws one notice on stderr; stdout and output
+    # bytes are those of the run without it
+    kind = base[1]
+    size = ["--n-particles", "200"] if kind in ("two-slit", "multi-slit") else []
+    argv = ["interfere", *base, *size, "--n-steps", "40", "--seed", "7"]
+
+    def run(name, flags):
+        paths = (tmp_path / f"{name}.csv", tmp_path / f"{name}.json")
+        assert cli.main([*argv, *flags, "--out", str(paths[0]), "--json", str(paths[1])]) == 0
+        return capsys.readouterr(), [path.read_bytes() for path in paths]
+
+    plain, plain_bytes = run("plain", [])
+    flagged, flagged_bytes = run("flagged", unread)
+    assert plain.err == ""
+    assert flagged.err == (f"interfere: this {kind} run does not read {err}; ignored\n" if err else "")
+    assert flagged.out == plain.out
+    assert flagged_bytes == plain_bytes
+
+
 def test_interfere_ring_needs_geometry(tmp_path, capsys):
     code = cli.main([
         "interfere", "--scenario", "ring", "--out", str(tmp_path / "x.csv"),
@@ -456,6 +490,14 @@ def test_verify_stdout_is_pinned(capsys):
 def test_verify_unknown_suite_exits_2(capsys):
     assert cli.main(["verify", "--suite", "astrology"]) == 2
     assert "unknown suite" in capsys.readouterr().err
+    # every name is checked before any suite runs
+    assert cli.main(["verify", "--suite", "pmf", "--suite", "astrology"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "latticemc: config error: unknown suite(s) astrology; "
+        "choose from pmf, energy, action, dbb, matterwave, lorentz, boson\n"
+    )
 
 
 def test_verify_failure_exits_3(monkeypatch, capsys):

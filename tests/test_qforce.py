@@ -159,6 +159,15 @@ def test_site_decay_product_rejects_negative_span():
         site_decay_product(0.3, 2, -1)
 
 
+def _boson_snapshot(lattice):
+    """(site, shift, w, w0) for every live site boson, valued at the lattice's current tick."""
+    return [
+        (site, shift, site_decay_product(q, abs(shift), lattice.ticks - born), q)
+        for site, by_shift in sorted(lattice.site_bosons.items())
+        for shift, (q, born) in sorted(by_shift.items())
+    ]
+
+
 def test_idle_boson_is_valued_in_constant_memory():
     # a site boson idle for 10**7 ticks, valued by a snapshot and by an
     # inheriting visit, without memory in proportion to its idle span
@@ -167,7 +176,7 @@ def test_idle_boson_is_valued_in_constant_memory():
     particle = ParticleState(tau=10, counter=3)
     tracemalloc.start()
     try:
-        rows = lattice.boson_snapshot()
+        rows = _boson_snapshot(lattice)
         assert visit(lattice, particle) == 2
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -259,7 +268,7 @@ def test_visit_creates_pair_and_swaps():
     # the site boson restarts at the visitor's sample momentum, x = 2 * 0.25
     assert lattice.site_bosons[0][2] == (0.25, 9)
     lattice.ticks = 10
-    assert lattice.boson_snapshot() == [(0, 2, pytest.approx(0.25 * (1.0 - 0.5**2)), 0.25)]
+    assert _boson_snapshot(lattice) == [(0, 2, pytest.approx(0.25 * (1.0 - 0.5**2)), 0.25)]
     assert lattice.overdriven_events == 0
     # counter and register exchange values
     assert lattice.registers[0] == 1
@@ -600,7 +609,7 @@ def test_training_diagnostics_not_left_by_failed_run(tmp_path, monkeypatch):
 def test_training_snapshot_lists_live_bosons():
     cfg = two_slit_config(delta=2, n_particles=200, n_steps=50, seed=25)
     run = run_training_slits(cfg)
-    rows = run.lattice.boson_snapshot()
+    rows = _boson_snapshot(run.lattice)
     assert rows, "training at this scale must create site bosons"
     for site, shift, w, w0 in rows:
         assert shift != 0

@@ -33,7 +33,6 @@ def test_two_slit_config_layout():
     assert cfg.sources[0] == (3, 0.7)
     assert cfg.sources[1][0] == -3
     assert cfg.sources[1][1] == pytest.approx(0.3)
-    cfg.validate()
 
 
 @pytest.mark.parametrize("delta", [0, -2, 3, 7])
@@ -59,16 +58,16 @@ def test_multi_slit_config_checks_weights_and_sites():
 
 
 def test_ring_box_config_validation():
-    scenarios.ring_config(10, 0.3).validate()
-    scenarios.box_config(6, -0.5).validate()
+    scenarios.ring_config(10, 0.3)
+    scenarios.box_config(6, -0.5)
     with pytest.raises(ValueError):
         scenarios.ring_config(1, 0.3)
     with pytest.raises(ValueError):
         scenarios.box_config(6, 1.5)
     with pytest.raises(ValueError):
-        scenarios.ScenarioConfig(kind="maze", n_particles=1, n_steps=1).validate()
+        scenarios.ScenarioConfig(kind="maze", n_particles=1, n_steps=1)
     with pytest.raises(ValueError):
-        scenarios.ScenarioConfig(kind="ring", n_particles=0, n_steps=1, ell=4, p=0.1).validate()
+        scenarios.ScenarioConfig(kind="ring", n_particles=0, n_steps=1, ell=4, p=0.1)
 
 
 def test_two_slit_sources_must_be_symmetric():
@@ -349,7 +348,7 @@ def test_ring_limit_sum_converges_to_sawtooth():
     # Fejer-weighted pair sum against the closed sawtooth, away from jumps
     for pbar, ell in [(0.13, 5), (0.07, 10), (0.31, 4), (-0.18, 7)]:
         partial = oracles.ring_limit_sum(pbar, ell, 1000)
-        closed = scenarios.ring_limit_closed(pbar, ell)
+        closed = scenarios.ring_memory_force(pbar, ell)
         assert abs(partial - closed) <= 1e-2
     with pytest.raises(ValueError):
         oracles.ring_limit_sum(0.1, 5, 1)
@@ -375,18 +374,19 @@ def test_ring_limit_sum_truncation_settles():
 
 def test_sawtooth_oddness_and_periodicity():
     for q in (0.07, 0.13, 0.29):
-        assert scenarios.ring_limit_closed(-q, 5) == pytest.approx(
-            -scenarios.ring_limit_closed(q, 5), abs=1e-15
+        assert scenarios.ring_memory_force(-q, 5) == pytest.approx(
+            -scenarios.ring_memory_force(q, 5), abs=1e-15
         )
-        assert scenarios.ring_limit_closed(q + 2.0 / 5, 5) == pytest.approx(
-            scenarios.ring_limit_closed(q, 5), abs=1e-15
+        assert scenarios.ring_memory_force(q + 2.0 / 5, 5) == pytest.approx(
+            scenarios.ring_memory_force(q, 5), abs=1e-15
         )
 
 
 def test_sawtooth_bounded_by_inverse_ell():
     ell = 6
     q = np.linspace(-1.0, 1.0, 1201)
-    values = [scenarios.ring_limit_closed(float(x), ell) for x in q]
+    q = q[np.abs(q * ell / 2 - np.round(q * ell / 2)) > 1e-9]  # the sawtooth between the rays
+    values = [scenarios.ring_memory_force(float(x), ell) for x in q]
     assert max(abs(v) for v in values) <= 1.0 / ell + 1e-12
 
 
