@@ -27,7 +27,7 @@ from latticemc.qforce import (
     site_momentum_series,
     visit,
 )
-from latticemc.scenarios import two_slit_config, two_slit_density
+from latticemc.scenarios import multi_slit_density, two_slit_config
 
 # ---------------------------------------------------------------------------
 # 1. the site boson decays tick by tick toward q * sinc(delta * q)
@@ -125,7 +125,7 @@ obs /= obs.sum()
 sites = np.arange(-window, window + 1)
 ref = np.zeros(12)
 np.add.at(ref, np.searchsorted(edges, sites, side="right") - 1,
-          two_slit_density(sites, tau, 0.5, 0.5, 2))
+          multi_slit_density(sites, tau, cfg.sources))
 ref /= ref.sum()
 flat = np.diff(edges)
 flat /= flat.sum()

@@ -9,7 +9,7 @@ cosine.  Both patterns come out of the same trained-mode sampler.
 import numpy as np
 
 from latticemc.qforce import run_trained_slits
-from latticemc.scenarios import multi_slit_config, multi_slit_density, two_slit_config
+from latticemc.scenarios import ScenarioConfig, multi_slit_density, two_slit_config
 
 N_PARTICLES = 5000
 N_STEPS = 10000
@@ -54,8 +54,8 @@ print(f"fitted fringe visibility = {coef[1] / coef[0]:.4f}  (expected 0.600)")
 # ---------------------------------------------------------------------------
 # 2. three equal sources one site apart
 
-config3 = multi_slit_config([(-1, 1 / 3), (0, 1 / 3), (1, 1 / 3)],
-                            n_particles=N_PARTICLES, n_steps=N_STEPS, seed=78)
+config3 = ScenarioConfig("multi-slit", N_PARTICLES, N_STEPS,
+                         ((-1, 1 / 3), (0, 1 / 3), (1, 1 / 3)), seed=78)
 hist3 = run_trained_slits(config3, shards=4)
 l1_three = np.abs(binned(hist3, edges10) - model_cells(config3.sources, edges10)).sum()
 print(f"three equal sources: 10-cell L1 to the analytic density = {l1_three:.4f}")

@@ -15,11 +15,7 @@ limiting cosine law.
 import numpy as np
 
 from latticemc.qforce import run_trained_slits
-from latticemc.scenarios import (
-    finite_time_slit_density,
-    two_slit_config,
-    two_slit_density,
-)
+from latticemc.scenarios import finite_time_slit_density, multi_slit_density, two_slit_config
 from latticemc.stats import compare
 
 N_PARTICLES = 50000
@@ -41,7 +37,7 @@ np.add.at(cells, np.searchsorted(edges, hist.support[mask], side="right") - 1,
 freq = cells / cells.sum()
 
 sites = np.arange(-window, window + 1)
-sharp = two_slit_density(sites, N_STEPS, 0.5, 0.5, DELTA)
+sharp = multi_slit_density(sites, N_STEPS, config.sources)
 sharp_cells = np.zeros(25)
 np.add.at(sharp_cells, np.searchsorted(edges, sites, side="right") - 1, sharp)
 sharp_cells /= sharp_cells.sum()
@@ -79,8 +75,8 @@ print(f"cell L1 distance to the limiting cosine law: "
 
 for tau in (300, 1000, 3000):
     xi = np.arange(int(-0.95 * tau), int(0.95 * tau) + 1, max(1, tau // 1000))
-    render = finite_time_slit_density(xi, tau, [(1, 0.5), (-1, 0.5)])
-    limit = two_slit_density(xi, tau, 0.5, 0.5, DELTA)
+    render = finite_time_slit_density(xi, tau, config.sources)
+    limit = multi_slit_density(xi, tau, config.sources)
     gap = np.abs(render - limit).max() * 2 * tau
     print(f"tau={tau:5d}: max |finite-time - cosine| = {gap:.4f} "
           f"in units of the mean level")

@@ -8,14 +8,14 @@ lattice and single particles build up double-slit fringes, quantized ring
 currents, and box modes.  Everything is checked against closed forms and
 wave-mechanics oracles; see the ``verify`` module and the test suite.
 
-The package namespace holds the two closed forms the README's library
-example uses; every other name is imported from its own module
-(``latticemc.walker``, ``latticemc.qforce``, ``latticemc.scenarios``, ...).
+The package namespace holds the README library example's two closed
+forms, ``pmf_free`` and ``multi_slit_density``; every other name is
+imported from its own module (``latticemc.walker``, ``latticemc.qforce``, ...).
 """
 
 from .analytic import pmf_free
-from .scenarios import two_slit_density
+from .scenarios import multi_slit_density
 
 __version__ = "0.2.0"
 
-__all__ = ["__version__", "pmf_free", "two_slit_density"]
+__all__ = ["__version__", "multi_slit_density", "pmf_free"]

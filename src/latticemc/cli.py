@@ -276,42 +276,42 @@ def _parse_sources(spec: str) -> list[tuple[int, float]]:
     return out
 
 
-def _build_scenario(params: dict) -> ScenarioConfig:
+def _build_scenario(params: dict) -> tuple[ScenarioConfig, tuple[str, ...]]:
+    """The run's config, and the geometry options it was built from."""
     kind = params["scenario"]
     slit = kind in ("two-slit", "multi-slit")
     if kind == "multi-slit" and not params["sources"]:
         raise ConfigError("multi-slit needs --sources site:weight,...")
     if not slit and (params["ell"] is None or params["p"] is None):
         raise ConfigError(f"{kind} needs --ell and --p")
+    read = ("ell", "p") if not slit else ("sources",) if params["sources"] else ("delta", "p1")
     n_particles = params["n_particles"] if params["n_particles"] is not None else 50000
     n_steps = params["n_steps"] if params["n_steps"] is not None else (300 if slit else 40000)
     try:
-        if kind == "two-slit" and not params["sources"]:
-            return two_slit_config(
+        if read == ("delta", "p1"):
+            config = two_slit_config(
                 params["delta"], params["p1"], n_particles, n_steps, params["seed"]
             )
-        return ScenarioConfig(
-            kind=kind,
-            n_particles=n_particles if slit else 1,  # ring and box follow one walker
-            n_steps=n_steps,
-            sources=_parse_sources(params["sources"]) if slit else (),
-            ell=0 if slit else params["ell"],
-            p=None if slit else params["p"],
-            seed=params["seed"],
-        )
+        else:
+            config = ScenarioConfig(
+                kind=kind,
+                n_particles=n_particles if slit else 1,  # ring and box follow one walker
+                n_steps=n_steps,
+                sources=_parse_sources(params["sources"]) if slit else (),
+                ell=0 if slit else params["ell"],
+                p=None if slit else params["p"],
+                seed=params["seed"],
+            )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return config, read
 
 
 def _execute_interfere(params: dict) -> None:
-    config = _build_scenario(params)
+    config, read = _build_scenario(params)
     slit = config.kind in ("two-slit", "multi-slit")
     training = slit and params["mode"] == "training"
-    # the geometry options _build_scenario read; a value given to another one goes unused
-    if not slit:
-        read = ("ell", "p")
-    else:
-        read = ("sources",) if params["sources"] else ("delta", "p1")
+    # a value given to a geometry option the config was not built from goes unused
     unread = [
         "--" + key for key in ("delta", "p1", "sources", "ell", "p")
         if key not in read and params[key] not in (None, _INTERFERE_OPTIONS[key].default)

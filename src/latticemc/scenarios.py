@@ -110,26 +110,6 @@ def two_slit_config(
     )
 
 
-def multi_slit_config(
-    sources, n_particles: int = 50000, n_steps: int = 300, seed: int = 0
-) -> ScenarioConfig:
-    return ScenarioConfig(
-        kind="multi-slit", n_particles=n_particles, n_steps=n_steps, sources=sources, seed=seed
-    )
-
-
-def ring_config(ell: int, p: float, n_steps: int = 40000, seed: int = 0) -> ScenarioConfig:
-    return ScenarioConfig(
-        kind="ring", n_particles=1, n_steps=n_steps, ell=int(ell), p=float(p), seed=seed
-    )
-
-
-def box_config(ell: int, p: float, n_steps: int = 40000, seed: int = 0) -> ScenarioConfig:
-    return ScenarioConfig(
-        kind="box", n_particles=1, n_steps=n_steps, ell=int(ell), p=float(p), seed=seed
-    )
-
-
 # ---------------------------------------------------------------------------
 # the pairwise memory sum
 
@@ -220,24 +200,11 @@ def _solve_rays(p0: np.ndarray, amps: np.ndarray, deltas: np.ndarray) -> np.ndar
 # steady-state densities
 
 
-def two_slit_density(xi, tau: int, p1: float, p2: float, delta: int):
-    """Arrival density (1 + 2 sqrt(p1 p2) cos(pi delta xi / tau)) / (2 tau)."""
-    if tau < 1 or delta < 1:
-        raise ValueError("tau and delta must be >= 1")
-    x = np.asarray(xi, dtype=float)
-    return _fringe(x / tau, *_pair_terms(((0, p1), (delta, p2)))) / (2.0 * tau)
-
-
 def multi_slit_density(xi, tau: int, sources):
     """Arrival density for a weighted source list; pairwise cosine terms."""
     if tau < 1:
         raise ValueError("tau must be >= 1")
     return _fringe(np.asarray(xi, dtype=float) / tau, *_pair_terms(sources)) / (2.0 * tau)
-
-
-def momentum_density_multi(pbar, sources):
-    """Density of locked ray momenta for a weighted source list."""
-    return _fringe(pbar, *_pair_terms(sources)) / 2.0
 
 
 def finite_time_slit_density(xi, tau: int, sources):
@@ -249,15 +216,20 @@ def finite_time_slit_density(xi, tau: int, sources):
     law is that density pushed through the kernel.  The second-order
     difference from the limit law, (step variance * tau / 2) * curvature,
     fills the fringe zeros at small tau and vanishes as tau grows.  The
-    400-node quadrature resolves the kernel width sqrt(b/tau) while 400 is
-    well above 2/sqrt(b/tau), which covers tau up to a few thousand.
+    Gauss-Legendre rule takes at least 400 nodes, which resolve the kernel
+    width sqrt(b/tau) for tau up to a few thousand, and pi*d/2 + 8*(pi*d)**(1/3)
+    for the widest separation d, which resolve cos(pi*d*q): the pmf sums to
+    1 within 1e-11 for d up to 4000, at an O(d**3) node solve (seconds at 2000).
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
     sources = [(int(s), float(w)) for s, w in sources]
     x = np.asarray(xi, dtype=np.int64)
-    nodes, weights = np.polynomial.legendre.leggauss(400)
-    ray_density = momentum_density_multi(nodes, sources)
+    amps, deltas = _pair_terms(sources)
+    omega = math.pi * deltas.max(initial=0.0)
+    n_nodes = max(400, math.ceil(omega / 2.0 + 8.0 * omega ** (1 / 3)))
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    ray_density = _fringe(nodes, amps, deltas) / 2.0
     out = np.zeros(x.shape, dtype=float)
     for site, w_src in sources:
         for q, glw, rho in zip(nodes, weights, ray_density):

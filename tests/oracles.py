@@ -13,9 +13,11 @@ a bound walk where ``qforce.run_ring`` decides most of them in a bracket,
 ``ring_limit_sum`` sums a finite train of ring sources.  They share only
 the transition law, the step rule ``walker.move`` and the memory sums
 (``scenarios._pair_terms``, ``scenarios._memory_force``,
-``scenarios.ring_memory_force``) with the library, so a differential
-test checks the fast path and not the physics.  ``pad_to_cone`` places
-a pinned count list on a run's light cone.
+``scenarios._fringe``, ``scenarios.ring_memory_force``) with the
+library, so a differential test checks the fast path and not the
+physics.  ``pad_to_cone`` places a pinned count list on a run's light
+cone, ``bound_config`` builds a one-walker ring or box config, and
+``ray_density`` is the density of locked ray momenta.
 """
 
 from __future__ import annotations
@@ -27,7 +29,13 @@ from collections import defaultdict
 import numpy as np
 
 from latticemc.lattice import transition_probs
-from latticemc.scenarios import _memory_force, _pair_terms, ring_memory_force
+from latticemc.scenarios import (
+    ScenarioConfig,
+    _fringe,
+    _memory_force,
+    _pair_terms,
+    ring_memory_force,
+)
 from latticemc.walker import move
 
 
@@ -213,3 +221,13 @@ def pad_to_cone(counts, offset: int, cone: tuple[int, int]) -> list[int]:
     """``counts`` from site ``offset`` on, with a zero at every other site of ``cone``."""
     first, last = cone
     return [0] * (offset - first) + list(counts) + [0] * (last + 1 - offset - len(counts))
+
+
+def bound_config(kind: str, ell: int, p: float, n_steps: int = 40000, seed: int = 0):
+    """Config of a one-walker ``kind`` ("ring" or "box") run of width ``ell``."""
+    return ScenarioConfig(kind, 1, n_steps, ell=ell, p=p, seed=seed)
+
+
+def ray_density(q, sources):
+    """Density of locked ray momenta on [-1, 1]: half the fringe law at ray q."""
+    return _fringe(q, *_pair_terms(sources)) / 2.0

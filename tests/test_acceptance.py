@@ -21,14 +21,12 @@ from latticemc.qforce import (
     expected_site_momentum,
 )
 from latticemc.scenarios import (
+    ScenarioConfig,
     finite_time_slit_density,
-    multi_slit_config,
     multi_slit_density,
-    ring_config,
     ring_memory_force,
     ring_steady_momentum,
     two_slit_config,
-    two_slit_density,
 )
 from latticemc.stats import compare
 from latticemc.walker import run_ensemble_free
@@ -146,13 +144,13 @@ def test_criterion_4_two_slit_interference():
     positive = compare(obs / total, ref, total)
     flat = np.diff(edges)
     negative = compare(obs / total, flat / flat.sum(), total)
-    sharp = bin_density(two_slit_density(sites, tau, 0.5, 0.5, 2), sites, edges)
+    sharp = bin_density(multi_slit_density(sites, tau, cfg.sources), sites, edges)
     l1_sharp = float(np.abs(obs / total - sharp).sum())
 
     tau_big = 3000
     xi_big = np.arange(-2850, 2851, 3)
     render = finite_time_slit_density(xi_big, tau_big, [(1, 0.5), (-1, 0.5)])
-    limit = two_slit_density(xi_big, tau_big, 0.5, 0.5, 2)
+    limit = multi_slit_density(xi_big, tau_big, [(1, 0.5), (-1, 0.5)])
     conv = float(np.abs(render - limit).max() * 2 * tau_big)
 
     elapsed = time.time() - t0
@@ -194,8 +192,8 @@ def test_criterion_5_unequal_and_three_sources():
     coef, *_ = np.linalg.lstsq(design, obs50, rcond=None)
     visibility = float(coef[1] / coef[0])
 
-    cfg3 = multi_slit_config(
-        [(-1, 1 / 3), (0, 1 / 3), (1, 1 / 3)], n_particles=5000, n_steps=tau, seed=78
+    cfg3 = ScenarioConfig(
+        "multi-slit", 5000, tau, [(-1, 1 / 3), (0, 1 / 3), (1, 1 / 3)], seed=78
     )
     hist3 = run_trained_slits(cfg3, shards=4)
     obs3 = bin_counts(hist3.support, hist3.counts, edges, window)
@@ -232,7 +230,7 @@ def test_criterion_7_ring_quantization():
     t0 = time.time()
     gaps = []
     for p in (0.05, 0.33, 0.61):
-        run = run_ring(ring_config(ell=10, p=p, n_steps=100000, seed=26))
+        run = run_ring(oracles.bound_config("ring", ell=10, p=p, n_steps=100000, seed=26))
         gaps.append(abs(run.mean_p_bar - ring_steady_momentum(p, 10)))
     worst_lock = max(gaps)
 

@@ -1,4 +1,4 @@
-"""Every narrative script in demos/ runs to completion against the package."""
+"""Every narrative script in demos/, and the README's library example, runs against the package."""
 
 import hashlib
 import os
@@ -10,7 +10,8 @@ import pytest
 
 import latticemc
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # SHA-256 of each demo's stdout; every demo is seeded, so its text never moves
 DEMO_STDOUT_SHA256 = {
@@ -37,3 +38,15 @@ def test_demo_runs(script):
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256[script.stem]
+
+
+def test_readme_library_example_runs():
+    # the README's "Library use" block, run as written
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    assert scope["law"].sum() == pytest.approx(1.0)
+    assert scope["run"].total == 50000
+    assert scope["model"].shape == scope["run"].support.shape

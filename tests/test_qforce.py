@@ -27,15 +27,13 @@ from latticemc.qforce import (
 from latticemc import cli, qforce, walker
 from latticemc.lattice import light_cone
 from latticemc.scenarios import (
+    ScenarioConfig,
     _memory_force,
     _pair_terms,
-    box_config,
     finite_time_slit_density,
-    multi_slit_config,
-    ring_config,
+    multi_slit_density,
     ring_steady_momentum,
     two_slit_config,
-    two_slit_density,
 )
 from latticemc.stats import Histogram, compare, write_csv
 
@@ -333,7 +331,7 @@ def test_trained_single_source_is_free_motion():
 @pytest.mark.parametrize("run", ["free-1", "free-3", "trained", "training"])
 def test_runs_bin_on_their_light_cone(run):
     # every runner's histogram covers its whole cone, though 40 walks reach only part of it
-    cfg = multi_slit_config([(-3, 0.5), (5, 0.5)], n_particles=40, n_steps=30, seed=4)
+    cfg = ScenarioConfig("multi-slit", 40, 30, [(-3, 0.5), (5, 0.5)], seed=4)
     assert cfg.cone == (-33, 35)
     if run == "trained":
         hist, cone = run_trained_slits(cfg), cfg.cone
@@ -378,7 +376,7 @@ def test_trained_fringes_match_finite_time_law():
     negative = compare(obs / total, flat, total)
     assert not negative.passed
 
-    sharp = two_slit_density(sites, tau, 0.5, 0.5, 2)
+    sharp = multi_slit_density(sites, tau, cfg.sources)
     sharp_cells = np.zeros(25)
     np.add.at(sharp_cells, cell, sharp)
     sharp_cells /= sharp_cells.sum()
@@ -436,7 +434,7 @@ TEN_SOURCES = [(3 * i, 0.1) for i in range(10)]
 def test_trained_ten_sources_pinned_counts():
     # exact output for a fixed (seed, shards) pair on two threads; the 45
     # source pairs merge into 9 distinct separations without moving it
-    cfg = multi_slit_config(TEN_SOURCES, n_particles=300, n_steps=20, seed=5)
+    cfg = ScenarioConfig("multi-slit", 300, 20, TEN_SOURCES, seed=5)
     hist = run_trained_slits(cfg, shards=2, threads=2)
     assert hist.offset == cfg.cone[0] == -20
     assert hist.counts.tolist() == oracles.pad_to_cone([
@@ -457,7 +455,7 @@ def test_trained_rays_solved_once_and_match_every_pair(monkeypatch):
         return solve(p0, amps, deltas)
 
     monkeypatch.setattr(qforce, "_solve_rays", counting)
-    cfg = multi_slit_config(TEN_SOURCES, n_particles=3000, n_steps=50, seed=8)
+    cfg = ScenarioConfig("multi-slit", 3000, 50, TEN_SOURCES, seed=8)
     hist = run_trained_slits(cfg, shards=3)
     assert sum(solved) == 3000 and len(solved) == 3
     monkeypatch.undo()
@@ -498,7 +496,7 @@ def test_trained_mean_momentum_tracks_sample_ray():
 def test_trained_l1_shrinks_with_ensemble_size():
     tau, window = 300, 270
     sites = np.arange(-window, window + 1)
-    dens = two_slit_density(sites, tau, 0.5, 0.5, 2)
+    dens = multi_slit_density(sites, tau, [(1, 0.5), (-1, 0.5)])
     dens = dens / dens.sum()
     l1 = []
     for n in (500, 5000, 50000):
@@ -517,7 +515,7 @@ def test_trained_rejects_bad_inputs():
     with pytest.raises(ValueError):
         run_trained_slits(cfg, shards=0)
     with pytest.raises(ValueError):
-        run_trained_slits(ring_config(ell=10, p=0.3, n_steps=100))
+        run_trained_slits(oracles.bound_config("ring", ell=10, p=0.3, n_steps=100))
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +629,7 @@ def test_training_builds_fringe_shaped_histogram():
     sites = np.arange(-window, window + 1)
     ref = np.zeros(12)
     np.add.at(ref, np.searchsorted(edges, sites, side="right") - 1,
-              two_slit_density(sites, tau, 0.5, 0.5, 2))
+              multi_slit_density(sites, tau, cfg.sources))
     ref /= ref.sum()
     flat = np.diff(edges)
     flat /= flat.sum()
@@ -642,7 +640,7 @@ def test_training_builds_fringe_shaped_histogram():
 
 def test_training_rejects_bound_scenarios():
     with pytest.raises(ValueError):
-        run_training_slits(box_config(ell=5, p=0.3, n_steps=100))
+        run_training_slits(oracles.bound_config("box", ell=5, p=0.3, n_steps=100))
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +651,7 @@ def test_training_rejects_bound_scenarios():
 def test_ring_locks_to_quantized_momentum(p):
     # the sample momentum relaxes on a log-time clock, so the run must be
     # long enough for the slowest case (p deep inside a sawtooth plateau)
-    cfg = ring_config(ell=10, p=p, n_steps=100000, seed=26)
+    cfg = oracles.bound_config("ring", ell=10, p=p, n_steps=100000, seed=26)
     run = run_ring(cfg)
     target = ring_steady_momentum(p, 10)
     assert run.mean_p_bar == pytest.approx(target, abs=0.05)
@@ -665,14 +663,14 @@ def test_ring_locks_to_quantized_momentum(p):
 
 
 def test_ring_momentum_histogram_peaks_at_ray():
-    cfg = ring_config(ell=10, p=0.33, n_steps=100000, seed=27)
+    cfg = oracles.bound_config("ring", ell=10, p=0.33, n_steps=100000, seed=27)
     run = run_ring(cfg)
     centers, counts = run.momentum_histogram()
     assert centers[np.argmax(counts)] == pytest.approx(0.4, abs=0.05)
 
 
 def test_box_locks_to_half_spacing():
-    cfg = box_config(ell=5, p=0.37, n_steps=100000, seed=28)
+    cfg = oracles.bound_config("box", ell=5, p=0.37, n_steps=100000, seed=28)
     run = run_ring(cfg)
     assert run.mean_p_bar == pytest.approx(0.4, abs=0.1)
     # the folded walk reaches both walls and steps at most one site per
@@ -685,7 +683,7 @@ def test_box_locks_to_half_spacing():
 # 20000-tick summaries for a fixed seed; the path fixes p_bar and positions.
 BOUND_PINS = {
     "ring": (
-        run_ring, ring_config(ell=10, p=0.37, n_steps=200, seed=4),
+        run_ring, oracles.bound_config("ring", ell=10, p=0.37, n_steps=200, seed=4),
         "-0-+0+0+00-0+0-+--+00-0+000-++00-0+-000+00+0+++-0+0+-00+++-+0-0++0++00++00+++000"
         "+0+0+000++++0+0000-0++0+00+0++++-000++0-+00+00000+--0+00+0+-+-+00-00+0+-0+0+-0+0"
         "00-++++00000-0+0+0-0-+-+0++++00+0+-+0-00",
@@ -693,7 +691,7 @@ BOUND_PINS = {
         (0.39994467950168683, 8000, [2012, 1971, 1919, 2040, 1992, 2076, 1994, 2011, 1932, 2053]),
     ),
     "box": (
-        run_ring, box_config(ell=6, p=0.28, n_steps=200, seed=4),
+        run_ring, oracles.bound_config("box", ell=6, p=0.28, n_steps=200, seed=4),
         "-0-+0+0+00-000-+--+00-0+000-++00-0+-000+00+0+++--+0+-00+++-00--0+0++--++00+0+000"
         "+0+0+000++++0+0000-0++0+0000+++0-000++0-00-+00000+--0+00+0+-+-+00-00+0+-0+0+-0+0"
         "000++++00-00-0+0+0-0-+-+0++++00+0+-+0-00",
@@ -702,7 +700,7 @@ BOUND_PINS = {
     ),
     # p0 - force reaches -1.2 here, so the clamp to [-1, 1] binds on almost every tick
     "ring-clamped": (
-        run_ring, ring_config(ell=4, p=-0.95, n_steps=200, seed=4),
+        run_ring, oracles.bound_config("ring", ell=4, p=-0.95, n_steps=200, seed=4),
         "-" * 200,
         -1.0,
         (-1.0, -20000, [5000, 5000, 5000, 5000]),
@@ -735,14 +733,14 @@ def test_bound_walk_pinned_paths(kind):
 # most ticks stay open (ring of 2), at the ends of the propensity range, and
 # where p0 sits on a ray.
 BRACKET_CONFIGS = {
-    "ring-l10-p0.37": ring_config(ell=10, p=0.37),
-    "box-l7-p-0.95": box_config(ell=7, p=-0.95),
-    "box-l5-p0.37": box_config(ell=5, p=0.37),
-    "ring-l4-p-0.95": ring_config(ell=4, p=-0.95),
-    "ring-l2-p0.3": ring_config(ell=2, p=0.3),
-    "ring-l3-p1": ring_config(ell=3, p=1.0),
-    "box-l2-p-1": box_config(ell=2, p=-1.0),
-    "ring-l10-p0.4": ring_config(ell=10, p=0.4),
+    "ring-l10-p0.37": oracles.bound_config("ring", ell=10, p=0.37),
+    "box-l7-p-0.95": oracles.bound_config("box", ell=7, p=-0.95),
+    "box-l5-p0.37": oracles.bound_config("box", ell=5, p=0.37),
+    "ring-l4-p-0.95": oracles.bound_config("ring", ell=4, p=-0.95),
+    "ring-l2-p0.3": oracles.bound_config("ring", ell=2, p=0.3),
+    "ring-l3-p1": oracles.bound_config("ring", ell=3, p=1.0),
+    "box-l2-p-1": oracles.bound_config("box", ell=2, p=-1.0),
+    "ring-l10-p0.4": oracles.bound_config("ring", ell=10, p=0.4),
 }
 
 
@@ -762,7 +760,7 @@ def test_run_ring_working_set_does_not_grow_with_ticks():
     # draws are bracketed in fixed-size blocks, so apart from the returned
     # counter trace the walk's peak memory is the same for 30k and 300k ticks
     def working_set(n):
-        cfg = ring_config(ell=10, p=0.37, n_steps=n, seed=3)
+        cfg = oracles.bound_config("ring", ell=10, p=0.37, n_steps=n, seed=3)
         tracemalloc.start()
         try:
             run = run_ring(cfg)
