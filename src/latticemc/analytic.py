@@ -59,18 +59,17 @@ def _check_tau(tau: int) -> int:
 # free-walk position pmf
 
 
-def pmf_free(xi, tau: int, p: float, xi0: int = 0):
-    """Probability of arriving at site ``xi`` after ``tau`` ticks.
+def pmf_free(xi, tau: int, p: float):
+    """Probability of a displacement ``xi`` from the emission site after ``tau`` ticks.
 
-    The displacement ``xi - xi0`` has the law of a Binomial(2*tau, (1+p)/2)
-    count shifted by -tau: the walk's one trinomial step is equivalent in
-    distribution to two coin half-steps.  Zero outside |xi - xi0| <= tau.
-    Accepts scalar or array ``xi``.
+    ``xi`` has the law of a Binomial(2*tau, (1+p)/2) count shifted by
+    -tau: the walk's one trinomial step is equivalent in distribution to
+    two coin half-steps.  Zero outside |xi| <= tau.  Accepts scalar or
+    array ``xi``.
     """
     tau = _check_tau(tau)
     p = _check_propensity(p)
-    xi_arr = np.asarray(xi, dtype=np.int64)
-    d = xi_arr - int(xi0)
+    d = np.asarray(xi, dtype=np.int64)
     inside = np.abs(d) <= tau
     up = (1.0 + p) / 2.0
     down = (1.0 - p) / 2.0
@@ -101,8 +100,8 @@ def gaussian_limit(xi, tau: int, p: float):
     raises instead of returning a point mass.
     """
     tau = _check_tau(tau)
-    probs = transition_probs(p)
-    p, b = probs.propensity, probs.stay
+    p = _check_propensity(p)
+    b = transition_probs(p).stay
     if b == 0.0:
         raise ValueError("|p| = 1 gives a point mass; no density exists")
     xi_arr = np.asarray(xi, dtype=float)
@@ -165,11 +164,6 @@ def energy_pmf(sigma: int, xi: int, tau: int) -> float:
         - _log_binomial(2 * tau, tau + axi)
     )
     return float(np.exp(log_val))
-
-
-def energy_mean(xi: int, tau: int) -> float:
-    """Mean moving-tick count given arrival at ``xi``: (xi^2+tau^2-tau)/(2tau-1)."""
-    return float(action(xi, tau))
 
 
 def energy_var(xi: int, tau: int) -> float:

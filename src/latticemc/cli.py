@@ -31,6 +31,7 @@ from .walker import run_ensemble_free
 from .qm_oracle import qm_multi_source
 from .scenarios import (
     KINDS,
+    SLIT_KINDS,
     ScenarioConfig,
     multi_slit_density,
     ring_steady_momentum,
@@ -216,7 +217,7 @@ def _execute_free(params: dict) -> None:
     if p is None:
         model = analytic.ensemble_probability(support - xi0, tau)
     else:
-        model = analytic.pmf_free(support, tau, p, xi0=xi0)
+        model = analytic.pmf_free(support - xi0, tau, p)
     freq = hist.frequency()
     summary = {
         "n_particles": hist.total,
@@ -279,7 +280,7 @@ def _parse_sources(spec: str) -> list[tuple[int, float]]:
 def _build_scenario(params: dict) -> tuple[ScenarioConfig, tuple[str, ...]]:
     """The run's config, and the geometry options it was built from."""
     kind = params["scenario"]
-    slit = kind in ("two-slit", "multi-slit")
+    slit = kind in SLIT_KINDS
     if kind == "multi-slit" and not params["sources"]:
         raise ConfigError("multi-slit needs --sources site:weight,...")
     if not slit and (params["ell"] is None or params["p"] is None):
@@ -309,7 +310,7 @@ def _build_scenario(params: dict) -> tuple[ScenarioConfig, tuple[str, ...]]:
 
 def _execute_interfere(params: dict) -> None:
     config, read = _build_scenario(params)
-    slit = config.kind in ("two-slit", "multi-slit")
+    slit = config.kind in SLIT_KINDS
     training = slit and params["mode"] == "training"
     # a value given to a geometry option the config was not built from goes unused
     unread = [
@@ -436,7 +437,7 @@ def _execute_rerun(manifest_path: str, out_dir: str | None) -> None:
 # parser wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="latticemc", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"latticemc {__version__}")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -461,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
         if ns.command == "free":
@@ -476,7 +477,7 @@ def main(argv=None) -> int:
         if ns.command == "rerun":
             _execute_rerun(ns.manifest, ns.out_dir)
             return EXIT_OK
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # MemoryError: a cone too large to allocate
         print(f"latticemc: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # config and manifest reads raise ConfigError; this is an output write

@@ -33,7 +33,6 @@ class TransitionProbs:
     up: float
     stay: float
     down: float
-    propensity: float
 
     @property
     def energy(self) -> float:
@@ -59,9 +58,10 @@ def light_cone(lo: int, hi: int, n_steps: int) -> tuple[int, int]:
     """First and last site a walk of ``n_steps`` ticks from sites lo..hi can reach.
 
     A run's histogram has one int64 count per site of this cone, so every
-    site must fit in int64, and so must the exclusive end of its support;
-    the count array must be one numpy can address, which also keeps the
-    2 * n_steps half-steps of the one-draw sampler in range.
+    site and the exclusive end of its support must fit in int64, and the
+    count array must be one numpy can address (which also keeps the one-draw
+    sampler's 2 * n_steps half-steps in range).  An addressable count array
+    may still be too large to allocate; the CLI reports that with exit 2.
     """
     first, last = lo - n_steps, hi + n_steps
     if first < _INT64.min or last >= _INT64.max:
@@ -80,4 +80,4 @@ def transition_probs(p: float) -> TransitionProbs:
     up = ((1.0 + p) / 2.0) ** 2
     down = ((1.0 - p) / 2.0) ** 2
     stay = (1.0 - p * p) / 2.0
-    return TransitionProbs(up=up, stay=stay, down=down, propensity=p)
+    return TransitionProbs(up=up, stay=stay, down=down)

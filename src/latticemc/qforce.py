@@ -45,7 +45,8 @@ import numpy as np
 
 from .stats import Histogram
 from .walker import _bracket_moves, _run_shards, endpoint_displacement, move
-from .scenarios import ScenarioConfig, _memory_force, _pair_terms, _solve_rays, ring_memory_force
+from .scenarios import (SLIT_KINDS, ScenarioConfig, _memory_force, _pair_terms, _solve_rays,
+                        ring_memory_force)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +258,7 @@ def run_trained_slits(config: ScenarioConfig, shards: int = 1, threads: int = 1)
 
     Each shard is one ``_trained_shard`` call.
     """
-    if config.kind not in ("two-slit", "multi-slit"):
+    if config.kind not in SLIT_KINDS:
         raise ValueError("run_trained_slits handles slit scenarios only")
     src = list(config.sources)
     return _run_shards(
@@ -297,7 +298,7 @@ def run_training_slits(config: ScenarioConfig) -> TrainingRun:
     Emissions follow each other with no idle ticks, so site bosons keep
     decaying on a single global clock.
     """
-    if config.kind not in ("two-slit", "multi-slit"):
+    if config.kind not in SLIT_KINDS:
         raise ValueError("run_training_slits handles slit scenarios only")
     rng = np.random.default_rng(config.seed)
     lattice = TrainingLattice()
@@ -401,7 +402,7 @@ def run_ring(config: ScenarioConfig) -> BoundRun:
     their own p_eff from the counter so far, so the trace is exactly
     that of stepping every tick.
     """
-    if config.kind not in ("ring", "box"):
+    if config.kind in SLIT_KINDS:
         raise ValueError("run_ring needs a ring or box config")
     rng = np.random.default_rng(config.seed)
     p0 = float(config.p)

@@ -24,7 +24,8 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(abs(x) + 0.5)) * (1 if x >= 0 else -1)
 
 
-KINDS = ("two-slit", "multi-slit", "ring", "box")
+SLIT_KINDS = ("two-slit", "multi-slit")
+KINDS = (*SLIT_KINDS, "ring", "box")
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class ScenarioConfig:
         if self.n_particles < 1 or self.n_steps < 1:
             raise ValueError("n_particles and n_steps must be >= 1")
         sites = [s for s, _ in self.sources]
-        if self.kind in ("two-slit", "multi-slit"):
+        if self.kind in SLIT_KINDS:
             if len(self.sources) < 2:
                 raise ValueError("slit scenarios need at least two sources")
             if len(set(sites)) != len(sites):

@@ -58,7 +58,7 @@ class Histogram:
         return self.counts / total
 
 
-def chi2_critical(dof: int) -> float:
+def _chi2_critical(dof: int) -> float:
     """Upper 0.1% chi-square critical value via the Wilson-Hilferty cube.
 
     Within ~1% of the exact quantile for dof >= 5 and ~0.25% for dof >= 24,
@@ -117,7 +117,7 @@ def compare(
     ``frequency`` and ``reference`` must share the same support ordering and
     ``reference`` must sum to 1 (within 1e-6).  The chi-square statistic is
     computed on bins pooled to 5 expected counts and gated at
-    the upper 0.1% point for the pooled dof (``chi2_critical``).
+    the upper 0.1% point for the pooled dof (``_chi2_critical``).
     """
     frequency = np.asarray(frequency, dtype=float)
     reference = np.asarray(reference, dtype=float)
@@ -141,7 +141,7 @@ def compare(
         raise ValueError("fewer than two pooled bins; chi-square undefined")
     chi2 = float(((obs_g - exp_g) ** 2 / exp_g).sum())
     dof = len(obs_g) - 1
-    critical = chi2_critical(dof)
+    critical = _chi2_critical(dof)
     return ComparisonReport(
         l1=l1,
         chi2=chi2,
@@ -203,7 +203,10 @@ def write_files(targets) -> None:
             with open(path, "w", newline="") as fh:
                 write(fh)
         for tmp, path in staged:
-            os.replace(tmp, path)
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from exc
     except BaseException:
         for tmp, _ in staged:
             with suppress(FileNotFoundError):

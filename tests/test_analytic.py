@@ -63,14 +63,6 @@ def test_pmf_free_point_mass_at_unit_propensity():
     assert analytic.pmf_free(cone, 7, -1.0).tolist() == [1.0] + [0.0] * 14
 
 
-def test_pmf_free_shifted_origin():
-    tau, p, xi0 = 9, 0.2, 4
-    xi = np.arange(xi0 - tau, xi0 + tau + 1)
-    shifted = analytic.pmf_free(xi, tau, p, xi0=xi0)
-    centered = analytic.pmf_free(xi - xi0, tau, p)
-    assert np.abs(shifted - centered).max() == 0.0
-
-
 def test_pmf_free_outside_support_is_zero():
     assert analytic.pmf_free(11, 10, 0.3) == 0.0
     assert analytic.pmf_free(-200, 10, 0.3) == 0.0
@@ -161,7 +153,7 @@ def test_energy_mean_var_match_enumeration():
     for xi in (0, 1, 3, 6):
         oracle = oracles.enumerated_energy_pmf(table, xi)
         mean, var = oracles.mean_and_var(oracle)
-        assert analytic.energy_mean(xi, tau) == pytest.approx(mean, abs=1e-11)
+        assert analytic.action(xi, tau) == pytest.approx(mean, abs=1e-11)
         assert analytic.energy_var(xi, tau) == pytest.approx(var, abs=1e-11)
 
 
@@ -172,14 +164,14 @@ def test_energy_mean_var_closed_forms():
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
         mean = float((support * pmf).sum())
         var = float(((support - mean) ** 2 * pmf).sum())
-        assert analytic.energy_mean(xi, tau) == pytest.approx(mean, abs=1e-9)
+        assert analytic.action(xi, tau) == pytest.approx(mean, abs=1e-9)
         assert analytic.energy_var(xi, tau) == pytest.approx(var, abs=1e-8)
 
 
 def test_energy_var_vanishes_on_light_cone():
     # at |xi| = tau every tick moved, so the energy is deterministic
     assert analytic.energy_var(9, 9) == 0.0
-    assert analytic.energy_mean(9, 9) == 9.0
+    assert analytic.action(9, 9) == 9.0
 
 
 def test_particle_energy_matches_enumeration():
@@ -224,13 +216,6 @@ def test_log_binomial_matches_scipy_gammaln():
         want = gammaln(big + 1.0) - gammaln(k + 1.0) - gammaln(big - k + 1.0)
         got = analytic._log_binomial(big, k)
         assert np.abs(got - want).max() <= 1e-15 * gammaln(big + 1.0)
-
-
-def test_action_equals_energy_mean():
-    for xi, tau in [(0, 1), (3, 5), (40, 100)]:
-        assert analytic.action(xi, tau) == pytest.approx(
-            analytic.energy_mean(xi, tau), abs=1e-12
-        )
 
 
 def test_phase_gap_shrinks_like_inverse_tau():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import latticemc
-from latticemc import cli, qforce, verify
+from latticemc import analytic, cli, qforce, verify
 
 
 def read_rows(path):
@@ -54,6 +54,19 @@ def test_free_uniform_model_is_flat(tmp_path):
     rows = read_rows(out)
     model = np.array([float(r[3]) for r in rows[1:]])
     assert np.allclose(model, 1.0 / 61.0)
+
+
+def test_free_model_is_centred_on_the_emission_site(tmp_path):
+    out = tmp_path / "free.csv"
+    assert cli.main([
+        "free", "--n-particles", "200", "--n-steps", "9", "--p", "0.2", "--xi0", "4",
+        "--out", str(out),
+    ]) == 0
+    rows = read_rows(out)[1:]
+    xi = np.array([int(r[0]) for r in rows])
+    model = np.array([float(r[3]) for r in rows])
+    assert xi.tolist() == list(range(4 - 9, 4 + 9 + 1))
+    assert np.array_equal(model, analytic.pmf_free(xi - 4, 9, 0.2))
 
 
 def test_free_same_seed_is_byte_identical(tmp_path):
@@ -453,6 +466,26 @@ def test_light_cone_at_int64_limits_runs(tmp_path, xi0):
     assert sites == list(range(xi0 - 5, xi0 + 6))
 
 
+# each cone has about 1e17 sites: its int64 counts fit the cone check but no
+# address space, so the allocation is refused at once
+@pytest.mark.parametrize("argv", [
+    ["free", "--n-steps", "50000000000000000"],
+    ["interfere", "--scenario", "two-slit", "--delta", "100000000000000000", "--n-steps", "5"],
+    ["interfere", "--scenario", "two-slit", "--delta", "100000000000000000", "--n-steps", "5",
+     "--mode", "training"],
+    ["interfere", "--scenario", "multi-slit", "--sources=0:0.5,100000000000000000:0.5",
+     "--n-steps", "5"],
+], ids=["free", "trained", "training", "multi-slit"])
+def test_run_too_large_for_memory_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "a.csv"
+    assert cli.main(argv + ["--n-particles", "10", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("latticemc: config error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     # a ValueError past validation is a bug in the program, not bad input
     def broken(*args, **kwargs):
@@ -577,6 +610,15 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     ]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "cannot write output" in err
+
+
+def test_failed_rename_reports_the_target(tmp_path, monkeypatch, capsys):
+    # an empty path opens its temp file in the working directory, then cannot be renamed to
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["free", "--n-particles", "10", "--n-steps", "5", "--out", ""]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cannot write output" in err and ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _fail_json_dump(monkeypatch):

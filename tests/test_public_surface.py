@@ -2,8 +2,10 @@
 
 A public function, class, method or property of ``src/latticemc`` needs
 a reader in ``src/``, ``demos/`` or ``perfbench/`` outside its own
-definition.  A name that only the tests read is a test helper: it
-belongs in ``tests/oracles.py`` or nowhere.  Readers are found by name
+definition, and a public top-level function needs one outside its own
+module: a function that only its module reads is private.  A name that
+only the tests read is a test helper: it belongs in ``tests/oracles.py``
+or nowhere.  Readers are found by name
 (an identifier, an attribute, an import, or a part of a dotted string
 such as the benchmark's span names), so two names that share a spelling
 count as read together.
@@ -44,8 +46,12 @@ def _names_read(tree):
                     yield part, node.lineno
 
 
-def unread_public_names(root=ROOT):
-    """``module.name`` of every public ``src/latticemc`` definition with no reader."""
+def _unread(root, definitions, module_reads):
+    """``module.name`` of each ``definitions(tree)`` entry of ``src/latticemc`` with no reader.
+
+    A read in the definition's own module counts only if ``module_reads``,
+    and never from inside the definition itself.
+    """
     trees = {
         path: ast.parse(path.read_text())
         for folder in READER_DIRS
@@ -54,9 +60,10 @@ def unread_public_names(root=ROOT):
     reads = {path: list(_names_read(tree)) for path, tree in trees.items()}
     unread = []
     for path in sorted((root / "src" / "latticemc").glob("*.py")):
-        for qualname, node in _public_definitions(trees[path]):
+        for qualname, node in definitions(trees[path]):
             if not any(
-                name == node.name and not (where == path and node.lineno <= line <= node.end_lineno)
+                name == node.name
+                and (where != path or module_reads and not node.lineno <= line <= node.end_lineno)
                 for where, names in reads.items()
                 for name, line in names
             ):
@@ -64,5 +71,26 @@ def unread_public_names(root=ROOT):
     return unread
 
 
+def unread_public_names(root=ROOT):
+    """Public definitions read nowhere outside their own body."""
+    return _unread(root, _public_definitions, module_reads=True)
+
+
+def home_only_public_functions(root=ROOT):
+    """Public top-level functions that only their own module reads: they belong private.
+
+    Classes are left out, since public functions return their instances.
+    """
+    def functions(tree):
+        return [(q, n) for q, n in _public_definitions(tree)
+                if "." not in q and isinstance(n, ast.FunctionDef)]
+
+    return _unread(root, functions, module_reads=False)
+
+
 def test_every_public_name_has_a_reader_outside_tests():
     assert unread_public_names() == []
+
+
+def test_every_public_function_has_a_reader_outside_its_module():
+    assert home_only_public_functions() == []

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from latticemc import analytic, walker
 from latticemc.lattice import transition_probs
-from latticemc.stats import _pool, chi2_critical, compare
+from latticemc.stats import _chi2_critical, _pool, compare
 
 
 def test_step_matches_run_free_sampling():
@@ -239,4 +239,4 @@ def test_ensemble_matches_per_tick_reference(preparation):
     slow = np.array([oracles.run_free(0, float(q), n_steps, rng) for q in ps])
     chi2, dof = _two_sample_chi2(fast, slow)
     assert dof > 20
-    assert chi2 < chi2_critical(dof), f"chi2={chi2:.1f} on {dof} dof"
+    assert chi2 < _chi2_critical(dof), f"chi2={chi2:.1f} on {dof} dof"
