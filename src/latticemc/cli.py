@@ -179,22 +179,27 @@ def _dump(fh, doc: dict) -> None:
     fh.write("\n")
 
 
-# ---------------------------------------------------------------------------
-# free
-
-
 # Each table's key order is the order of a manifest's "params", a file format.
-_FREE_OPTIONS = {
-    "n_particles": _Option(int, 50000, floor=1),
-    "n_steps": _Option(int, 300, floor=1),
-    "p": _Option(float, help="fixed propensity; omit for uniform ensemble"),
-    "xi0": _Option(int, 0, "emission site (default 0)"),
+_RUN_OPTIONS = {
     "seed": _Option(int, 0, floor=0),
     "shards": _Option(int, 1, floor=1),
     "threads": _Option(int, 1, floor=1),
     "out": _Option(str, _REQUIRED, "output CSV path"),
     "json_out": _Option(str, help="mirror the table as JSON"),
     "manifest": _Option(str, help="write a rerunnable manifest JSON"),
+}
+
+
+# ---------------------------------------------------------------------------
+# free
+
+
+_FREE_OPTIONS = {
+    "n_particles": _Option(int, 50000, floor=1),
+    "n_steps": _Option(int, 300, floor=1),
+    "p": _Option(float, help="fixed propensity; omit for uniform ensemble"),
+    "xi0": _Option(int, 0, "emission site (default 0)"),
+    **_RUN_OPTIONS,
 }
 
 
@@ -249,12 +254,7 @@ _INTERFERE_OPTIONS = {
     "mode": _Option(str, "trained", choices=("trained", "training")),
     "n_particles": _Option(int, floor=1),
     "n_steps": _Option(int, floor=1),
-    "seed": _Option(int, 0, floor=0),
-    "shards": _Option(int, 1, floor=1),
-    "threads": _Option(int, 1, floor=1),
-    "out": _Option(str, _REQUIRED, "output CSV path"),
-    "json_out": _Option(str, help="mirror the table as JSON"),
-    "manifest": _Option(str, help="write a rerunnable manifest JSON"),
+    **_RUN_OPTIONS,
     "diagnostics": _Option(str, help="training mode: per-emission CSV"),
 }
 

@@ -21,6 +21,7 @@ shards are scheduled.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -79,7 +80,7 @@ def run_ensemble_free(
     n_steps: int,
     p: float | None = None,
     xi0: int = 0,
-    seed: int | None = None,
+    seed: int = 0,
     shards: int = 1,
     threads: int = 1,
 ) -> Histogram:
@@ -88,10 +89,9 @@ def run_ensemble_free(
     Every particle is emitted from site ``xi0`` with propensity ``p``, or
     with its own propensity uniform on [-1, 1] when ``p`` is None.  The
     histogram covers the light cone xi0 - n_steps .. xi0 + n_steps.
-    ``seed`` is an int, or None for fresh entropy.  With ``shards > 1``
-    the particles are split as evenly as possible and each shard gets its
-    own spawned generator; ``threads`` only controls scheduling and never
-    changes the result.
+    ``seed`` is an int.  With ``shards > 1`` the particles are split as
+    evenly as possible and each shard gets its own spawned generator;
+    ``threads`` caps the worker threads and never changes the result.
     """
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
@@ -110,29 +110,33 @@ def run_ensemble_free(
 
 
 def _run_shards(
-    shard, cone: tuple[int, int], n_particles: int, seed: int | None, shards: int, threads: int,
+    shard, cone: tuple[int, int], n_particles: int, seed: int, shards: int, threads: int,
 ) -> Histogram:
     """Histogram on ``cone`` of the final sites ``shard(n, rng)`` returns over an even split.
 
-    ``seed`` is an int, or None for fresh entropy.  Each shard gets its
-    own generator spawned from ``SeedSequence(seed)`` and bins its sites
-    on ``cone`` in its own job; the shard counts are summed, so the
-    result depends on (seed, shards) and never on ``threads``, which only
-    controls scheduling.  Shards left with no particles are neither
-    seeded nor run; children are spawned by index, so skipping them
-    leaves the other shards' streams unchanged.
+    ``seed`` is an int.  Shard i derives its generator, child i of
+    ``SeedSequence(seed)``, in its own job and bins its sites on ``cone``;
+    the counts are summed, so the result depends on (seed, shards) and
+    never on ``threads``.  Shards with no particles are neither seeded nor
+    run.  min(threads, shards with particles, cores) workers each sum every
+    workers-th shard, so the run holds no per-shard state; one worker runs
+    in the caller's thread.
     """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(min(shards, n_particles))
-    rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
-
-    def binned(n: int, rng: np.random.Generator) -> np.ndarray:
-        return Histogram.on_cone(shard(n, rng), cone).counts
-
+    if shards < 1 or threads < 1:
+        raise ValueError("shards and threads must be >= 1")
+    entropy = np.random.SeedSequence(seed).entropy
     base, extra = divmod(n_particles, shards)
-    sizes = [base + (1 if i < extra else 0) for i in range(len(rngs))]
-    if threads > 1 and len(rngs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return Histogram(cone[0], sum(pool.map(binned, sizes, rngs)))
-    return Histogram(cone[0], sum(map(binned, sizes, rngs)))
+    jobs = min(shards, n_particles)
+    workers = min(threads, jobs, os.cpu_count() or 1)
+
+    def binned(i: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
+        return Histogram.on_cone(shard(base + (i < extra), rng), cone).counts
+
+    def summed(w: int) -> np.ndarray:
+        return sum(map(binned, range(w, jobs, workers)))
+
+    if workers == 1:  # in the caller's thread, so an interrupt stops the run at once
+        return Histogram(cone[0], summed(0))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return Histogram(cone[0], sum(pool.map(summed, range(workers))))

@@ -9,10 +9,12 @@ endpoint, ``bisect_rays`` bisects where ``_solve_rays`` polishes a
 tabulated bracket, ``trained_per_tick`` and ``mean_motion`` step a walk
 under the converged memory force, ``ring_per_tick`` steps every tick of
 a bound walk where ``qforce.run_ring`` decides most of them in a bracket,
-``ray_equation`` writes the two-source ray condition out by hand, and
-``ring_limit_sum`` sums a finite train of ring sources.  They share only
-the transition law, the step rule ``walker.move`` and the memory sums
-(``scenarios._pair_terms``, ``scenarios._memory_force``,
+``ray_equation`` writes the two-source ray condition out by hand,
+``ring_limit_sum`` sums a finite train of ring sources, and
+``run_shards_spawned`` builds every shard's generator before running
+any, where ``walker._run_shards`` derives each in its shard's job.
+They share only the transition law, the step rule ``walker.move`` and
+the memory sums (``scenarios._pair_terms``, ``scenarios._memory_force``,
 ``scenarios._fringe``, ``scenarios.ring_memory_force``) with the
 library, so a differential test checks the fast path and not the
 physics.  ``pad_to_cone`` places a pinned count list on a run's light
@@ -171,6 +173,20 @@ def run_free(xi0: int, p: float, n_steps: int, rng: np.random.Generator) -> int:
     u = rng.random(n_steps)
     moves = (u < probs.up).astype(np.int64) - (u >= probs.up + probs.stay)
     return int(xi0 + moves.sum())
+
+
+def run_shards_spawned(shard, cone: tuple[int, int], n_particles: int, seed: int, shards: int):
+    """Counts on ``cone`` of ``shard(n, rng)`` over an even split, every generator built up front.
+
+    Spawns one child of ``SeedSequence(seed)`` per shard that holds
+    particles, builds all their generators, then runs the shards in order
+    on one thread and bins the pooled sites.
+    """
+    children = np.random.SeedSequence(seed).spawn(min(shards, n_particles))
+    rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
+    base, extra = divmod(n_particles, shards)
+    sites = [shard(base + (1 if i < extra else 0), rng) for i, rng in enumerate(rngs)]
+    return np.bincount(np.concatenate(sites) - cone[0], minlength=cone[1] - cone[0] + 1)
 
 
 def ray_equation(q: float, p: float, p1: float, p2: float, delta: int) -> float:

@@ -1,5 +1,6 @@
 """Monte Carlo walker engine: sampling law, determinism, sharding."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,8 @@ import oracles
 import pytest
 from hypothesis import given, strategies as st
 
-from latticemc import analytic, walker
-from latticemc.lattice import transition_probs
+from latticemc import analytic, qforce, walker
+from latticemc.lattice import light_cone, transition_probs
 from latticemc.stats import _chi2_critical, _pool, compare
 
 
@@ -133,18 +134,77 @@ def test_ensemble_pinned_counts_three_shards():
 
 def test_empty_shards_are_not_seeded():
     # shards beyond the particle count hold no particles: they change no
-    # stream and cost no generator
+    # stream and cost no generator, and a run keeps no shard's generator
     few = walker.run_ensemble_free(5, 10, seed=3, shards=5)
     many = walker.run_ensemble_free(5, 10, seed=3, shards=100000)
     assert few.offset == many.offset
     assert np.array_equal(few.counts, many.counts)
-    tracemalloc.start()
-    try:
-        walker.run_ensemble_free(2, 10, seed=3, shards=20000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    for n, shards, threads in ((2, 20000, 1), (4000, 4000, 1), (4000, 4000, 2)):
+        tracemalloc.start()
+        try:
+            walker.run_ensemble_free(n, 10, seed=3, shards=shards, threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (n, shards, threads)
+
+
+# one shard function per kind of run, with its light cone
+_SHARDS = {
+    "free": (lambda n, rng: walker._simulate_free_shard(n, 30, None, 0, rng), light_cone(0, 0, 30)),
+    "trained": (
+        lambda n, rng: qforce._trained_shard([(-3, 0.3), (1, 0.2), (4, 0.5)], n, 30, rng),
+        light_cone(-3, 4, 30),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SHARDS))
+@pytest.mark.parametrize("n,shards", [(1001, 4), (30001, 7), (5, 100000)])
+@pytest.mark.parametrize("seed", [0, 17, 2**40 + 3])
+def test_run_shards_matches_eager_spawn(kind, n, shards, seed):
+    # each shard's generator, derived by index in its job, is the one
+    # SeedSequence(seed).spawn gives it
+    shard, cone = _SHARDS[kind]
+    expected = oracles.run_shards_spawned(shard, cone, n, seed, shards)
+    for threads in (1, 2):
+        hist = walker._run_shards(shard, cone, n, seed, shards, threads)
+        assert hist.offset == cone[0]
+        assert hist.counts.tolist() == expected.tolist(), threads
+
+
+def test_pool_is_bounded_by_shards_and_cores(monkeypatch):
+    # a fake executor records the pool size and maps in the calling thread,
+    # so no thread is started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(walker, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for shards, threads, pool in ((64, 64, 4), (3, 64, 3), (64, 1, None)):
+        sizes.clear()
+        hist = walker.run_ensemble_free(1001, 20, seed=5, shards=shards, threads=threads)
+        alone = walker.run_ensemble_free(1001, 20, seed=5, shards=shards, threads=1)
+        assert sizes == ([] if pool is None else [pool])
+        assert np.array_equal(hist.counts, alone.counts)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # core count unknown: one worker
+    sizes.clear()
+    walker.run_ensemble_free(1001, 20, seed=5, shards=64, threads=64)
+    assert sizes == []
+    with pytest.raises(ValueError, match="threads"):
+        walker.run_ensemble_free(1001, 20, seed=5, shards=4, threads=0)
 
 
 def test_ensemble_seed_objects_are_rejected():
