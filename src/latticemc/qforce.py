@@ -29,7 +29,9 @@ the source draw, the preparation draw, and the step noise itself.
 A bound walk (ring or box) is one long walk steered by its own converged
 memory.  One runner, ``run_ring``, walks both: a box of ell sites is a
 ring of 2*ell whose positions fold back into [0, ell].  It stores only
-the counter after each tick; sample momenta and positions follow from it.
+the move of each tick, one byte per tick; counters, sample momenta and
+positions follow from it, and the locked-half summaries build their
+counters one block at a time.
 The ring force never exceeds 1/period in size and a move is
 nondecreasing in p, so a draw that moves the same at both ends of the
 bracket p0 -/+ 1/period moves so on any tick; ``run_ring`` decides those
@@ -335,34 +337,39 @@ def run_training_slits(config: ScenarioConfig) -> TrainingRun:
 # ---------------------------------------------------------------------------
 # bound geometries (a single long walk steered by its own memory)
 
-_RING_BLOCK = 8192  # ticks drawn and bracketed together; bounds the walk's working set
+_RING_BLOCK = 8192  # ticks drawn, bracketed or summed together; bounds the working set
 _RING_FORCE_SLACK = 1e-9  # rounding allowance on |ring_memory_force(q, period)| <= 1/period
 
 
 @dataclass
 class BoundRun:
-    """Counter trace of a ring or box walk; every other trace follows from it.
+    """Move trace of a ring or box walk; every other trace follows from it.
 
-    ``counters[t]`` is the displacement counter after tick t+1, on a ring
-    of ``period`` sites.  ``p_bar[t]`` is the sample momentum
-    counter/tau after tick t+1, and ``mean_p_bar`` averages it over the
-    second half of the run, after the lock-in transient.
-    ``positions[t]`` is the walker's site after tick t+1: the counter
-    wrapped onto [0, period), and folded back into [0, period/2] when
-    ``folded`` (a box).
+    ``moves[t]`` is the int8 move (+1, 0 or -1) of tick t+1, on a ring of
+    ``period`` sites.  ``counters[t]`` is the displacement counter after
+    tick t+1, built from the moves on each read.  ``p_bar[t]`` is the
+    sample momentum counter/tau after tick t+1; ``mean_p_bar`` and
+    ``momentum_histogram`` read it over the locked half of the run, ticks
+    n//2 ... n-1, after the lock-in transient.  ``positions[t]`` is the
+    walker's site after tick t+1: the counter wrapped onto [0, period),
+    and folded back into [0, period/2] when ``folded`` (a box).
     """
 
-    counters: np.ndarray
+    moves: np.ndarray
     period: int
     folded: bool
 
     @property
+    def counters(self) -> np.ndarray:
+        return np.cumsum(self.moves, dtype=np.int64)
+
+    @property
     def p_bar(self) -> np.ndarray:
-        return self.counters / np.arange(1, len(self.counters) + 1)
+        return self.counters / np.arange(1, len(self.moves) + 1)
 
     @property
     def mean_p_bar(self) -> float:
-        return float(self.p_bar[len(self.counters) // 2 :].mean())
+        return float(self._locked_p_bar().mean())
 
     @property
     def positions(self) -> np.ndarray:
@@ -370,13 +377,34 @@ class BoundRun:
         return np.minimum(wrapped, self.period - wrapped) if self.folded else wrapped
 
     def momentum_histogram(self):
-        """(centers, counts) histogram of second-half sample momenta."""
-        half = len(self.counters) // 2
+        """(centers, counts) histogram of the locked half's sample momenta."""
         width = 0.02
         edges = np.arange(-1.0 - width / 2.0, 1.0 + width, width)
-        counts, _ = np.histogram(self.p_bar[half:], bins=edges)
+        p_bar = self._locked_p_bar()
+        counts = np.zeros(len(edges) - 1, dtype=np.int64)
+        for start in range(0, len(p_bar), _RING_BLOCK):
+            counts += np.histogram(p_bar[start : start + _RING_BLOCK], bins=edges)[0]
         centers = (edges[:-1] + edges[1:]) / 2.0
         return centers, counts
+
+    def _locked_p_bar(self) -> np.ndarray:
+        """``p_bar[n//2:]``, built one block of counters at a time, never the whole trace.
+
+        Each block's counters are divided into the one output array against
+        float taus, which are exact below 2**53, so it equals the slice of
+        ``p_bar`` bit for bit.
+        """
+        n = len(self.moves)
+        half = n // 2
+        out = np.empty(n - half)
+        counter = int(self.moves[:half].sum(dtype=np.int64))
+        for start in range(half, n, _RING_BLOCK):
+            counters = counter + np.cumsum(self.moves[start : start + _RING_BLOCK], dtype=np.int64)
+            stop = start + len(counters)
+            taus = np.arange(start + 1, stop + 1, dtype=float)
+            np.divide(counters, taus, out=out[start - half : stop - half])
+            counter = int(counters[-1])
+        return out
 
 
 def run_ring(config: ScenarioConfig) -> BoundRun:
@@ -409,7 +437,7 @@ def run_ring(config: ScenarioConfig) -> BoundRun:
     period = config.period
     reach = 1.0 / period + _RING_FORCE_SLACK
     p_lo, p_hi = max(-1.0, p0 - reach), min(1.0, p0 + reach)
-    counters = np.empty(config.n_steps, dtype=np.int64)
+    trace = np.empty(config.n_steps, dtype=np.int8)
     counter = 0
     for start in range(0, config.n_steps, _RING_BLOCK):
         u = rng.random(min(_RING_BLOCK, config.n_steps - start))
@@ -426,6 +454,6 @@ def run_ring(config: ScenarioConfig) -> BoundRun:
             gain += v
             taken.append(v)
         moves[ticks] = taken
-        counters[start : start + len(u)] = counter + np.cumsum(moves)
-        counter = int(counters[start + len(u) - 1])
-    return BoundRun(counters, period, folded=config.kind == "box")
+        trace[start : start + len(u)] = moves
+        counter += int(moves.sum())
+    return BoundRun(trace, period, folded=config.kind == "box")

@@ -10,7 +10,9 @@ preparation momentum to the ray gives the fringe densities.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +159,16 @@ def _fringe(q, amps: np.ndarray, deltas: np.ndarray):
 _RAY_TABLE_INTERVALS = 2**14  # grid cells of q + g(q) on [-1, 1] that bracket the rays
 _RAY_BLOCK = 2048  # rays polished together; bounds the solver's working set
 _RAY_STEP_TOL = 1e-14  # a ray is done when its step is this small: F's own rounding is ~1e-15
+_RAY_TABLE_LOCK = threading.Lock()  # shards on threads wait for one build of a table
+
+
+@functools.lru_cache(maxsize=4)
+def _ray_table(amps: tuple, deltas: tuple) -> np.ndarray:
+    """Read-only F = q + g(q) on the ray grid, built once per pair table."""
+    grid = np.linspace(-1.0, 1.0, _RAY_TABLE_INTERVALS + 1)
+    table = grid + _memory_force(grid, amps, deltas)
+    table.flags.writeable = False
+    return table
 
 
 def _solve_rays(p0: np.ndarray, amps: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -171,9 +183,11 @@ def _solve_rays(p0: np.ndarray, amps: np.ndarray, deltas: np.ndarray) -> np.ndar
     that shrinks, so each ray stops; near a fringe zero F is locally cubic
     and Newton takes up to ~60 steps.  Rays are polished in blocks and
     each stops on its own, so a ray's result depends on its own p0 only.
+    The table is cached per pair table, so the shards of a run share it.
     """
     grid = np.linspace(-1.0, 1.0, _RAY_TABLE_INTERVALS + 1)
-    table = grid + _memory_force(grid, amps, deltas)
+    with _RAY_TABLE_LOCK:
+        table = _ray_table(tuple(amps), tuple(deltas))
     q = np.empty_like(p0)
     for start in range(0, len(p0), _RAY_BLOCK):
         p = p0[start : start + _RAY_BLOCK]

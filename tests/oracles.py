@@ -9,6 +9,8 @@ endpoint, ``bisect_rays`` bisects where ``_solve_rays`` polishes a
 tabulated bracket, ``trained_per_tick`` and ``mean_motion`` step a walk
 under the converged memory force, ``ring_per_tick`` steps every tick of
 a bound walk where ``qforce.run_ring`` decides most of them in a bracket,
+``locked_half_summary`` reads the whole sample-momentum trace where
+``qforce.BoundRun`` builds its locked half one block at a time,
 ``ray_equation`` writes the two-source ray condition out by hand,
 ``ring_limit_sum`` sums a finite train of ring sources, and
 ``run_shards_spawned`` builds every shard's generator before running
@@ -161,6 +163,22 @@ def ring_per_tick(config) -> np.ndarray:
         counter += move(u, p_eff)
         counters[tau - 1] = counter
     return counters
+
+
+def locked_half_summary(counters: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Slow reference of ``BoundRun.mean_p_bar`` and ``BoundRun.momentum_histogram``.
+
+    Builds the whole sample-momentum trace counter/tau and reads its
+    second half, ticks n//2 ... n-1: returns its mean and the (centers,
+    counts) of one ``np.histogram`` over it in cells 0.02 wide centred on
+    -1, -0.98, ..., 1.
+    """
+    p_bar = counters / np.arange(1, len(counters) + 1)
+    locked = p_bar[len(counters) // 2 :]
+    width = 0.02
+    edges = np.arange(-1.0 - width / 2.0, 1.0 + width, width)
+    counts, _ = np.histogram(locked, bins=edges)
+    return float(locked.mean()), (edges[:-1] + edges[1:]) / 2.0, counts
 
 
 def run_free(xi0: int, p: float, n_steps: int, rng: np.random.Generator) -> int:

@@ -24,7 +24,7 @@ from latticemc.qforce import (
     site_momentum_series,
     visit,
 )
-from latticemc import cli, qforce, walker
+from latticemc import cli, qforce, scenarios, walker
 from latticemc.lattice import light_cone
 from latticemc.scenarios import (
     ScenarioConfig,
@@ -469,6 +469,24 @@ def test_trained_rays_solved_once_and_match_every_pair(monkeypatch):
     assert np.abs(q + force - p0).max() < 1e-12
 
 
+def test_trained_run_builds_its_ray_table_once(monkeypatch):
+    # the 64 shards of a run share one 16k-point table of the memory force,
+    # on two threads too, and a second run over the same pair table reuses it
+    builds = []
+    force = scenarios._memory_force
+
+    def counting(q, amps, deltas):
+        builds.append(np.size(q) == scenarios._RAY_TABLE_INTERVALS + 1)
+        return force(q, amps, deltas)
+
+    monkeypatch.setattr(scenarios, "_memory_force", counting)
+    cfg = ScenarioConfig("multi-slit", 640, 30, [(0, 0.2), (7, 0.3), (19, 0.5)], seed=11)
+    first = run_trained_slits(cfg, shards=64, threads=2)
+    assert sum(builds) == 1
+    again = run_trained_slits(cfg, shards=64)
+    assert sum(builds) == 1 and np.array_equal(first.counts, again.counts)
+
+
 def test_trained_per_tick_reference_settles_on_solved_rays():
     # the slow reference of trained mode steps every walker under the
     # converged memory; its sample momentum closes in on the ray q* the
@@ -756,21 +774,54 @@ def test_run_ring_matches_per_tick_reference(name):
         assert np.array_equal(run_ring(cfg).counters, oracles.ring_per_tick(cfg))
 
 
+@pytest.mark.parametrize("name", sorted(BRACKET_CONFIGS))
+def test_locked_half_summary_matches_whole_trace_reference(name):
+    # the block-built locked half equals the whole trace's second half bit
+    # for bit: one tick, runs whose half sits at and around a block edge,
+    # and an odd length past three blocks
+    block = qforce._RING_BLOCK
+    for n_steps in (1, 2 * block - 1, 2 * block, 2 * block + 1, 3 * block + 777):
+        cfg = replace(BRACKET_CONFIGS[name], n_steps=n_steps, seed=n_steps % 97)
+        run = run_ring(cfg)
+        mean, centers, counts = oracles.locked_half_summary(oracles.ring_per_tick(cfg))
+        assert run.mean_p_bar == mean
+        got_centers, got_counts = run.momentum_histogram()
+        assert np.array_equal(got_centers, centers) and np.array_equal(got_counts, counts)
+        assert got_counts.sum() == n_steps - n_steps // 2
+
+
+def _ring_peak(n_steps, summarize):
+    """tracemalloc peak of a 10-site ring run of ``n_steps`` ticks, then ``summarize(run)``."""
+    cfg = oracles.bound_config("ring", ell=10, p=0.37, n_steps=n_steps, seed=3)
+    tracemalloc.start()
+    try:
+        run = run_ring(cfg)
+        summarize(run)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return run, peak
+
+
 def test_run_ring_working_set_does_not_grow_with_ticks():
     # draws are bracketed in fixed-size blocks, so apart from the returned
-    # counter trace the walk's peak memory is the same for 30k and 300k ticks
+    # move trace the walk's peak memory is the same for 30k and 300k ticks
     def working_set(n):
-        cfg = oracles.bound_config("ring", ell=10, p=0.37, n_steps=n, seed=3)
-        tracemalloc.start()
-        try:
-            run = run_ring(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak - run.counters.nbytes
+        run, peak = _ring_peak(n, lambda run: None)
+        return peak - run.moves.nbytes
 
     working_set(100)  # the first run in a process also allocates one-off state
     assert working_set(300_000) <= 1.5 * working_set(30_000)
+
+
+def test_ring_run_and_summary_keep_a_few_bytes_per_tick():
+    # one byte of move trace per tick plus one float per locked-half tick:
+    # the run and both summaries together grow by at most 6 bytes a tick
+    def peak(n):
+        return _ring_peak(n, lambda run: (run.mean_p_bar, run.momentum_histogram()))[1]
+
+    peak(100)  # the first run in a process also allocates one-off state
+    assert peak(300_000) - peak(30_000) <= 6 * 270_000
 
 
 def test_bound_runners_check_config_kind():

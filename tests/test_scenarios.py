@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -298,7 +299,8 @@ def test_solve_rays_matches_bisection_residuals(sources):
 
 def test_solve_rays_working_set_does_not_grow_with_rays():
     # rays are polished in fixed-size blocks, so apart from the returned
-    # array the solver's peak memory is the same for 15k and 150k rays
+    # array and the once-built table the solver's peak memory is the same
+    # for 15k and 150k rays
     amps, deltas = scenarios._pair_terms(TEN_SOURCES)
 
     def working_set(n):
@@ -311,7 +313,41 @@ def test_solve_rays_working_set_does_not_grow_with_rays():
             tracemalloc.stop()
         return peak - q.nbytes
 
+    working_set(1)  # the first solve over a pair table builds its cached ray table
     assert working_set(150_000) <= 1.5 * working_set(15_000)
+
+
+def test_ray_table_is_built_once_under_concurrent_solves(monkeypatch):
+    # more threads than cores miss the cache together, with a short switch
+    # interval; they wait for one build of the table and share it
+    builds = []
+    force = scenarios._memory_force
+
+    def counting(q, amps, deltas):
+        builds.append(np.size(q) == scenarios._RAY_TABLE_INTERVALS + 1)
+        return force(q, amps, deltas)
+
+    monkeypatch.setattr(scenarios, "_memory_force", counting)
+    amps, deltas = scenarios._pair_terms([(0, 0.1), (5, 0.6), (11, 0.3)])
+    p0 = np.linspace(-0.9, 0.9, 64)
+    results = [None] * 8
+
+    def solve(i):
+        results[i] = scenarios._solve_rays(p0, amps, deltas)
+
+    workers = [threading.Thread(target=solve, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert sum(builds) == 1
+    assert all(np.array_equal(q, results[0]) for q in results)
 
 
 def test_mean_motion_converges_to_locked_ray():
