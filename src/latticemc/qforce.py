@@ -229,13 +229,20 @@ def visit(lattice: TrainingLattice, particle: ParticleState) -> int | None:
 # trained mode (vectorized, no lattice state)
 
 
+def _slit_arrays(sources) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(sites, weights, amplitudes, separations) of a source list: what trained shards read."""
+    sites = np.array([s for s, _ in sources], dtype=np.int64)
+    weights = np.array([w for _, w in sources], dtype=float)
+    return (sites, weights, *_pair_terms(sources))
+
+
 def _trained_shard(
-    sources: list[tuple[int, float]],
+    slits: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     n_particles: int,
     n_steps: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Final sites of one shard of trained-mode walks.
+    """Final sites of one shard of trained-mode walks over ``slits = _slit_arrays(sources)``.
 
     With the lattice memory converged, a walker's effective propensity
     settles at the root q* of the ray equation for its preparation.
@@ -245,26 +252,27 @@ def _trained_shard(
     the converged memory, whose force pulls each walker back toward its
     ray, so its endpoints spread less around q* * n_steps.
     """
-    sites = np.array([s for s, _ in sources], dtype=np.int64)
-    weights = np.array([w for _, w in sources], dtype=float)
-
-    src = rng.choice(len(sources), size=n_particles, p=weights)
-    p0 = rng.uniform(-1.0, 1.0, n_particles)
-    amps, deltas = _pair_terms(sources)
-    q_star = _solve_rays(p0, amps, deltas)
-    return sites[src] + endpoint_displacement(rng, n_steps, q_star)
+    sites, weights, amps, deltas = slits
+    src = rng.choice(len(sites), size=n_particles, p=weights)
+    # p0 dies with the solve and the sites are added in place, so the
+    # endpoint draw runs beside two fewer shard-long arrays
+    q_star = _solve_rays(rng.uniform(-1.0, 1.0, n_particles), amps, deltas)
+    final = endpoint_displacement(rng, n_steps, q_star)
+    final += sites[src]
+    return final
 
 
 def run_trained_slits(config: ScenarioConfig, shards: int = 1, threads: int = 1) -> Histogram:
     """Trained-mode interference run; returns the Histogram of final sites on ``config.cone``.
 
-    Each shard is one ``_trained_shard`` call.
+    Each shard is one ``_trained_shard`` call; the run builds the source
+    arrays and the pair table once and every shard reads them.
     """
     if config.kind not in SLIT_KINDS:
         raise ValueError("run_trained_slits handles slit scenarios only")
-    src = list(config.sources)
+    slits = _slit_arrays(config.sources)
     return _run_shards(
-        lambda n, rng: _trained_shard(src, n, config.n_steps, rng),
+        lambda n, rng: _trained_shard(slits, n, config.n_steps, rng),
         config.cone,
         config.n_particles,
         config.seed,

@@ -142,8 +142,12 @@ def _memory_force(q, amps: np.ndarray, deltas: np.ndarray):
     """Converged memory force g(q) = sum of a*sin(pi*d*q)/(pi*d) over the pair table."""
     q_arr = np.asarray(q, dtype=float)
     out = np.zeros_like(q_arr)
+    term = np.empty_like(q_arr)
     for amp, delta in zip(amps, deltas):
-        out += amp * np.sin(math.pi * delta * q_arr) / (math.pi * delta)
+        np.sin(np.multiply(math.pi * delta, q_arr, out=term), out=term)
+        term *= amp
+        term /= math.pi * delta
+        out += term
     return _scalar_or_array(q, out)
 
 
@@ -151,24 +155,129 @@ def _fringe(q, amps: np.ndarray, deltas: np.ndarray):
     """Fringe law 1 + sum of a*cos(pi*d*q) over the pair table, at ray q."""
     q_arr = np.asarray(q, dtype=float)
     out = np.ones_like(q_arr)
+    term = np.empty_like(q_arr)
     for amp, delta in zip(amps, deltas):
-        out += amp * np.cos(math.pi * delta * q_arr)
+        np.cos(np.multiply(math.pi * delta, q_arr, out=term), out=term)
+        term *= amp
+        out += term
     return _scalar_or_array(q, out)
 
 
 _RAY_TABLE_INTERVALS = 2**14  # grid cells of q + g(q) on [-1, 1] that bracket the rays
-_RAY_BLOCK = 2048  # rays polished together; bounds the solver's working set
-_RAY_STEP_TOL = 1e-14  # a ray is done when its step is this small: F's own rounding is ~1e-15
+_RAY_CELL = 2.0 / _RAY_TABLE_INTERVALS  # cell width h, a power of two: grid point k is k*h - 1
+_RAY_BLOCK = 1024  # rays solved together; bounds the solver's working set and peak RSS
+_RAY_TABLE_ROUNDING = 1e-17  # a tenth of F's rounding: an exact table's fit error and ray residual
+_RAY_SUM_ROUNDING = 2 * np.finfo(float).eps  # F's own rounding: the residual of a pair-sum ray
 _RAY_TABLE_LOCK = threading.Lock()  # shards on threads wait for one build of a table
 
 
 @functools.lru_cache(maxsize=4)
-def _ray_table(amps: tuple, deltas: tuple) -> np.ndarray:
-    """Read-only F = q + g(q) on the ray grid, built once per pair table."""
+def _ray_table(amps: tuple, deltas: tuple) -> tuple[np.ndarray, bool]:
+    """Read-only rows F, h*F', h**2*F'' of F = q + g(q) on the ray grid; whether their fit is exact.
+
+    On each grid cell the quintic Hermite fit of F through these rows at
+    the cell's two ends differs from F by at most
+    B = h**6/46080 * sum of a*(pi*d)**5 (F's sixth derivative is at most
+    the sum, and (q - lo)**3 * (q - hi)**3 at most (h/2)**6, over 6!).
+    The fit is exact when B <= ``_RAY_TABLE_ROUNDING``, a tenth of F's
+    own rounding: true for the ten sources 3 apart (B = 2.5e-19) and for
+    an equal two-slit pair up to about 54 apart; false for thirty sources
+    3 apart (1.8e-16) and two sources 200 apart (7e-15).  Built once per
+    pair table.
+    """
     grid = np.linspace(-1.0, 1.0, _RAY_TABLE_INTERVALS + 1)
-    table = grid + _memory_force(grid, amps, deltas)
+    table = np.empty((3, len(grid)))
+    value, slope, curve = table
+    np.add(grid, _memory_force(grid, amps, deltas), out=value)
+    np.multiply(_fringe(grid, amps, deltas), _RAY_CELL, out=slope)
+    curve.fill(0.0)
+    for amp, delta in zip(amps, deltas):
+        curve -= amp * math.pi * delta * _RAY_CELL**2 * np.sin(math.pi * delta * grid)
     table.flags.writeable = False
-    return table
+    bound = _RAY_CELL**6 / 46080 * sum(a * (math.pi * d) ** 5 for a, d in zip(amps, deltas))
+    return table, bound <= _RAY_TABLE_ROUNDING
+
+
+def _newton(residual, x: np.ndarray, lo, hi, tol: float, *per_ray) -> np.ndarray:
+    """Safeguarded Newton roots of ``residual(x, *per_ray) -> (f, slope)`` in brackets [lo, hi].
+
+    ``lo`` and ``hi`` are arrays or scalars.  ``per_ray`` holds arrays
+    whose last axis runs over the rays; they are cut down with x as rays
+    finish.  A ray is done at the first x where |f| <= ``tol``, or where
+    its own step leaves it in place, which ends a ray whose float
+    neighbours all miss ``tol``.  A step that would leave the bracket
+    bisects it instead, and every step lands inside a bracket that
+    shrinks, so each ray stops.
+    """
+    root = np.empty_like(x)
+    rows = np.arange(len(x))
+    while len(rows):
+        f, slope = residual(x, *per_ray)
+        lo = np.where(f < 0, x, lo)
+        hi = np.where(f > 0, x, hi)
+        newton = x - np.divide(f, slope, out=np.full_like(f, np.inf), where=slope > 0)
+        inside = (newton > lo) & (newton < hi) | (newton == x)  # x may sit on lo or hi
+        step = np.where(inside, newton, 0.5 * (lo + hi))
+        done = (np.abs(f) <= tol) | (step == x)
+        if done.any():
+            root[rows[done]] = x[done]
+            open_ = ~done
+            rows, step, lo, hi = rows[open_], step[open_], lo[open_], hi[open_]
+            per_ray = [a[..., open_] for a in per_ray]
+        x = step
+    return root
+
+
+def _cell_fits(table: np.ndarray, cell: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Linear-interpolation start in [0, 1], and coefficient rows of P(t) - p, per ray.
+
+    P is the quintic on t in [0, 1] whose value, slope and curvature match
+    the table rows F, h*F', h**2*F'' at both ends of the ray's cell.  Its
+    top coefficients come from differences of the end rows, taken before
+    any scaling, so P keeps the rows' rounding.
+    """
+    value, slope, curve = table
+    top = cell + 1
+    y0, d0, s0 = value[cell], slope[cell], curve[cell]
+    rise = value[top] - y0
+    start = np.divide(p - y0, rise, out=np.full_like(p, 0.5), where=rise > 0)
+    np.minimum(np.maximum(start, 0.0, out=start), 1.0, out=start)
+    jump = rise - d0 - 0.5 * s0
+    bend = slope[top] - d0 - s0
+    twist = curve[top] - s0
+    coef = np.empty((6, len(p)))
+    np.subtract(y0, p, out=coef[0])
+    coef[1] = d0
+    np.multiply(0.5, s0, out=coef[2])
+    coef[3] = 10.0 * jump - 4.0 * bend + 0.5 * twist
+    coef[4] = -15.0 * jump + 7.0 * bend - twist
+    coef[5] = 6.0 * jump - 3.0 * bend + 0.5 * twist
+    return start, coef
+
+
+def _quintic(t: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and slope at t of the polynomials with coefficient rows ``coef``, constant first."""
+    value, slope = coef[-1], 0.0
+    for power in range(len(coef) - 2, -1, -1):
+        slope = slope * t + value
+        value = value * t + coef[power]
+    return value, slope
+
+
+def _fit_steps(t: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Two plain Newton steps from t on the cell fits ``coef``, each clipped to the cell.
+
+    On an exact table they leave all but a few rays per 100k within
+    ``_RAY_TABLE_ROUNDING`` of the fit's root; those few sit near a fringe
+    zero or at an end of the table.  They make about half the numpy calls
+    of ``_newton`` and hold fewer block-length arrays, which keeps a
+    threaded trained run's peak RSS down.
+    """
+    for _ in range(2):
+        f, slope = _quintic(t, coef)
+        t = t - np.divide(f, slope, out=np.zeros_like(f), where=slope > 0)
+        np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+    return t
 
 
 def _solve_rays(p0: np.ndarray, amps: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -176,38 +285,46 @@ def _solve_rays(p0: np.ndarray, amps: np.ndarray, deltas: np.ndarray) -> np.ndar
 
     F is nondecreasing for any valid source weighting (its slope is the
     fringe law, 2*tau times the arrival density, so nonnegative) and
-    equals q at q = +/-1, so every |p0| <= 1 has a root in [-1, 1].  A
-    table of F on a fixed grid brackets each root in one cell; safeguarded
-    Newton with slope ``_fringe`` polishes it, bisecting the bracket when
-    a step would leave it.  Every step lands strictly inside a bracket
-    that shrinks, so each ray stops; near a fringe zero F is locally cubic
-    and Newton takes up to ~60 steps.  Rays are polished in blocks and
+    equals q at q = +/-1, so every |p0| <= 1 has a root in [-1, 1].  One
+    ``searchsorted`` in the cached ``_ray_table`` brackets each root in a
+    grid cell, and ``_fit_steps`` takes two Newton steps on the cell's
+    quintic Hermite fit of F.  Safeguarded ``_newton`` then finishes the
+    rays.  When the fit's error bound B = h**6/46080 * sum of
+    a*(pi*d)**5 is at most ``_RAY_TABLE_ROUNDING`` (1e-17), it finishes
+    the few rays left above that residual on the fit itself, so no ray
+    evaluates a sine or cosine.  Otherwise (e.g. thirty sources 3 apart,
+    or an equal two-slit pair more than about 54 apart) it finishes every
+    ray on the pair sum, slope ``_fringe``, inside the same cell, to a
+    residual of ``_RAY_SUM_ROUNDING`` or, where no float gets that close,
+    to the float its own step leaves in place.  From the steps' point that
+    takes about 1.1 to 1.7 pair-sum evaluations per ray, against about 3
+    from the cell's linear interpolation.  Rays are solved in blocks and
     each stops on its own, so a ray's result depends on its own p0 only.
     The table is cached per pair table, so the shards of a run share it.
     """
-    grid = np.linspace(-1.0, 1.0, _RAY_TABLE_INTERVALS + 1)
     with _RAY_TABLE_LOCK:
-        table = _ray_table(tuple(amps), tuple(deltas))
+        table, exact = _ray_table(tuple(amps), tuple(deltas))
+
+    def pair_sum(x, p):
+        return x - p + _memory_force(x, amps, deltas), _fringe(x, amps, deltas)
+
     q = np.empty_like(p0)
-    for start in range(0, len(p0), _RAY_BLOCK):
-        p = p0[start : start + _RAY_BLOCK]
-        cell = np.clip(np.searchsorted(table, p, side="right") - 1, 0, _RAY_TABLE_INTERVALS - 1)
-        lo, hi = grid[cell], grid[cell + 1]
-        rise = table[cell + 1] - table[cell]
-        frac = np.divide(p - table[cell], rise, out=np.full_like(p, 0.5), where=rise > 0)
-        x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
-        todo = np.arange(start, start + len(p))
-        while len(todo):
-            f = x - p + _memory_force(x, amps, deltas)
-            slope = _fringe(x, amps, deltas)
-            lo = np.where(f < 0, x, lo)
-            hi = np.where(f > 0, x, hi)
-            newton = x - np.divide(f, slope, out=np.full_like(f, np.inf), where=slope > 0)
-            inside = (newton > lo) & (newton < hi) | (newton == x)  # x may sit on lo or hi
-            step = np.where(inside, newton, 0.5 * (lo + hi))
-            done = np.abs(step - x) <= _RAY_STEP_TOL
-            q[todo[done]] = step[done]
-            todo, p, x, lo, hi = (a[~done] for a in (todo, p, step, lo, hi))
+    for first in range(0, len(p0), _RAY_BLOCK):
+        p = p0[first : first + _RAY_BLOCK]
+        # on the inner grid points, p below F(-1) lands in cell 0 and p from F(1) in the last cell
+        cell = np.searchsorted(table[0, 1:-1], p, side="right")
+        start, coef = _cell_fits(table, cell, p)
+        t = _fit_steps(start, coef)
+        lo = cell * _RAY_CELL - 1.0
+        if exact:
+            open_ = np.abs(_quintic(t, coef)[0]) > _RAY_TABLE_ROUNDING
+            if open_.any():
+                t[open_] = _newton(_quintic, t[open_], 0.0, 1.0, _RAY_TABLE_ROUNDING, coef[:, open_])
+            q[first : first + len(p)] = lo + t * _RAY_CELL
+        else:
+            q[first : first + len(p)] = _newton(
+                pair_sum, lo + t * _RAY_CELL, lo, lo + _RAY_CELL, _RAY_SUM_ROUNDING, p
+            )
     return q
 
 

@@ -487,6 +487,22 @@ def test_trained_run_builds_its_ray_table_once(monkeypatch):
     assert sum(builds) == 1 and np.array_equal(first.counts, again.counts)
 
 
+def test_trained_run_builds_its_pair_table_once(monkeypatch):
+    # the run builds its pair table and source arrays once and hands them
+    # to all 64 shards, on two threads too
+    calls = []
+    terms = qforce._pair_terms
+
+    def counting(sources):
+        calls.append(len(sources))
+        return terms(sources)
+
+    monkeypatch.setattr(qforce, "_pair_terms", counting)
+    cfg = ScenarioConfig("multi-slit", 640, 30, [(0, 0.2), (7, 0.3), (19, 0.5)], seed=11)
+    run_trained_slits(cfg, shards=64, threads=2)
+    assert calls == [3]
+
+
 def test_trained_per_tick_reference_settles_on_solved_rays():
     # the slow reference of trained mode steps every walker under the
     # converged memory; its sample momentum closes in on the ray q* the

@@ -17,6 +17,9 @@ from latticemc.qforce import _RING_FORCE_SLACK
 
 EQUAL_PAIR = [(1, 0.5), (-1, 0.5)]
 TEN_SOURCES = [(s, 0.1) for s in range(-15, 13, 3)]
+TWO_SOURCES_200_APART = [(100, 0.5), (-100, 0.5)]
+THIRTY_SOURCES_3_APART = [(3 * i, 1 / 30) for i in range(30)]
+THIRTY_SOURCES_11_APART = [(11 * i, 1 / 30) for i in range(30)]
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +272,16 @@ def test_propensity_guards_reject_nan_and_out_of_range():
 @pytest.mark.parametrize(
     "sources",
     [[(1, 0.5), (-1, 0.5)], [(1, 0.3), (-1, 0.7)], [(4, 0.5), (-4, 0.5)], [(4, 0.3), (-4, 0.7)],
-     TEN_SOURCES],
-    ids=["d2", "d2-unequal", "d8", "d8-unequal", "ten-sources"],
+     TEN_SOURCES, TWO_SOURCES_200_APART, THIRTY_SOURCES_3_APART, THIRTY_SOURCES_11_APART],
+    ids=["d2", "d2-unequal", "d8", "d8-unequal", "ten-sources", "d200", "thirty-3-apart",
+         "thirty-11-apart"],
 )
 def test_solve_rays_matches_bisection_residuals(sources):
     # compare residuals |F(q) - p0|, not q: at a fringe zero F is locally
     # cubic and every q in a window about 1e-5 wide solves F(q) = p0 to
     # rounding.  p0 = +/-1 sits on a fringe zero of the ten-source row.
+    # The first five tables are exact, so their rays come off the table
+    # alone; the last three are not, and the pair sum finishes them.
     amps, deltas = scenarios._pair_terms(sources)
     grid = np.linspace(-1.0, 1.0, 200_001)
     flat = grid[np.argsort(scenarios._fringe(grid, amps, deltas))[:50]]
@@ -348,6 +354,37 @@ def test_ray_table_is_built_once_under_concurrent_solves(monkeypatch):
     assert not any(worker.is_alive() for worker in workers)
     assert sum(builds) == 1
     assert all(np.array_equal(q, results[0]) for q in results)
+
+
+@pytest.mark.parametrize(
+    "sources,finished",
+    [(TEN_SOURCES, False), (TWO_SOURCES_200_APART, True)],
+    ids=["ten-sources", "d200"],
+)
+def test_solve_rays_reads_exact_tables_without_the_pair_sum(monkeypatch, sources, finished):
+    # on an exact table no ray array reaches the pair sum; on an inexact
+    # one the pair sum finishes every ray inside its table cell
+    amps, deltas = scenarios._pair_terms(sources)
+    _, exact = scenarios._ray_table(tuple(amps), tuple(deltas))
+    assert exact is not finished
+    calls = []
+
+    def counted(name):
+        law = getattr(scenarios, name)
+
+        def counting(q, amps, deltas):
+            calls.append(name)
+            return law(q, amps, deltas)
+
+        return counting
+
+    for name in ("_memory_force", "_fringe"):
+        monkeypatch.setattr(scenarios, name, counted(name))
+    p0 = np.random.default_rng(14).uniform(-1.0, 1.0, 20_000)
+    q = scenarios._solve_rays(p0, amps, deltas)
+    assert sorted(set(calls)) == (["_fringe", "_memory_force"] if finished else [])
+    monkeypatch.undo()
+    assert np.abs(q - p0 + scenarios._memory_force(q, amps, deltas)).max() <= 1e-14
 
 
 def test_mean_motion_converges_to_locked_ray():

@@ -149,11 +149,13 @@ def test_empty_shards_are_not_seeded():
         assert peak < 2 * 2**20, (n, shards, threads)
 
 
+_TRAINED_SLITS = qforce._slit_arrays([(-3, 0.3), (1, 0.2), (4, 0.5)])
+
 # one shard function per kind of run, with its light cone
 _SHARDS = {
     "free": (lambda n, rng: walker._simulate_free_shard(n, 30, None, 0, rng), light_cone(0, 0, 30)),
     "trained": (
-        lambda n, rng: qforce._trained_shard([(-3, 0.3), (1, 0.2), (4, 0.5)], n, 30, rng),
+        lambda n, rng: qforce._trained_shard(_TRAINED_SLITS, n, 30, rng),
         light_cone(-3, 4, 30),
     ),
 }
