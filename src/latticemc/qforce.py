@@ -47,8 +47,8 @@ import numpy as np
 
 from .stats import Histogram
 from .walker import _bracket_moves, _run_shards, endpoint_displacement, move
-from .scenarios import (SLIT_KINDS, ScenarioConfig, _memory_force, _pair_terms, _solve_rays,
-                        ring_memory_force)
+from .scenarios import (SLIT_KINDS, ScenarioConfig, _memory_force, _pair_terms, _ray_table,
+                        _solve_rays, ring_memory_force)
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +229,19 @@ def visit(lattice: TrainingLattice, particle: ParticleState) -> int | None:
 # trained mode (vectorized, no lattice state)
 
 
-def _slit_arrays(sources) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(sites, weights, amplitudes, separations) of a source list: what trained shards read."""
+def _slit_arrays(sources) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(sites, weights, ray table) of a source list: what trained shards read.
+
+    The ray table is ``_ray_table`` of the source list's pair table; a
+    run builds both once, here, and every shard's ``_solve_rays`` reads it.
+    """
     sites = np.array([s for s, _ in sources], dtype=np.int64)
     weights = np.array([w for _, w in sources], dtype=float)
-    return (sites, weights, *_pair_terms(sources))
+    return sites, weights, _ray_table(*_pair_terms(sources))
 
 
 def _trained_shard(
-    slits: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    slits: tuple[np.ndarray, np.ndarray, tuple],
     n_particles: int,
     n_steps: int,
     rng: np.random.Generator,
@@ -252,11 +256,11 @@ def _trained_shard(
     the converged memory, whose force pulls each walker back toward its
     ray, so its endpoints spread less around q* * n_steps.
     """
-    sites, weights, amps, deltas = slits
+    sites, weights, table = slits
     src = rng.choice(len(sites), size=n_particles, p=weights)
     # p0 dies with the solve and the sites are added in place, so the
     # endpoint draw runs beside two fewer shard-long arrays
-    q_star = _solve_rays(rng.uniform(-1.0, 1.0, n_particles), amps, deltas)
+    q_star = _solve_rays(rng.uniform(-1.0, 1.0, n_particles), table)
     final = endpoint_displacement(rng, n_steps, q_star)
     final += sites[src]
     return final
@@ -266,7 +270,8 @@ def run_trained_slits(config: ScenarioConfig, shards: int = 1, threads: int = 1)
     """Trained-mode interference run; returns the Histogram of final sites on ``config.cone``.
 
     Each shard is one ``_trained_shard`` call; the run builds the source
-    arrays and the pair table once and every shard reads them.
+    arrays, the pair table and its ray table once, in ``_slit_arrays``,
+    and every shard reads them.
     """
     if config.kind not in SLIT_KINDS:
         raise ValueError("run_trained_slits handles slit scenarios only")

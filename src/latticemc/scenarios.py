@@ -10,9 +10,7 @@ preparation momentum to the ray gives the fringe densities.
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,14 +164,12 @@ def _fringe(q, amps: np.ndarray, deltas: np.ndarray):
 _RAY_TABLE_INTERVALS = 2**14  # grid cells of q + g(q) on [-1, 1] that bracket the rays
 _RAY_CELL = 2.0 / _RAY_TABLE_INTERVALS  # cell width h, a power of two: grid point k is k*h - 1
 _RAY_BLOCK = 1024  # rays solved together; bounds the solver's working set and peak RSS
-_RAY_TABLE_ROUNDING = 1e-17  # a tenth of F's rounding: an exact table's fit error and ray residual
+_RAY_TABLE_ROUNDING = 1e-17  # a tenth of F's rounding: the fit residual that closes a ray
 _RAY_SUM_ROUNDING = 2 * np.finfo(float).eps  # F's own rounding: the residual of a pair-sum ray
-_RAY_TABLE_LOCK = threading.Lock()  # shards on threads wait for one build of a table
 
 
-@functools.lru_cache(maxsize=4)
-def _ray_table(amps: tuple, deltas: tuple) -> tuple[np.ndarray, bool]:
-    """Read-only rows F, h*F', h**2*F'' of F = q + g(q) on the ray grid; whether their fit is exact.
+def _ray_table(amps: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, bool, np.ndarray, np.ndarray]:
+    """(rows, exact, amps, deltas): read-only rows F, h*F', h**2*F'' of F = q + g(q) on the ray grid.
 
     On each grid cell the quintic Hermite fit of F through these rows at
     the cell's two ends differs from F by at most
@@ -182,53 +178,50 @@ def _ray_table(amps: tuple, deltas: tuple) -> tuple[np.ndarray, bool]:
     The fit is exact when B <= ``_RAY_TABLE_ROUNDING``, a tenth of F's
     own rounding: true for the ten sources 3 apart (B = 2.5e-19) and for
     an equal two-slit pair up to about 54 apart; false for thirty sources
-    3 apart (1.8e-16) and two sources 200 apart (7e-15).  Built once per
-    pair table.
+    3 apart (1.8e-16) and two sources 200 apart (7e-15).  A trained run
+    builds one table, and its shards read it; nothing caches it.
     """
     grid = np.linspace(-1.0, 1.0, _RAY_TABLE_INTERVALS + 1)
-    table = np.empty((3, len(grid)))
-    value, slope, curve = table
+    rows = np.empty((3, len(grid)))
+    value, slope, curve = rows
     np.add(grid, _memory_force(grid, amps, deltas), out=value)
     np.multiply(_fringe(grid, amps, deltas), _RAY_CELL, out=slope)
-    curve.fill(0.0)
-    for amp, delta in zip(amps, deltas):
-        curve -= amp * math.pi * delta * _RAY_CELL**2 * np.sin(math.pi * delta * grid)
-    table.flags.writeable = False
+    # F'' = -sum of a*pi*d*sin(pi*d*q): the memory force of amplitudes a*(pi*d)**2
+    np.multiply(_memory_force(grid, amps * (math.pi * deltas) ** 2, deltas), -_RAY_CELL**2, out=curve)
+    rows.flags.writeable = False
     bound = _RAY_CELL**6 / 46080 * sum(a * (math.pi * d) ** 5 for a, d in zip(amps, deltas))
-    return table, bound <= _RAY_TABLE_ROUNDING
+    return rows, bool(bound <= _RAY_TABLE_ROUNDING), amps, deltas
 
 
-def _newton(residual, x: np.ndarray, lo, hi, tol: float, *per_ray) -> np.ndarray:
-    """Safeguarded Newton roots of ``residual(x, *per_ray) -> (f, slope)`` in brackets [lo, hi].
+def _newton(q: np.ndarray, lo: np.ndarray, p: np.ndarray, amps, deltas) -> np.ndarray:
+    """Safeguarded Newton roots of the pair sum F(q) = q + g(q) = p, each in its cell [lo, lo + h].
 
-    ``lo`` and ``hi`` are arrays or scalars.  ``per_ray`` holds arrays
-    whose last axis runs over the rays; they are cut down with x as rays
-    finish.  A ray is done at the first x where |f| <= ``tol``, or where
-    its own step leaves it in place, which ends a ray whose float
-    neighbours all miss ``tol``.  A step that would leave the bracket
-    bisects it instead, and every step lands inside a bracket that
-    shrinks, so each ray stops.
+    The slope is ``_fringe``.  A ray is done at the first q where
+    |F(q) - p| <= ``_RAY_SUM_ROUNDING``, or where its own step leaves it
+    in place, which ends a ray whose float neighbours all miss that.  A
+    step that would leave the bracket bisects it instead, and every step
+    lands inside a bracket that shrinks, so each ray stops.
     """
-    root = np.empty_like(x)
-    rows = np.arange(len(x))
+    root = np.empty_like(q)
+    rows = np.arange(len(q))
+    hi = lo + _RAY_CELL
     while len(rows):
-        f, slope = residual(x, *per_ray)
-        lo = np.where(f < 0, x, lo)
-        hi = np.where(f > 0, x, hi)
-        newton = x - np.divide(f, slope, out=np.full_like(f, np.inf), where=slope > 0)
-        inside = (newton > lo) & (newton < hi) | (newton == x)  # x may sit on lo or hi
+        f, slope = q - p + _memory_force(q, amps, deltas), _fringe(q, amps, deltas)
+        lo = np.where(f < 0, q, lo)
+        hi = np.where(f > 0, q, hi)
+        newton = q - np.divide(f, slope, out=np.full_like(f, np.inf), where=slope > 0)
+        inside = (newton > lo) & (newton < hi) | (newton == q)  # q may sit on lo or hi
         step = np.where(inside, newton, 0.5 * (lo + hi))
-        done = (np.abs(f) <= tol) | (step == x)
+        done = (np.abs(f) <= _RAY_SUM_ROUNDING) | (step == q)
         if done.any():
-            root[rows[done]] = x[done]
+            root[rows[done]] = q[done]
             open_ = ~done
-            rows, step, lo, hi = rows[open_], step[open_], lo[open_], hi[open_]
-            per_ray = [a[..., open_] for a in per_ray]
-        x = step
+            rows, step, lo, hi, p = rows[open_], step[open_], lo[open_], hi[open_], p[open_]
+        q = step
     return root
 
 
-def _cell_fits(table: np.ndarray, cell: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cell_fits(rows: np.ndarray, cell: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linear-interpolation start in [0, 1], and coefficient rows of P(t) - p, per ray.
 
     P is the quintic on t in [0, 1] whose value, slope and curvature match
@@ -236,7 +229,7 @@ def _cell_fits(table: np.ndarray, cell: np.ndarray, p: np.ndarray) -> tuple[np.n
     top coefficients come from differences of the end rows, taken before
     any scaling, so P keeps the rows' rounding.
     """
-    value, slope, curve = table
+    value, slope, curve = rows
     top = cell + 1
     y0, d0, s0 = value[cell], slope[cell], curve[cell]
     rise = value[top] - y0
@@ -269,9 +262,9 @@ def _fit_steps(t: np.ndarray, coef: np.ndarray) -> np.ndarray:
 
     On an exact table they leave all but a few rays per 100k within
     ``_RAY_TABLE_ROUNDING`` of the fit's root; those few sit near a fringe
-    zero or at an end of the table.  They make about half the numpy calls
-    of ``_newton`` and hold fewer block-length arrays, which keeps a
-    threaded trained run's peak RSS down.
+    zero or at an end of the table.  A safeguarded Newton on the fit in
+    their place took about 1.5 times as long on the ten-source table
+    (39 against 25 ms of CPU per 100k rays, on a 2-vCPU host).
     """
     for _ in range(2):
         f, slope = _quintic(t, coef)
@@ -280,51 +273,37 @@ def _fit_steps(t: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return t
 
 
-def _solve_rays(p0: np.ndarray, amps: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Locked ray momenta: roots of F(q) = q + g(q) = p0, elementwise.
+def _solve_rays(p0: np.ndarray, table: tuple) -> np.ndarray:
+    """Locked ray momenta: roots of F(q) = q + g(q) = p0, elementwise, read off ``_ray_table``.
 
     F is nondecreasing for any valid source weighting (its slope is the
     fringe law, 2*tau times the arrival density, so nonnegative) and
-    equals q at q = +/-1, so every |p0| <= 1 has a root in [-1, 1].  One
-    ``searchsorted`` in the cached ``_ray_table`` brackets each root in a
-    grid cell, and ``_fit_steps`` takes two Newton steps on the cell's
-    quintic Hermite fit of F.  Safeguarded ``_newton`` then finishes the
-    rays.  When the fit's error bound B = h**6/46080 * sum of
-    a*(pi*d)**5 is at most ``_RAY_TABLE_ROUNDING`` (1e-17), it finishes
-    the few rays left above that residual on the fit itself, so no ray
-    evaluates a sine or cosine.  Otherwise (e.g. thirty sources 3 apart,
-    or an equal two-slit pair more than about 54 apart) it finishes every
-    ray on the pair sum, slope ``_fringe``, inside the same cell, to a
-    residual of ``_RAY_SUM_ROUNDING`` or, where no float gets that close,
-    to the float its own step leaves in place.  From the steps' point that
-    takes about 1.1 to 1.7 pair-sum evaluations per ray, against about 3
-    from the cell's linear interpolation.  Rays are solved in blocks and
-    each stops on its own, so a ray's result depends on its own p0 only.
-    The table is cached per pair table, so the shards of a run share it.
+    equals q at q = +/-1, so every |p0| <= 1 has a root in [-1, 1].  Each
+    ray is solved one way: one ``searchsorted`` in the table's F row
+    brackets it in a grid cell, ``_fit_steps`` takes two Newton steps on
+    the cell's quintic Hermite fit of F, and ``_newton`` finishes the rays
+    still open on the pair sum, inside the same cell.  On an exact table
+    those are only the rays whose fit residual is above
+    ``_RAY_TABLE_ROUNDING`` (none of 1M rays at an equal pair 2 or 8
+    apart, about 3 per 100k at the ten sources 3 apart); on an inexact
+    one (e.g. thirty sources 3 apart, or an equal pair more than about 54
+    apart) they are every ray.  Rays are solved in blocks and each stops
+    on its own, so a ray's result depends on its own p0 only.  The table
+    is only read, so the shards of a run share it on any threads.
     """
-    with _RAY_TABLE_LOCK:
-        table, exact = _ray_table(tuple(amps), tuple(deltas))
-
-    def pair_sum(x, p):
-        return x - p + _memory_force(x, amps, deltas), _fringe(x, amps, deltas)
-
+    rows, exact, amps, deltas = table
     q = np.empty_like(p0)
     for first in range(0, len(p0), _RAY_BLOCK):
         p = p0[first : first + _RAY_BLOCK]
         # on the inner grid points, p below F(-1) lands in cell 0 and p from F(1) in the last cell
-        cell = np.searchsorted(table[0, 1:-1], p, side="right")
-        start, coef = _cell_fits(table, cell, p)
+        cell = np.searchsorted(rows[0, 1:-1], p, side="right")
+        start, coef = _cell_fits(rows, cell, p)
         t = _fit_steps(start, coef)
         lo = cell * _RAY_CELL - 1.0
-        if exact:
-            open_ = np.abs(_quintic(t, coef)[0]) > _RAY_TABLE_ROUNDING
-            if open_.any():
-                t[open_] = _newton(_quintic, t[open_], 0.0, 1.0, _RAY_TABLE_ROUNDING, coef[:, open_])
-            q[first : first + len(p)] = lo + t * _RAY_CELL
-        else:
-            q[first : first + len(p)] = _newton(
-                pair_sum, lo + t * _RAY_CELL, lo, lo + _RAY_CELL, _RAY_SUM_ROUNDING, p
-            )
+        ray = lo + t * _RAY_CELL
+        open_ = np.abs(_quintic(t, coef)[0]) > _RAY_TABLE_ROUNDING if exact else slice(None)
+        ray[open_] = _newton(ray[open_], lo[open_], p[open_], amps, deltas)
+        q[first : first + len(p)] = ray
     return q
 
 

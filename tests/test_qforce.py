@@ -396,9 +396,9 @@ def _trained_rays(cfg, shards):
         xi.append(shard(*args))
         return xi[-1]
 
-    def solve_spy(p, amps, deltas):
+    def solve_spy(p, table):
         p0.append(p)
-        q_star.append(solve(p, amps, deltas))
+        q_star.append(solve(p, table))
         return q_star[-1]
 
     def sample_spy(rng, n_steps, q):
@@ -450,9 +450,9 @@ def test_trained_rays_solved_once_and_match_every_pair(monkeypatch):
     solved = []
     solve = qforce._solve_rays
 
-    def counting(p0, amps, deltas):
+    def counting(p0, table):
         solved.append(len(p0))
-        return solve(p0, amps, deltas)
+        return solve(p0, table)
 
     monkeypatch.setattr(qforce, "_solve_rays", counting)
     cfg = ScenarioConfig("multi-slit", 3000, 50, TEN_SOURCES, seed=8)
@@ -470,21 +470,21 @@ def test_trained_rays_solved_once_and_match_every_pair(monkeypatch):
 
 
 def test_trained_run_builds_its_ray_table_once(monkeypatch):
-    # the 64 shards of a run share one 16k-point table of the memory force,
-    # on two threads too, and a second run over the same pair table reuses it
+    # the 64 shards of a run share one ray table, on two threads too, and
+    # a second run over the same sources builds its own
     builds = []
-    force = scenarios._memory_force
+    table = qforce._ray_table
 
-    def counting(q, amps, deltas):
-        builds.append(np.size(q) == scenarios._RAY_TABLE_INTERVALS + 1)
-        return force(q, amps, deltas)
+    def counting(amps, deltas):
+        builds.append(len(amps))
+        return table(amps, deltas)
 
-    monkeypatch.setattr(scenarios, "_memory_force", counting)
+    monkeypatch.setattr(qforce, "_ray_table", counting)
     cfg = ScenarioConfig("multi-slit", 640, 30, [(0, 0.2), (7, 0.3), (19, 0.5)], seed=11)
     first = run_trained_slits(cfg, shards=64, threads=2)
-    assert sum(builds) == 1
+    assert builds == [3]
     again = run_trained_slits(cfg, shards=64)
-    assert sum(builds) == 1 and np.array_equal(first.counts, again.counts)
+    assert builds == [3, 3] and np.array_equal(first.counts, again.counts)
 
 
 def test_trained_run_builds_its_pair_table_once(monkeypatch):
@@ -509,7 +509,7 @@ def test_trained_per_tick_reference_settles_on_solved_rays():
     # trained shortcut samples at, the more the longer it walks
     amps, deltas = _pair_terms(two_slit_config(delta=2).sources)
     p0 = np.random.default_rng(30).uniform(-1.0, 1.0, 2000)
-    q_star = qforce._solve_rays(p0, amps, deltas)
+    q_star = qforce._solve_rays(p0, scenarios._ray_table(amps, deltas))
     gaps = []
     for tau in (100, 300):
         counter = oracles.trained_per_tick(p0, amps, deltas, tau, np.random.default_rng(tau))

@@ -3,7 +3,6 @@
 import importlib.util
 import math
 import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -240,9 +239,14 @@ def test_finite_time_density_converges_to_fringe_law():
 # ray locking
 
 
+def _solve_rays(p0, amps, deltas):
+    """The locked rays of preparations ``p0`` under the pair table (amps, deltas)."""
+    return scenarios._solve_rays(p0, scenarios._ray_table(amps, deltas))
+
+
 def _solve_ray(p, sources):
     """The locked ray of one preparation ``p``."""
-    return float(scenarios._solve_rays(np.array([p]), *scenarios._pair_terms(sources))[0])
+    return float(_solve_rays(np.array([p]), *scenarios._pair_terms(sources))[0])
 
 
 def test_ray_equation_and_solver():
@@ -272,16 +276,18 @@ def test_propensity_guards_reject_nan_and_out_of_range():
 @pytest.mark.parametrize(
     "sources",
     [[(1, 0.5), (-1, 0.5)], [(1, 0.3), (-1, 0.7)], [(4, 0.5), (-4, 0.5)], [(4, 0.3), (-4, 0.7)],
-     TEN_SOURCES, TWO_SOURCES_200_APART, THIRTY_SOURCES_3_APART, THIRTY_SOURCES_11_APART],
-    ids=["d2", "d2-unequal", "d8", "d8-unequal", "ten-sources", "d200", "thirty-3-apart",
+     TEN_SOURCES, [(25, 0.5), (-25, 0.5)], TWO_SOURCES_200_APART, THIRTY_SOURCES_3_APART,
+     THIRTY_SOURCES_11_APART],
+    ids=["d2", "d2-unequal", "d8", "d8-unequal", "ten-sources", "d50", "d200", "thirty-3-apart",
          "thirty-11-apart"],
 )
 def test_solve_rays_matches_bisection_residuals(sources):
     # compare residuals |F(q) - p0|, not q: at a fringe zero F is locally
     # cubic and every q in a window about 1e-5 wide solves F(q) = p0 to
     # rounding.  p0 = +/-1 sits on a fringe zero of the ten-source row.
-    # The first five tables are exact, so their rays come off the table
-    # alone; the last three are not, and the pair sum finishes them.
+    # The first six tables are exact, so most of their rays come off the
+    # table alone (at d 50, about 0.3% are left open for the pair sum);
+    # the last three are not, and the pair sum finishes every ray.
     amps, deltas = scenarios._pair_terms(sources)
     grid = np.linspace(-1.0, 1.0, 200_001)
     flat = grid[np.argsort(scenarios._fringe(grid, amps, deltas))[:50]]
@@ -295,65 +301,30 @@ def test_solve_rays_matches_bisection_residuals(sources):
     def residual(q):
         return np.abs(q - p0 + scenarios._memory_force(q, amps, deltas))
 
-    q = scenarios._solve_rays(p0, amps, deltas)
+    q = _solve_rays(p0, amps, deltas)
     reference = residual(oracles.bisect_rays(p0, amps, deltas))
     assert np.all(residual(q) <= reference + 8 * np.finfo(float).eps)
     half = len(p0) // 2
-    halves = [scenarios._solve_rays(part, amps, deltas) for part in (p0[:half], p0[half:])]
+    halves = [_solve_rays(part, amps, deltas) for part in (p0[:half], p0[half:])]
     assert np.array_equal(q, np.concatenate(halves))
 
 
 def test_solve_rays_working_set_does_not_grow_with_rays():
     # rays are polished in fixed-size blocks, so apart from the returned
-    # array and the once-built table the solver's peak memory is the same
-    # for 15k and 150k rays
-    amps, deltas = scenarios._pair_terms(TEN_SOURCES)
+    # array the solver's peak memory is the same for 15k and 150k rays
+    table = scenarios._ray_table(*scenarios._pair_terms(TEN_SOURCES))
 
     def working_set(n):
         p0 = np.random.default_rng(13).uniform(-1.0, 1.0, n)
         tracemalloc.start()
         try:
-            q = scenarios._solve_rays(p0, amps, deltas)
+            q = scenarios._solve_rays(p0, table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         return peak - q.nbytes
 
-    working_set(1)  # the first solve over a pair table builds its cached ray table
     assert working_set(150_000) <= 1.5 * working_set(15_000)
-
-
-def test_ray_table_is_built_once_under_concurrent_solves(monkeypatch):
-    # more threads than cores miss the cache together, with a short switch
-    # interval; they wait for one build of the table and share it
-    builds = []
-    force = scenarios._memory_force
-
-    def counting(q, amps, deltas):
-        builds.append(np.size(q) == scenarios._RAY_TABLE_INTERVALS + 1)
-        return force(q, amps, deltas)
-
-    monkeypatch.setattr(scenarios, "_memory_force", counting)
-    amps, deltas = scenarios._pair_terms([(0, 0.1), (5, 0.6), (11, 0.3)])
-    p0 = np.linspace(-0.9, 0.9, 64)
-    results = [None] * 8
-
-    def solve(i):
-        results[i] = scenarios._solve_rays(p0, amps, deltas)
-
-    workers = [threading.Thread(target=solve, args=(i,)) for i in range(len(results))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
-    assert sum(builds) == 1
-    assert all(np.array_equal(q, results[0]) for q in results)
 
 
 @pytest.mark.parametrize(
@@ -362,11 +333,12 @@ def test_ray_table_is_built_once_under_concurrent_solves(monkeypatch):
     ids=["ten-sources", "d200"],
 )
 def test_solve_rays_reads_exact_tables_without_the_pair_sum(monkeypatch, sources, finished):
-    # on an exact table no ray array reaches the pair sum; on an inexact
-    # one the pair sum finishes every ray inside its table cell
+    # on the benchmark's exact table no ray of these 20k reaches the pair
+    # sum; on an inexact one the pair sum finishes every ray inside its
+    # table cell
     amps, deltas = scenarios._pair_terms(sources)
-    _, exact = scenarios._ray_table(tuple(amps), tuple(deltas))
-    assert exact is not finished
+    table = scenarios._ray_table(amps, deltas)
+    assert table[1] is not finished
     calls = []
 
     def counted(name):
@@ -381,7 +353,7 @@ def test_solve_rays_reads_exact_tables_without_the_pair_sum(monkeypatch, sources
     for name in ("_memory_force", "_fringe"):
         monkeypatch.setattr(scenarios, name, counted(name))
     p0 = np.random.default_rng(14).uniform(-1.0, 1.0, 20_000)
-    q = scenarios._solve_rays(p0, amps, deltas)
+    q = scenarios._solve_rays(p0, table)
     assert sorted(set(calls)) == (["_fringe", "_memory_force"] if finished else [])
     monkeypatch.undo()
     assert np.abs(q - p0 + scenarios._memory_force(q, amps, deltas)).max() <= 1e-14
