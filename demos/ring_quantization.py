@@ -24,7 +24,8 @@ print(f"{'p':>6} {'locked mean':>12} {'target 2n/ell':>14}")
 for p in (0.05, 0.17, 0.33, 0.61, 0.88):
     run = run_ring(ScenarioConfig("ring", 1, N_STEPS, ell=ELL, p=p, seed=26))
     target = ring_steady_momentum(p, ELL)
-    print(f"{p:6.2f} {run.mean_p_bar:12.4f} {target:14.1f}")
+    mean = run.locked_summary()[0]
+    print(f"{p:6.2f} {mean:12.4f} {target:14.1f}")
 
 # ---------------------------------------------------------------------------
 # 2. the lock-in transient: sample momentum vs tick count
@@ -35,7 +36,7 @@ p_bar = run.p_bar  # built from the move trace on each read
 for mark in (100, 1000, 10000, N_STEPS - 1):
     print(f"  after {mark:6d} ticks: counter/tau = {p_bar[mark]:.4f}")
 
-centers, counts = run.momentum_histogram()
+_, centers, counts = run.locked_summary()
 peak = centers[np.argmax(counts)]
 print(f"  second-half momentum histogram peaks at {peak:.2f}")
 
@@ -50,5 +51,6 @@ for p in (0.22, 0.37, 0.68):
     # the folded walk reaches both walls and never jumps a site, so it reflects there
     pos = run.positions
     inside = pos.min() == 0 and pos.max() == 5 and (np.abs(np.diff(pos)) <= 1).all()
-    print(f"  p={p:4.2f}: locked mean {run.mean_p_bar:7.4f}  target {target:4.1f}  "
+    mean = run.locked_summary()[0]
+    print(f"  p={p:4.2f}: locked mean {mean:7.4f}  target {target:4.1f}  "
           f"walker stayed inside: {inside}")

@@ -121,12 +121,6 @@ def ensemble_probability(xi, tau: int):
     return _scalar_or_array(xi, out)
 
 
-def qm_lattice_density(tau: int) -> float:
-    """Flat wave-packet density 1/(2*tau) the ensemble law converges to."""
-    tau = _check_tau(tau)
-    return 1.0 / (2.0 * tau)
-
-
 # ---------------------------------------------------------------------------
 # accumulated energy (number of moving ticks) given the arrival site
 

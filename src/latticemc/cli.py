@@ -331,14 +331,14 @@ def _execute_interfere(params: dict) -> None:
             print(f"interfere: a {config.kind} run follows one walker in converged memory; "
                   "--n-particles and --mode are ignored", file=sys.stderr)
         run = qforce.run_ring(config)
-        centers, counts = run.momentum_histogram()
+        mean_p_bar, centers, counts = run.locked_summary()
         target = ring_steady_momentum(config.p, config.period)
         summary = {
             "scenario": config.kind,
             "ell": config.ell,
             "p": config.p,
             "n_steps": config.n_steps,
-            "mean_p_bar": run.mean_p_bar,
+            "mean_p_bar": mean_p_bar,
             "quantized_target": target,
         }
         line = (
@@ -347,7 +347,7 @@ def _execute_interfere(params: dict) -> None:
         )
         _write_outputs(
             params, "interfere", ["pbar", "count", "frequency"],
-            [centers, counts, counts / max(1, counts.sum())], summary, line,
+            [centers, counts, counts / counts.sum()], summary, line,
         )
         return
 

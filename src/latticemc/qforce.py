@@ -361,11 +361,11 @@ class BoundRun:
     ``moves[t]`` is the int8 move (+1, 0 or -1) of tick t+1, on a ring of
     ``period`` sites.  ``counters[t]`` is the displacement counter after
     tick t+1, built from the moves on each read.  ``p_bar[t]`` is the
-    sample momentum counter/tau after tick t+1; ``mean_p_bar`` and
-    ``momentum_histogram`` read it over the locked half of the run, ticks
-    n//2 ... n-1, after the lock-in transient.  ``positions[t]`` is the
-    walker's site after tick t+1: the counter wrapped onto [0, period),
-    and folded back into [0, period/2] when ``folded`` (a box).
+    sample momentum counter/tau after tick t+1; ``locked_summary`` reads
+    it over the locked half of the run, ticks n//2 ... n-1, after the
+    lock-in transient.  ``positions[t]`` is the walker's site after tick
+    t+1: the counter wrapped onto [0, period), and folded back into
+    [0, period/2] when ``folded`` (a box).
     """
 
     moves: np.ndarray
@@ -378,44 +378,39 @@ class BoundRun:
 
     @property
     def p_bar(self) -> np.ndarray:
-        return self.counters / np.arange(1, len(self.moves) + 1)
-
-    @property
-    def mean_p_bar(self) -> float:
-        return float(self._locked_p_bar().mean())
+        return self._p_bar_from(0)
 
     @property
     def positions(self) -> np.ndarray:
         wrapped = self.counters % self.period
         return np.minimum(wrapped, self.period - wrapped) if self.folded else wrapped
 
-    def momentum_histogram(self):
-        """(centers, counts) histogram of the locked half's sample momenta."""
+    def locked_summary(self):
+        """(mean, centers, counts) of the locked half's sample momenta, built once."""
         width = 0.02
         edges = np.arange(-1.0 - width / 2.0, 1.0 + width, width)
-        p_bar = self._locked_p_bar()
+        p_bar = self._p_bar_from(len(self.moves) // 2)
         counts = np.zeros(len(edges) - 1, dtype=np.int64)
         for start in range(0, len(p_bar), _RING_BLOCK):
             counts += np.histogram(p_bar[start : start + _RING_BLOCK], bins=edges)[0]
         centers = (edges[:-1] + edges[1:]) / 2.0
-        return centers, counts
+        return float(p_bar.mean()), centers, counts
 
-    def _locked_p_bar(self) -> np.ndarray:
-        """``p_bar[n//2:]``, built one block of counters at a time, never the whole trace.
+    def _p_bar_from(self, first: int) -> np.ndarray:
+        """``p_bar[first:]``, built one block of counters at a time, never the whole counter trace.
 
         Each block's counters are divided into the one output array against
-        float taus, which are exact below 2**53, so it equals the slice of
-        ``p_bar`` bit for bit.
+        float taus, which are exact below 2**53, so any slice equals
+        ``counters / np.arange(1, n + 1)`` bit for bit.
         """
         n = len(self.moves)
-        half = n // 2
-        out = np.empty(n - half)
-        counter = int(self.moves[:half].sum(dtype=np.int64))
-        for start in range(half, n, _RING_BLOCK):
+        out = np.empty(n - first)
+        counter = int(self.moves[:first].sum(dtype=np.int64))
+        for start in range(first, n, _RING_BLOCK):
             counters = counter + np.cumsum(self.moves[start : start + _RING_BLOCK], dtype=np.int64)
             stop = start + len(counters)
             taus = np.arange(start + 1, stop + 1, dtype=float)
-            np.divide(counters, taus, out=out[start - half : stop - half])
+            np.divide(counters, taus, out=out[start - first : stop - first])
             counter = int(counters[-1])
         return out
 

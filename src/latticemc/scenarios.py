@@ -179,7 +179,7 @@ def _ray_table(amps: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, bool, 
     own rounding: true for the ten sources 3 apart (B = 2.5e-19) and for
     an equal two-slit pair up to about 54 apart; false for thirty sources
     3 apart (1.8e-16) and two sources 200 apart (7e-15).  A trained run
-    builds one table, and its shards read it; nothing caches it.
+    builds one table before its shards start, and every shard reads it.
     """
     grid = np.linspace(-1.0, 1.0, _RAY_TABLE_INTERVALS + 1)
     rows = np.empty((3, len(grid)))

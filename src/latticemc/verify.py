@@ -15,6 +15,7 @@ import numpy as np
 
 from . import analytic, qforce
 from .lattice import transition_probs
+from .qm_oracle import qm_multi_source
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def _check_pmf() -> list[Check]:
         Check(
             "pmf",
             "ensemble_flatness",
-            analytic.ensemble_probability(0, tau) / analytic.qm_lattice_density(tau),
+            analytic.ensemble_probability(0, tau) / qm_multi_source(0, tau, [(0, 1.0)]),
             1.0,
             1.0 / (2 * tau),
         )

@@ -10,7 +10,8 @@ tabulated bracket, ``trained_per_tick`` and ``mean_motion`` step a walk
 under the converged memory force, ``ring_per_tick`` steps every tick of
 a bound walk where ``qforce.run_ring`` decides most of them in a bracket,
 ``locked_half_summary`` reads the whole sample-momentum trace where
-``qforce.BoundRun`` builds its locked half one block at a time,
+``qforce.BoundRun.locked_summary`` builds its locked half one block at
+a time,
 ``ray_equation`` writes the two-source ray condition out by hand,
 ``ring_limit_sum`` sums a finite train of ring sources, and
 ``run_shards_spawned`` builds every shard's generator before running
@@ -166,7 +167,7 @@ def ring_per_tick(config) -> np.ndarray:
 
 
 def locked_half_summary(counters: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Slow reference of ``BoundRun.mean_p_bar`` and ``BoundRun.momentum_histogram``.
+    """Slow reference of ``BoundRun.locked_summary``.
 
     Builds the whole sample-momentum trace counter/tau and reads its
     second half, ticks n//2 ... n-1: returns its mean and the (centers,

@@ -9,6 +9,7 @@ import scipy.stats
 
 from latticemc import analytic
 from latticemc.lattice import transition_probs
+from latticemc.qm_oracle import qm_multi_source
 
 import oracles
 
@@ -107,7 +108,7 @@ def test_ensemble_probability_is_flat():
 
 def test_ensemble_vs_qm_density_gap():
     for tau in (100, 1000, 10000):
-        ratio = analytic.ensemble_probability(0, tau) / analytic.qm_lattice_density(tau)
+        ratio = analytic.ensemble_probability(0, tau) / qm_multi_source(0, tau, [(0, 1.0)])
         assert abs(ratio - 1.0) <= 1.0 / (2 * tau)
 
 

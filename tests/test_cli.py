@@ -192,6 +192,24 @@ def test_interfere_box_reports_lock(tmp_path, capsys):
     assert "interfere: box ell=5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind, ell", [("ring", "10"), ("box", "5")])
+def test_interfere_bound_run_builds_its_locked_half_once(tmp_path, monkeypatch, kind, ell):
+    # the mean, the histogram and the JSON summary all read one locked half
+    build = qforce.BoundRun._p_bar_from
+    firsts = []
+
+    def spy(run, first):
+        firsts.append(first)
+        return build(run, first)
+
+    monkeypatch.setattr(qforce.BoundRun, "_p_bar_from", spy)
+    assert cli.main([
+        "interfere", "--scenario", kind, "--ell", ell, "--p", "0.37", "--n-steps", "20000",
+        "--out", str(tmp_path / "run.csv"), "--json", str(tmp_path / "run.json"),
+    ]) == 0
+    assert firsts == [20000 // 2]
+
+
 @pytest.mark.parametrize("kind", ["ring", "box"])
 def test_interfere_bound_run_notes_it_is_sequential(tmp_path, capsys, kind):
     # shards and threads cannot split one walk, and a run of one walker in

@@ -688,7 +688,7 @@ def test_ring_locks_to_quantized_momentum(p):
     cfg = oracles.bound_config("ring", ell=10, p=p, n_steps=100000, seed=26)
     run = run_ring(cfg)
     target = ring_steady_momentum(p, 10)
-    assert run.mean_p_bar == pytest.approx(target, abs=0.05)
+    assert run.locked_summary()[0] == pytest.approx(target, abs=0.05)
     # the wrapped walk visits every site and steps at most one site per
     # tick, crossing the seam between sites ell-1 and 0 as one step
     steps = np.diff(run.positions)
@@ -699,14 +699,14 @@ def test_ring_locks_to_quantized_momentum(p):
 def test_ring_momentum_histogram_peaks_at_ray():
     cfg = oracles.bound_config("ring", ell=10, p=0.33, n_steps=100000, seed=27)
     run = run_ring(cfg)
-    centers, counts = run.momentum_histogram()
+    _, centers, counts = run.locked_summary()
     assert centers[np.argmax(counts)] == pytest.approx(0.4, abs=0.05)
 
 
 def test_box_locks_to_half_spacing():
     cfg = oracles.bound_config("box", ell=5, p=0.37, n_steps=100000, seed=28)
     run = run_ring(cfg)
-    assert run.mean_p_bar == pytest.approx(0.4, abs=0.1)
+    assert run.locked_summary()[0] == pytest.approx(0.4, abs=0.1)
     # the folded walk reaches both walls and steps at most one site per
     # tick, so it reflects at each wall instead of jumping
     assert run.positions.min() == 0 and run.positions.max() == 5
@@ -755,10 +755,10 @@ def test_bound_walk_pinned_paths(kind):
         folded = counter % (2 * cfg.ell)
         positions = np.where(folded <= cfg.ell, folded, 2 * cfg.ell - folded)
     assert np.array_equal(run.positions, positions)
-    assert run.mean_p_bar == mean_short
+    assert run.locked_summary()[0] == mean_short
 
     long_run = runner(replace(cfg, n_steps=20000))
-    assert long_run.mean_p_bar == mean_long
+    assert long_run.locked_summary()[0] == mean_long
     assert np.rint(long_run.p_bar[-1] * 20000) == final_counter
     assert np.bincount(long_run.positions).tolist() == occupancy
 
@@ -792,16 +792,18 @@ def test_run_ring_matches_per_tick_reference(name):
 
 @pytest.mark.parametrize("name", sorted(BRACKET_CONFIGS))
 def test_locked_half_summary_matches_whole_trace_reference(name):
-    # the block-built locked half equals the whole trace's second half bit
-    # for bit: one tick, runs whose half sits at and around a block edge,
-    # and an odd length past three blocks
+    # the block-built trace and locked half equal the whole trace and its
+    # second half bit for bit: one tick, runs whose half sits at and around
+    # a block edge, and an odd length past three blocks
     block = qforce._RING_BLOCK
     for n_steps in (1, 2 * block - 1, 2 * block, 2 * block + 1, 3 * block + 777):
         cfg = replace(BRACKET_CONFIGS[name], n_steps=n_steps, seed=n_steps % 97)
         run = run_ring(cfg)
-        mean, centers, counts = oracles.locked_half_summary(oracles.ring_per_tick(cfg))
-        assert run.mean_p_bar == mean
-        got_centers, got_counts = run.momentum_histogram()
+        counters = oracles.ring_per_tick(cfg)
+        assert np.array_equal(run.p_bar, counters / np.arange(1, n_steps + 1))
+        mean, centers, counts = oracles.locked_half_summary(counters)
+        got_mean, got_centers, got_counts = run.locked_summary()
+        assert got_mean == mean
         assert np.array_equal(got_centers, centers) and np.array_equal(got_counts, counts)
         assert got_counts.sum() == n_steps - n_steps // 2
 
@@ -832,9 +834,9 @@ def test_run_ring_working_set_does_not_grow_with_ticks():
 
 def test_ring_run_and_summary_keep_a_few_bytes_per_tick():
     # one byte of move trace per tick plus one float per locked-half tick:
-    # the run and both summaries together grow by at most 6 bytes a tick
+    # the run and its summary together grow by at most 6 bytes a tick
     def peak(n):
-        return _ring_peak(n, lambda run: (run.mean_p_bar, run.momentum_histogram()))[1]
+        return _ring_peak(n, lambda run: run.locked_summary())[1]
 
     peak(100)  # the first run in a process also allocates one-off state
     assert peak(300_000) - peak(30_000) <= 6 * 270_000
