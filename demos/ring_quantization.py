@@ -32,9 +32,9 @@ for p in (0.05, 0.17, 0.33, 0.61, 0.88):
 
 run = run_ring(ScenarioConfig("ring", 1, N_STEPS, ell=ELL, p=0.33, seed=26))
 print("\nlock-in of p=0.33 toward 0.4 (log-time relaxation):")
-p_bar = run.p_bar  # built from the move trace on each read
+counters = run.counters  # built from the move trace on each read
 for mark in (100, 1000, 10000, N_STEPS - 1):
-    print(f"  after {mark:6d} ticks: counter/tau = {p_bar[mark]:.4f}")
+    print(f"  after {mark:6d} ticks: counter/tau = {counters[mark] / (mark + 1):.4f}")
 
 _, centers, counts = run.locked_summary()
 peak = centers[np.argmax(counts)]

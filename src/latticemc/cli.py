@@ -61,18 +61,18 @@ def _load_config(path: str) -> dict[str, str]:
     """Read flat ``key = value`` lines; '#' starts a comment."""
     values: dict[str, str] = {}
     try:
-        fh = open(path)
-    except OSError as exc:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # text mode read \r\n as \n
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -403,7 +403,7 @@ def _execute_rerun(manifest_path: str, out_dir: str | None) -> None:
     try:
         with open(manifest_path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise ConfigError(f"cannot read manifest {manifest_path}: {exc}") from exc
     command = doc.get("command") if isinstance(doc, dict) else None
     if command not in ("free", "interfere") or not isinstance(doc.get("params"), dict):

@@ -30,7 +30,7 @@ A bound walk (ring or box) is one long walk steered by its own converged
 memory.  One runner, ``run_ring``, walks both: a box of ell sites is a
 ring of 2*ell whose positions fold back into [0, ell].  It stores only
 the move of each tick, one byte per tick; counters, sample momenta and
-positions follow from it, and the locked-half summaries build their
+positions follow from it, and the locked-half summary builds its
 counters one block at a time.
 The ring force never exceeds 1/period in size and a move is
 nondecreasing in p, so a draw that moves the same at both ends of the
@@ -360,12 +360,12 @@ class BoundRun:
 
     ``moves[t]`` is the int8 move (+1, 0 or -1) of tick t+1, on a ring of
     ``period`` sites.  ``counters[t]`` is the displacement counter after
-    tick t+1, built from the moves on each read.  ``p_bar[t]`` is the
-    sample momentum counter/tau after tick t+1; ``locked_summary`` reads
-    it over the locked half of the run, ticks n//2 ... n-1, after the
-    lock-in transient.  ``positions[t]`` is the walker's site after tick
-    t+1: the counter wrapped onto [0, period), and folded back into
-    [0, period/2] when ``folded`` (a box).
+    tick t+1, built from the moves on each read.  ``positions[t]`` is the
+    walker's site after tick t+1: the counter wrapped onto [0, period),
+    and folded back into [0, period/2] when ``folded`` (a box).
+    ``locked_summary`` reads the sample momentum counter/tau over the
+    locked half of the run, ticks n//2 ... n-1, after the lock-in
+    transient.
     """
 
     moves: np.ndarray
@@ -377,42 +377,33 @@ class BoundRun:
         return np.cumsum(self.moves, dtype=np.int64)
 
     @property
-    def p_bar(self) -> np.ndarray:
-        return self._p_bar_from(0)
-
-    @property
     def positions(self) -> np.ndarray:
         wrapped = self.counters % self.period
         return np.minimum(wrapped, self.period - wrapped) if self.folded else wrapped
 
     def locked_summary(self):
-        """(mean, centers, counts) of the locked half's sample momenta, built once."""
-        width = 0.02
-        edges = np.arange(-1.0 - width / 2.0, 1.0 + width, width)
-        p_bar = self._p_bar_from(len(self.moves) // 2)
-        counts = np.zeros(len(edges) - 1, dtype=np.int64)
-        for start in range(0, len(p_bar), _RING_BLOCK):
-            counts += np.histogram(p_bar[start : start + _RING_BLOCK], bins=edges)[0]
-        centers = (edges[:-1] + edges[1:]) / 2.0
-        return float(p_bar.mean()), centers, counts
+        """(mean, centers, counts) of the sample momenta counter/tau over ticks n//2 ... n-1.
 
-    def _p_bar_from(self, first: int) -> np.ndarray:
-        """``p_bar[first:]``, built one block of counters at a time, never the whole counter trace.
-
-        Each block's counters are divided into the one output array against
-        float taus, which are exact below 2**53, so any slice equals
+        The locked half's counters are built one block at a time, never the
+        whole counter trace, and each block is divided against float taus,
+        which are exact below 2**53, into the one p_bar array and binned as
+        soon as it is written.  So p_bar equals the second half of
         ``counters / np.arange(1, n + 1)`` bit for bit.
         """
-        n = len(self.moves)
-        out = np.empty(n - first)
+        width = 0.02
+        edges = np.arange(-1.0 - width / 2.0, 1.0 + width, width)
+        n, first = len(self.moves), len(self.moves) // 2
+        p_bar = np.empty(n - first)
+        counts = np.zeros(len(edges) - 1, dtype=np.int64)
         counter = int(self.moves[:first].sum(dtype=np.int64))
         for start in range(first, n, _RING_BLOCK):
             counters = counter + np.cumsum(self.moves[start : start + _RING_BLOCK], dtype=np.int64)
             stop = start + len(counters)
-            taus = np.arange(start + 1, stop + 1, dtype=float)
-            np.divide(counters, taus, out=out[start - first : stop - first])
+            block = p_bar[start - first : stop - first]
+            np.divide(counters, np.arange(start + 1, stop + 1, dtype=float), out=block)
+            counts += np.histogram(block, bins=edges)[0]
             counter = int(counters[-1])
-        return out
+        return float(p_bar.mean()), (edges[:-1] + edges[1:]) / 2.0, counts
 
 
 def run_ring(config: ScenarioConfig) -> BoundRun:

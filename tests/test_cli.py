@@ -104,6 +104,26 @@ def test_free_manifest_rerun_reproduces_outputs(tmp_path):
     assert (redo / "run.json").read_bytes() == js.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "multi-slit", "--sources=-3:0.3,1:0.2,4:0.5", "--n-particles", "3000",
+     "--n-steps", "60", "--shards", "3", "--threads", "2"],
+    ["--scenario", "two-slit", "--mode", "training", "--n-particles", "200",
+     "--n-steps", "30", "--diagnostics", "run.diag.csv"],
+    ["--scenario", "ring", "--ell", "10", "--p", "0.37", "--n-steps", "20000"],
+    ["--scenario", "box", "--ell", "5", "--p", "0.37", "--n-steps", "20000"],
+], ids=["multi-slit", "training", "ring", "box"])
+def test_interfere_manifest_rerun_reproduces_outputs(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([
+        "interfere", *argv, "--seed", "4", "--out", "run.csv", "--json", "run.json",
+        "--manifest", "run.manifest.json",
+    ]) == 0
+    assert cli.main(["rerun", "run.manifest.json", "--out-dir", "redo"]) == 0
+    names = ["run.csv", "run.json"] + (["run.diag.csv"] if "--diagnostics" in argv else [])
+    for name in names:
+        assert (tmp_path / "redo" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # interfere
 
@@ -195,19 +215,19 @@ def test_interfere_box_reports_lock(tmp_path, capsys):
 @pytest.mark.parametrize("kind, ell", [("ring", "10"), ("box", "5")])
 def test_interfere_bound_run_builds_its_locked_half_once(tmp_path, monkeypatch, kind, ell):
     # the mean, the histogram and the JSON summary all read one locked half
-    build = qforce.BoundRun._p_bar_from
-    firsts = []
+    summary = qforce.BoundRun.locked_summary
+    calls = []
 
-    def spy(run, first):
-        firsts.append(first)
-        return build(run, first)
+    def spy(run):
+        calls.append(len(run.moves))
+        return summary(run)
 
-    monkeypatch.setattr(qforce.BoundRun, "_p_bar_from", spy)
+    monkeypatch.setattr(qforce.BoundRun, "locked_summary", spy)
     assert cli.main([
         "interfere", "--scenario", kind, "--ell", ell, "--p", "0.37", "--n-steps", "20000",
         "--out", str(tmp_path / "run.csv"), "--json", str(tmp_path / "run.json"),
     ]) == 0
-    assert firsts == [20000 // 2]
+    assert calls == [20000]
 
 
 @pytest.mark.parametrize("kind", ["ring", "box"])
@@ -350,6 +370,11 @@ def test_config_file_errors(tmp_path, capsys):
 
     assert cli.main(["free", "--config", str(tmp_path / "missing.cfg"),
                      "--out", "x.csv"]) == 2
+
+    not_utf8 = tmp_path / "notutf8.cfg"
+    not_utf8.write_bytes(b"\xff\xfe\x00bad = 1\n")
+    assert cli.main(["free", "--config", str(not_utf8), "--out", "x.csv"]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +596,14 @@ def test_rerun_rejects_bad_manifests(tmp_path, capsys):
     wrong.write_text(json.dumps({"command": "dance", "params": {"x": 1}}))
     assert cli.main(["rerun", str(wrong)]) == 2
     capsys.readouterr()
+    # bytes that are not UTF-8, and nesting deeper than the JSON decoder recurses
+    not_utf8 = tmp_path / "notutf8.json"
+    not_utf8.write_bytes(b"\xff\xfe\x00bad = 1\n")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for manifest in (not_utf8, deep):
+        assert cli.main(["rerun", str(manifest)]) == 2
+        assert "cannot read manifest" in capsys.readouterr().err
 
 
 def _recorded_free_run(tmp_path):

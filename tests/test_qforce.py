@@ -714,7 +714,7 @@ def test_box_locks_to_half_spacing():
 
 
 # Exact 200-tick paths (one character per tick: + up, 0 stay, - down) and
-# 20000-tick summaries for a fixed seed; the path fixes p_bar and positions.
+# 20000-tick summaries for a fixed seed; the path fixes counters and positions.
 BOUND_PINS = {
     "ring": (
         run_ring, oracles.bound_config("ring", ell=10, p=0.37, n_steps=200, seed=4),
@@ -747,8 +747,7 @@ def test_bound_walk_pinned_paths(kind):
     runner, cfg, path, mean_short, (mean_long, final_counter, occupancy) = BOUND_PINS[kind]
     run = runner(cfg)
     counter = np.cumsum(["-0+".index(c) - 1 for c in path])
-    tau = np.arange(1, len(path) + 1)
-    assert np.array_equal(run.p_bar, counter / tau)
+    assert np.array_equal(run.counters, counter)
     if cfg.kind == "ring":
         positions = counter % cfg.ell
     else:
@@ -759,7 +758,7 @@ def test_bound_walk_pinned_paths(kind):
 
     long_run = runner(replace(cfg, n_steps=20000))
     assert long_run.locked_summary()[0] == mean_long
-    assert np.rint(long_run.p_bar[-1] * 20000) == final_counter
+    assert long_run.counters[-1] == final_counter
     assert np.bincount(long_run.positions).tolist() == occupancy
 
 
@@ -792,15 +791,14 @@ def test_run_ring_matches_per_tick_reference(name):
 
 @pytest.mark.parametrize("name", sorted(BRACKET_CONFIGS))
 def test_locked_half_summary_matches_whole_trace_reference(name):
-    # the block-built trace and locked half equal the whole trace and its
-    # second half bit for bit: one tick, runs whose half sits at and around
-    # a block edge, and an odd length past three blocks
+    # the block-built locked half equals the whole trace's second half bit
+    # for bit: one tick, runs whose half sits at and around a block edge,
+    # and an odd length past three blocks
     block = qforce._RING_BLOCK
     for n_steps in (1, 2 * block - 1, 2 * block, 2 * block + 1, 3 * block + 777):
         cfg = replace(BRACKET_CONFIGS[name], n_steps=n_steps, seed=n_steps % 97)
         run = run_ring(cfg)
         counters = oracles.ring_per_tick(cfg)
-        assert np.array_equal(run.p_bar, counters / np.arange(1, n_steps + 1))
         mean, centers, counts = oracles.locked_half_summary(counters)
         got_mean, got_centers, got_counts = run.locked_summary()
         assert got_mean == mean
