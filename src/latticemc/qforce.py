@@ -15,16 +15,23 @@ the closed-form ``site_decay_product``, a carried one by the
 ``particle_damping`` table.
 
 Two modes exist.  Training mode runs emissions sequentially against a
-persistent lattice, exactly as above.  Trained mode treats the lattice
-memory as fully converged and skips its state: each carried boson is
-held at its steady-state expectation sqrt(P_i P_j) * q * sinc(delta_ij
-* q) (the damping series of a boson refreshed at rate P_i * P_j sums to
-sqrt(P_i P_j) times the steady site value q * sinc(delta * q)).  Under
-that converged force a walker's effective propensity settles at the root
-of the ray equation q + sum_pairs 2*sqrt(Pi Pj)*sin(pi*d*q)/(pi*d) = p0
-for its preparation p0, so trained runs solve that root per particle and
-sample the walk at the locked propensity; the only randomness left is
-the source draw, the preparation draw, and the step noise itself.
+persistent lattice, exactly as above.  ``ParticleState``,
+``effective_momentum`` and ``visit`` are the plain forms of one training
+tick, which the demos read; ``run_training_slits`` is the hot form, the
+same tick written out once on local variables, and
+``test_training_matches_per_visit_reference`` ties it bit for bit to
+``tests/oracles.training_per_visit``, which walks the plain forms.
+
+Trained mode treats the lattice memory as fully converged and skips its
+state: each carried boson is held at its steady-state expectation
+sqrt(P_i P_j) * q * sinc(delta_ij * q) (the damping series of a boson
+refreshed at rate P_i * P_j sums to sqrt(P_i P_j) times the steady site
+value q * sinc(delta * q)).  Under that converged force a walker's
+effective propensity settles at the root of the ray equation
+q + sum_pairs 2*sqrt(Pi Pj)*sin(pi*d*q)/(pi*d) = p0 for its preparation
+p0, so trained runs solve that root per particle and sample the walk at
+the locked propensity; the only randomness left is the source draw, the
+preparation draw, and the step noise itself.
 
 A bound walk (ring or box) is one long walk steered by its own converged
 memory.  One runner, ``run_ring``, walks both: a box of ell sites is a
@@ -40,6 +47,7 @@ ticks in one array pass and steps only the rest, exactly as tick by tick.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -154,7 +162,9 @@ def effective_momentum(particle: ParticleState, damp, now: int) -> float:
     """Preparation minus carried boson momenta at clock ``now``, clamped to [-1, 1].
 
     A carried boson born at tick b with momentum p is worth p * damp[now - b],
-    ``damp`` being the ``particle_damping`` table.
+    ``damp`` being the ``particle_damping`` table.  This is the plain form;
+    ``run_training_slits`` sums the same terms in the same order inline, and
+    ``test_training_matches_per_visit_reference`` ties the two.
     """
     carried = 0.0
     for p, born in particle.bosons.values():
@@ -204,6 +214,10 @@ def visit(lattice: TrainingLattice, particle: ParticleState) -> int | None:
     t); and register and counter are exchanged.  A pair with
     |shift * q| >= 1 is counted as overdriven, since its early decay
     factors change sign.  The walker must have tau >= 1.
+
+    This is the plain form of the rule; ``run_training_slits`` applies it
+    inline on every tick, and ``test_training_matches_per_visit_reference``
+    ties the two bit for bit.
     """
     if particle.tau < 1:
         raise ValueError("visits start after the first tick; tau must be >= 1")
@@ -312,38 +326,77 @@ def run_training_slits(config: ScenarioConfig) -> TrainingRun:
 
     Emissions follow each other with no idle ticks, so site bosons keep
     decaying on a single global clock.
+
+    This is the hot form of the tick: the carried sum of
+    ``effective_momentum``, the step of ``walker.move`` and the rule of
+    ``visit`` are written out once, inline, on local variables.  Each
+    emission takes one ``rng.random(n_steps + 2)`` draw: the first double
+    picks the source the way ``Generator.choice`` maps its one double (the
+    right insertion point in the normalised cumulative weights), the second
+    is the preparation -1 + 2u of ``Generator.uniform(-1, 1)``, and the rest
+    are the step draws.  ``tests/oracles.training_per_visit`` runs the same
+    emissions through the plain forms, and
+    ``test_training_matches_per_visit_reference`` ties the two bit for bit.
     """
     if config.kind not in SLIT_KINDS:
         raise ValueError("run_training_slits handles slit scenarios only")
     rng = np.random.default_rng(config.seed)
     lattice = TrainingLattice()
-    damp = particle_damping(config.n_steps).tolist()
+    registers, site_bosons = lattice.registers, lattice.site_bosons
+    n_steps = config.n_steps
+    damp = particle_damping(n_steps).tolist()
     sites = [s for s, _ in config.sources]
-    weights = [w for _, w in config.sources]
+    cdf = np.cumsum(np.array([w for _, w in config.sources], dtype=float))
+    cdf = (cdf / cdf[-1]).tolist()
+    now = overdriven = 0
 
-    n = config.n_particles
+    sources, finals, created_counts, final_p_effs = [], [], [], []
+    for _ in range(config.n_particles):
+        draws = rng.random(n_steps + 2).tolist()
+        xi = sites[bisect.bisect_right(cdf, draws[0])]
+        sources.append(xi)
+        p0 = -1.0 + 2.0 * draws[1]
+        bosons = {}  # shift -> carried (momentum, birth tick), as ParticleState.bosons
+        counter = created = 0
+        for tau, u in enumerate(draws[2:], start=1):
+            carried = 0.0
+            for p, born in bosons.values():
+                carried += p * damp[now - born]
+            total = p0 - carried
+            p_eff = 1.0 if total > 1.0 else (-1.0 if total < -1.0 else total)
+            up = ((1.0 + p_eff) / 2.0) ** 2
+            v = 1 if u < up else (0 if u < up + (1.0 - p_eff * p_eff) / 2.0 else -1)
+            xi += v
+            counter += v
+            now += 1
+            register = registers.get(xi)
+            registers[xi] = counter
+            if register is None or register == counter:
+                continue
+            shift = register - counter
+            by_shift = site_bosons.setdefault(xi, {})
+            previous = by_shift.get(shift)
+            inherited = 0.0
+            if previous:
+                inherited = site_decay_product(previous[0], abs(shift), now - previous[1])
+            bosons[shift] = (inherited, now)
+            q = counter / tau
+            by_shift[shift] = (q, now)
+            if abs(shift * q) >= 1.0:
+                overdriven += 1
+            counter = register
+            created += 1
+        finals.append(xi)
+        created_counts.append(created)
+        final_p_effs.append(p_eff)
+    lattice.ticks, lattice.overdriven_events = now, overdriven
+
     emissions = {
-        "source": np.empty(n, dtype=np.int64),
-        "final_xi": np.empty(n, dtype=np.int64),
-        "bosons_created": np.empty(n, dtype=np.int64),
-        "final_p_eff": np.empty(n),
+        "source": np.array(sources, dtype=np.int64),
+        "final_xi": np.array(finals, dtype=np.int64),
+        "bosons_created": np.array(created_counts, dtype=np.int64),
+        "final_p_eff": np.array(final_p_effs, dtype=float),
     }
-    for emission in range(n):
-        src = int(rng.choice(len(sites), p=weights))
-        particle = ParticleState(xi=sites[src], p0=rng.uniform(-1.0, 1.0))
-        created = 0
-        for u in rng.random(config.n_steps).tolist():
-            p_eff = effective_momentum(particle, damp, lattice.ticks)
-            v = move(u, p_eff)
-            particle.xi += v
-            particle.counter += v
-            particle.tau += 1
-            lattice.ticks += 1
-            if visit(lattice, particle) is not None:
-                created += 1
-        for column, value in zip(emissions.values(), (sites[src], particle.xi, created, p_eff)):
-            column[emission] = value
-
     return TrainingRun(Histogram.on_cone(emissions["final_xi"], config.cone), lattice, emissions)
 
 

@@ -11,13 +11,17 @@ under the converged memory force, ``ring_per_tick`` steps every tick of
 a bound walk where ``qforce.run_ring`` decides most of them in a bracket,
 ``locked_half_summary`` reads the whole sample-momentum trace where
 ``qforce.BoundRun.locked_summary`` builds its locked half one block at
-a time,
+a time, ``training_per_visit`` walks training emissions through
+``qforce.effective_momentum``, ``walker.move`` and ``qforce.visit`` where
+``qforce.run_training_slits`` writes the tick out inline,
 ``ray_equation`` writes the two-source ray condition out by hand,
 ``ring_limit_sum`` sums a finite train of ring sources, and
 ``run_shards_spawned`` builds every shard's generator before running
 any, where ``walker._run_shards`` derives each in its shard's job.
-They share only the transition law, the step rule ``walker.move`` and
-the memory sums (``scenarios._pair_terms``, ``scenarios._memory_force``,
+They share only the transition law, the step rule ``walker.move``, the
+plain training tick of ``qforce`` (``ParticleState``,
+``effective_momentum``, ``visit`` and the decay laws) and the memory
+sums (``scenarios._pair_terms``, ``scenarios._memory_force``,
 ``scenarios._fringe``, ``scenarios.ring_memory_force``) with the
 library, so a differential test checks the fast path and not the
 physics.  ``pad_to_cone`` places a pinned count list on a run's light
@@ -33,6 +37,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from latticemc import qforce
 from latticemc.lattice import transition_probs
 from latticemc.scenarios import (
     ScenarioConfig,
@@ -41,6 +46,7 @@ from latticemc.scenarios import (
     _pair_terms,
     ring_memory_force,
 )
+from latticemc.stats import Histogram
 from latticemc.walker import move
 
 
@@ -180,6 +186,47 @@ def locked_half_summary(counters: np.ndarray) -> tuple[float, np.ndarray, np.nda
     edges = np.arange(-1.0 - width / 2.0, 1.0 + width, width)
     counts, _ = np.histogram(locked, bins=edges)
     return float(locked.mean()), (edges[:-1] + edges[1:]) / 2.0, counts
+
+
+def training_per_visit(config) -> qforce.TrainingRun:
+    """Slow reference of ``qforce.run_training_slits``: every tick through the plain forms.
+
+    Each emission draws its source with ``Generator.choice``, its
+    preparation with ``Generator.uniform(-1, 1)`` and its steps with
+    ``Generator.random(n_steps)``; each tick steps ``walker.move`` at
+    ``qforce.effective_momentum`` and calls ``qforce.visit``, looked up
+    at call time.
+    """
+    rng = np.random.default_rng(config.seed)
+    lattice = qforce.TrainingLattice()
+    damp = qforce.particle_damping(config.n_steps).tolist()
+    sites = [s for s, _ in config.sources]
+    weights = [w for _, w in config.sources]
+
+    n = config.n_particles
+    emissions = {
+        "source": np.empty(n, dtype=np.int64),
+        "final_xi": np.empty(n, dtype=np.int64),
+        "bosons_created": np.empty(n, dtype=np.int64),
+        "final_p_eff": np.empty(n),
+    }
+    for emission in range(n):
+        src = int(rng.choice(len(sites), p=weights))
+        particle = qforce.ParticleState(xi=sites[src], p0=rng.uniform(-1.0, 1.0))
+        created = 0
+        for u in rng.random(config.n_steps).tolist():
+            p_eff = qforce.effective_momentum(particle, damp, lattice.ticks)
+            v = move(u, p_eff)
+            particle.xi += v
+            particle.counter += v
+            particle.tau += 1
+            lattice.ticks += 1
+            if qforce.visit(lattice, particle) is not None:
+                created += 1
+        for column, value in zip(emissions.values(), (sites[src], particle.xi, created, p_eff)):
+            column[emission] = value
+
+    return qforce.TrainingRun(Histogram.on_cone(emissions["final_xi"], config.cone), lattice, emissions)
 
 
 def run_free(xi0: int, p: float, n_steps: int, rng: np.random.Generator) -> int:

@@ -582,10 +582,10 @@ def test_training_pinned_counts():
 
 
 def test_training_runs_through_visit(monkeypatch):
-    # every tick of the engine is one call of the visit rule, and every
-    # pair that rule reports is one created boson
+    # every tick of the per-visit reference is one call of the visit rule,
+    # and every pair that rule reports is one boson the fast run created
     cfg = two_slit_config(delta=2, n_particles=30, n_steps=20, seed=32)
-    plain = run_training_slits(cfg)
+    fast = run_training_slits(cfg)
     shifts = []
     rule = qforce.visit
 
@@ -594,10 +594,40 @@ def test_training_runs_through_visit(monkeypatch):
         return shifts[-1]
 
     monkeypatch.setattr(qforce, "visit", recording)
-    run = run_training_slits(cfg)
+    run = oracles.training_per_visit(cfg)
     assert len(shifts) == 30 * 20
-    assert run.bosons_created == sum(s is not None for s in shifts) == plain.bosons_created
-    assert np.array_equal(run.positions.counts, plain.positions.counts)
+    assert fast.bosons_created == sum(s is not None for s in shifts) == run.bosons_created
+    assert np.array_equal(run.positions.counts, fast.positions.counts)
+
+
+def _training_config(sources, n_particles, n_steps, seed):
+    return ScenarioConfig("multi-slit", n_particles, n_steps, sources, seed=seed)
+
+
+@pytest.mark.parametrize("cfg, nan_rows", [
+    (two_slit_config(delta=2, n_particles=500, n_steps=100, seed=33), 0),
+    (_training_config([(-1, 0.3), (1, 0.7)], 300, 60, seed=34), 0),
+    (_training_config([(-3, 0.2), (0, 0.5), (4, 0.3)], 300, 60, seed=35), 0),
+    (_training_config(TEN_SOURCES, 300, 60, seed=36), 0),  # weights sum to 0.9999999999999999
+    (_training_config([(0, 0.0), (5, 1.0)], 300, 60, seed=37), 0),
+    # the carried sum of the wide four-source run leaves the float range
+    (_training_config([(-1200, 0.25), (-400, 0.25), (400, 0.25), (1200, 0.25)], 60, 1500, seed=0), 1),
+], ids=["two-slit", "unequal", "three", "ten", "zero-weight", "wide-four"])
+def test_training_matches_per_visit_reference(cfg, nan_rows):
+    # the inline tick and its one draw call per emission reproduce the
+    # plain visit rule and choice/uniform/random draws bit for bit, NaN bits too
+    fast, slow = run_training_slits(cfg), oracles.training_per_visit(cfg)
+    assert np.isnan(fast.emissions["final_p_eff"]).sum() == nan_rows
+    assert list(fast.emissions) == list(slow.emissions)
+    for name, column in fast.emissions.items():
+        assert column.dtype == slow.emissions[name].dtype
+        assert column.tobytes() == slow.emissions[name].tobytes(), name
+    assert fast.positions.offset == slow.positions.offset
+    assert np.array_equal(fast.positions.counts, slow.positions.counts)
+    assert list(fast.lattice.registers.items()) == list(slow.lattice.registers.items())
+    assert repr(fast.lattice.site_bosons) == repr(slow.lattice.site_bosons)
+    assert fast.lattice.ticks == slow.lattice.ticks == cfg.n_particles * cfg.n_steps
+    assert fast.lattice.overdriven_events == slow.lattice.overdriven_events
 
 
 def test_training_diagnostics_csv():
@@ -621,20 +651,33 @@ def test_training_diagnostics_csv():
 
 def test_training_diagnostics_not_left_by_failed_run(tmp_path, monkeypatch):
     path = tmp_path / "diag.csv"
-    calls = iter(range(100))
-    visit = qforce.visit
+    decay = qforce.site_decay_product
+    calls = []
 
-    def visit_then_fail(*args):  # fails in the fourth emission, after three finished
-        if next(calls) == 99:
+    def counting(*args):
+        calls.append(args)
+        return decay(*args)
+
+    # emissions draw the same stream whatever the run's length, so a
+    # three-emission run makes exactly the decay calls of the first three
+    monkeypatch.setattr(qforce, "site_decay_product", counting)
+    run_training_slits(two_slit_config(delta=2, n_particles=3, n_steps=30, seed=24))
+    first_three = len(calls)
+    calls.clear()
+
+    def decay_then_fail(*args):  # fails at the first decay call after three emissions
+        calls.append(args)
+        if len(calls) > first_three:
             raise OSError(28, "No space left on device")
-        return visit(*args)
+        return decay(*args)
 
-    monkeypatch.setattr(qforce, "visit", visit_then_fail)
+    monkeypatch.setattr(qforce, "site_decay_product", decay_then_fail)
     assert cli.main([
         "interfere", "--scenario", "two-slit", "--mode", "training", "--n-particles", "40",
         "--n-steps", "30", "--seed", "24", "--diagnostics", str(path),
         "--out", str(tmp_path / "t.csv"),
     ]) == 2
+    assert len(calls) == first_three + 1
     assert list(tmp_path.iterdir()) == []
 
 
