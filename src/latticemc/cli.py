@@ -22,6 +22,9 @@ import sys
 from datetime import datetime, timezone
 from typing import NamedTuple
 
+# before numpy loads OpenBLAS: the CLI calls no BLAS, so it needs no spinning worker pool
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__, analytic, qforce, verify

@@ -118,16 +118,21 @@ def _run_shards(
     ``SeedSequence(seed)``, in its own job and bins its sites on ``cone``;
     the counts are summed, so the result depends on (seed, shards) and
     never on ``threads``.  Shards with no particles are neither seeded nor
-    run.  min(threads, shards with particles, cores) workers each sum every
-    workers-th shard, so the run holds no per-shard state; one worker runs
-    in the caller's thread.
+    run.  min(threads, shards with particles, usable CPUs) workers each sum
+    every workers-th shard, so the run holds no per-shard state; one worker
+    runs in the caller's thread.  Usable CPUs are those the process may run
+    on (its affinity mask where the platform has one, else ``os.cpu_count``).
     """
     if shards < 1 or threads < 1:
         raise ValueError("shards and threads must be >= 1")
     entropy = np.random.SeedSequence(seed).entropy
     base, extra = divmod(n_particles, shards)
     jobs = min(shards, n_particles)
-    workers = min(threads, jobs, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(threads, jobs, cpus)
 
     def binned(i: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))

@@ -832,3 +832,60 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, latticemc.cli; sys.exit('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert proc.returncode == 0
+
+
+def _run_child(code, **env_overrides):
+    """Run ``code`` in a fresh interpreter on this source tree without OPENBLAS_NUM_THREADS."""
+    src = os.path.dirname(os.path.dirname(latticemc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_overrides)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_sets_one_blas_thread_before_numpy_loads():
+    # the package loads no numpy, so the CLI's thread default is in place
+    # before numpy starts OpenBLAS; an eager import in __init__ would bring
+    # back one spinning BLAS worker per core
+    _run_child(
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "import latticemc\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert dict(os.environ) == before\n"
+        "import latticemc.cli\n"
+        "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n"
+        "if os.path.isdir('/proc/self/task'):\n"
+        "    assert len(os.listdir('/proc/self/task')) == 1, os.listdir('/proc/self/task')\n"
+    )
+    # the library sets nothing: a user who imports it keeps their BLAS threads
+    _run_child(
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "from latticemc import analytic, lattice, qforce, qm_oracle\n"
+        "from latticemc import scenarios, stats, verify, walker\n"
+        "assert dict(os.environ) == before\n"
+    )
+    # the caller's own setting wins
+    _run_child(
+        "import os, latticemc.cli\n"
+        "assert os.environ['OPENBLAS_NUM_THREADS'] == '2'\n",
+        OPENBLAS_NUM_THREADS="2",
+    )
+
+
+def test_lazy_package_names_resolve():
+    import latticemc.analytic
+    import latticemc.scenarios
+
+    assert latticemc.pmf_free is latticemc.analytic.pmf_free
+    assert latticemc.multi_slit_density is latticemc.scenarios.multi_slit_density
+    for name in latticemc.__all__:
+        assert getattr(latticemc, name) is not None
+    assert not hasattr(latticemc, "nope")
+    with pytest.raises(AttributeError, match="nope"):
+        latticemc.nope
+    with pytest.raises(ImportError, match="nope"):
+        from latticemc import nope

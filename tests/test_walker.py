@@ -194,6 +194,7 @@ def test_pool_is_bounded_by_shards_and_cores(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(walker, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     for shards, threads, pool in ((64, 64, 4), (3, 64, 3), (64, 1, None)):
         sizes.clear()
@@ -201,12 +202,27 @@ def test_pool_is_bounded_by_shards_and_cores(monkeypatch):
         alone = walker.run_ensemble_free(1001, 20, seed=5, shards=shards, threads=1)
         assert sizes == ([] if pool is None else [pool])
         assert np.array_equal(hist.counts, alone.counts)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no affinity: count cores
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # core count unknown: one worker
     sizes.clear()
     walker.run_ensemble_free(1001, 20, seed=5, shards=64, threads=64)
     assert sizes == []
     with pytest.raises(ValueError, match="threads"):
         walker.run_ensemble_free(1001, 20, seed=5, shards=4, threads=0)
+
+
+def test_pool_is_bounded_by_usable_cpus(monkeypatch):
+    # one CPU in the affinity mask: a four-thread run builds no pool, however
+    # many CPUs the host has, and gives the one-thread counts
+    def no_pool(*args, **kwargs):
+        raise AssertionError("built a thread pool on one usable CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(walker, "ThreadPoolExecutor", no_pool)
+    hist = walker.run_ensemble_free(1001, 20, seed=5, shards=4, threads=4)
+    alone = walker.run_ensemble_free(1001, 20, seed=5, shards=4, threads=1)
+    assert np.array_equal(hist.counts, alone.counts)
 
 
 def test_ensemble_seed_objects_are_rejected():
