@@ -49,12 +49,13 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .stats import Histogram
-from .walker import _bracket_moves, _run_shards, endpoint_displacement, move
+from .walker import _bracket_moves, _run_shards, _stage_streams, endpoint_displacement, move
 from .scenarios import (SLIT_KINDS, ScenarioConfig, _memory_force, _pair_terms, _ray_table,
                         _solve_rays, ring_memory_force)
 
@@ -259,31 +260,40 @@ def _trained_shard(
     n_particles: int,
     n_steps: int,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Final sites of one shard of trained-mode walks over ``slits = _slit_arrays(sources)``.
+    block: int,
+) -> Iterator[np.ndarray]:
+    """Yield the final sites of one shard of trained-mode walks, ``block`` particles at a time.
 
-    With the lattice memory converged, a walker's effective propensity
-    settles at the root q* of the ray equation for its preparation.
-    Trained mode samples the locked-ray shortcut: the whole walk at q*,
-    in one ``endpoint_displacement`` draw per particle.  That is the law
-    trained mode claims, and it differs from a tick-by-tick walk under
-    the converged memory, whose force pulls each walker back toward its
-    ray, so its endpoints spread less around q* * n_steps.
+    ``slits`` is ``_slit_arrays(sources)``.  With the lattice memory
+    converged, a walker's effective propensity settles at the root q* of
+    the ray equation for its preparation.  Trained mode samples the
+    locked-ray shortcut: the whole walk at q*, in one
+    ``endpoint_displacement`` draw per particle.  That is the law trained
+    mode claims, and it differs from a tick-by-tick walk under the
+    converged memory, whose force pulls each walker back toward its ray,
+    so its endpoints spread less around q* * n_steps.
+
+    Drawn whole, the shard takes n_particles source doubles, then
+    n_particles preparations, then the binomials, so ``walker._stage_streams``
+    starts the preparations n_particles outputs into ``rng`` and the
+    binomials 2 * n_particles in, and the sites are those of the whole
+    draw bit for bit.
     """
     sites, weights, table = slits
-    src = rng.choice(len(sites), size=n_particles, p=weights)
-    # p0 dies with the solve and the sites are added in place, so the
-    # endpoint draw runs beside two fewer shard-long arrays
-    q_star = _solve_rays(rng.uniform(-1.0, 1.0, n_particles), table)
-    final = endpoint_displacement(rng, n_steps, q_star)
-    final += sites[src]
-    return final
+    sources, preps, ends = _stage_streams(rng, block, n_particles, n_particles)
+    for start in range(0, n_particles, block):
+        size = min(block, n_particles - start)
+        src = sources.choice(len(sites), size=size, p=weights)
+        q_star = _solve_rays(preps.uniform(-1.0, 1.0, size), table)
+        final = endpoint_displacement(ends, n_steps, q_star)
+        final += sites[src]
+        yield final
 
 
 def run_trained_slits(config: ScenarioConfig, shards: int = 1, threads: int = 1) -> Histogram:
     """Trained-mode interference run; returns the Histogram of final sites on ``config.cone``.
 
-    Each shard is one ``_trained_shard`` call; the run builds the source
+    Each shard is one ``_trained_shard`` generator; the run builds the source
     arrays, the pair table and its ray table once, in ``_slit_arrays``,
     and every shard reads them.
     """
@@ -291,7 +301,7 @@ def run_trained_slits(config: ScenarioConfig, shards: int = 1, threads: int = 1)
         raise ValueError("run_trained_slits handles slit scenarios only")
     slits = _slit_arrays(config.sources)
     return _run_shards(
-        lambda n, rng: _trained_shard(slits, n, config.n_steps, rng),
+        lambda n, rng, block: _trained_shard(slits, n, config.n_steps, rng, block),
         config.cone,
         config.n_particles,
         config.seed,

@@ -16,12 +16,16 @@ once per particle, for free ensembles and trained runs alike.
 child generator per nonempty shard from a single seed, bins each
 shard's final sites on the run's light cone, and sums the counts, so a
 run is bit-reproducible for a fixed (seed, shards) pair no matter how
-shards are scheduled.
+shards are scheduled.  A shard draws, solves and bins its particles one
+block at a time, so its working set is flat in its particle count.
+``_stage_streams`` starts each of its draw stages where a whole-shard
+draw would, so the blocks read the same random streams bit for bit.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -67,12 +71,52 @@ def endpoint_displacement(rng: np.random.Generator, n_steps: int, p):
     return rng.binomial(2 * n_steps, (1.0 + p) / 2.0) - n_steps
 
 
+_BLOCK = 8192  # particles drawn, solved and binned together; bounds a shard's working set
+
+
+def _stage_streams(rng: np.random.Generator, block: int, *lengths: int) -> list[np.random.Generator]:
+    """One generator per draw stage of a shard, each where the whole-shard draw of that stage starts.
+
+    A shard draws its particles in stages, each one array call over the
+    whole shard when drawn whole: the source picks, the preparations,
+    then the endpoint binomials.  Every stage but the last takes one
+    64-bit output per particle (one double each), so after stages of
+    ``lengths`` outputs the next starts at their sum.  The first stage
+    reads ``rng`` itself; each later one reads a copy of its PCG64
+    ``advance``d to its start, so drawing every stage one block at a time
+    reads the same numbers as drawing it whole.  When no earlier stage is
+    longer than a block, the shard draws each one whole, in its first
+    block and in turn, so ``rng`` itself serves every stage.
+    """
+    if max(lengths) <= block:
+        return [rng] * (len(lengths) + 1)
+    state, streams, start = rng.bit_generator.state, [rng], 0
+    for length in lengths:
+        start += length
+        bits = np.random.PCG64(0)  # its seed is overwritten by the copied state
+        bits.state = state
+        bits.advance(start)
+        streams.append(np.random.Generator(bits))
+    return streams
+
+
 def _simulate_free_shard(
-    n_particles: int, n_steps: int, p: float | None, xi0: int, rng: np.random.Generator,
-) -> np.ndarray:
-    # one uniform p per particle, or the fixed p as an array so the binomial draws once per particle
-    p = rng.uniform(-1.0, 1.0, size=n_particles) if p is None else np.full(n_particles, p)
-    return xi0 + endpoint_displacement(rng, n_steps, p)
+    n_particles: int, n_steps: int, p: float | None, xi0: int, rng: np.random.Generator, block: int,
+) -> Iterator[np.ndarray]:
+    """Yield the final sites of one shard of free walks, ``block`` particles at a time.
+
+    Drawn whole, the shard takes n_particles uniform preparations (none
+    for a fixed ``p``) and then one endpoint binomial per particle, so
+    the binomials start n_particles outputs into ``rng`` (at 0 for a
+    fixed ``p``); ``_stage_streams`` starts them there, and the sites are
+    those of the whole draw bit for bit.
+    """
+    preps, ends = _stage_streams(rng, block, n_particles if p is None else 0)
+    for start in range(0, n_particles, block):
+        size = min(block, n_particles - start)
+        # one uniform p per particle, or the fixed p as an array so the binomial draws once per particle
+        p_block = preps.uniform(-1.0, 1.0, size=size) if p is None else np.full(size, p)
+        yield xi0 + endpoint_displacement(ends, n_steps, p_block)
 
 
 def run_ensemble_free(
@@ -100,7 +144,7 @@ def run_ensemble_free(
     p = None if p is None else _check_propensity(p)
     xi0 = int(xi0)
     return _run_shards(
-        lambda n, rng: _simulate_free_shard(n, n_steps, p, xi0, rng),
+        lambda n, rng, block: _simulate_free_shard(n, n_steps, p, xi0, rng, block),
         light_cone(xi0, xi0, n_steps),
         n_particles,
         seed,
@@ -112,16 +156,21 @@ def run_ensemble_free(
 def _run_shards(
     shard, cone: tuple[int, int], n_particles: int, seed: int, shards: int, threads: int,
 ) -> Histogram:
-    """Histogram on ``cone`` of the final sites ``shard(n, rng)`` returns over an even split.
+    """Histogram on ``cone`` of the final sites ``shard(n, rng, block)`` yields over an even split.
 
     ``seed`` is an int.  Shard i derives its generator, child i of
-    ``SeedSequence(seed)``, in its own job and bins its sites on ``cone``;
-    the counts are summed, so the result depends on (seed, shards) and
-    never on ``threads``.  Shards with no particles are neither seeded nor
-    run.  min(threads, shards with particles, usable CPUs) workers each sum
-    every workers-th shard, so the run holds no per-shard state; one worker
-    runs in the caller's thread.  Usable CPUs are those the process may run
-    on (its affinity mask where the platform has one, else ``os.cpu_count``).
+    ``SeedSequence(seed)``, in its own job; the shard yields its final
+    sites at most ``block`` particles at a time, and each block is binned
+    on ``cone`` and added in place to its worker's counts, so the result
+    depends on (seed, shards) and never on ``threads``.  A block is
+    ``_BLOCK`` particles, or the cone's row count when that is larger,
+    so a shard holds O(``_BLOCK`` + cone rows) at any particle count and
+    its binning costs O(particles + cone rows).  Shards with no particles
+    are neither seeded nor run.  min(threads, shards with particles,
+    usable CPUs) workers each sum every workers-th shard, so the run holds
+    no per-shard state; one worker runs in the caller's thread.  Usable
+    CPUs are those the process may run on (its affinity mask where the
+    platform has one, else ``os.cpu_count``).
     """
     if shards < 1 or threads < 1:
         raise ValueError("shards and threads must be >= 1")
@@ -133,13 +182,16 @@ def _run_shards(
     else:
         cpus = os.cpu_count() or 1
     workers = min(threads, jobs, cpus)
-
-    def binned(i: int) -> np.ndarray:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
-        return Histogram.on_cone(shard(base + (i < extra), rng), cone).counts
+    rows = cone[1] - cone[0] + 1
+    block = max(_BLOCK, rows)
 
     def summed(w: int) -> np.ndarray:
-        return sum(map(binned, range(w, jobs, workers)))
+        counts = np.zeros(rows, dtype=np.int64)
+        for i in range(w, jobs, workers):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
+            for sites in shard(base + (i < extra), rng, block):
+                counts += Histogram.on_cone(sites, cone).counts
+        return counts
 
     if workers == 1:  # in the caller's thread, so an interrupt stops the run at once
         return Histogram(cone[0], summed(0))

@@ -15,18 +15,23 @@ a time, ``training_per_visit`` walks training emissions through
 ``qforce.effective_momentum``, ``walker.move`` and ``qforce.visit`` where
 ``qforce.run_training_slits`` writes the tick out inline,
 ``ray_equation`` writes the two-source ray condition out by hand,
-``ring_limit_sum`` sums a finite train of ring sources, and
+``ring_limit_sum`` sums a finite train of ring sources,
+``free_shard_whole`` and ``trained_shard_whole`` draw a whole shard in
+one array call per stage, where ``walker._simulate_free_shard`` and
+``qforce._trained_shard`` draw one block at a time, and
 ``run_shards_spawned`` builds every shard's generator before running
 any, where ``walker._run_shards`` derives each in its shard's job.
 They share only the transition law, the step rule ``walker.move``, the
-plain training tick of ``qforce`` (``ParticleState``,
-``effective_momentum``, ``visit`` and the decay laws) and the memory
-sums (``scenarios._pair_terms``, ``scenarios._memory_force``,
-``scenarios._fringe``, ``scenarios.ring_memory_force``) with the
-library, so a differential test checks the fast path and not the
-physics.  ``pad_to_cone`` places a pinned count list on a run's light
-cone, ``bound_config`` builds a one-walker ring or box config, and
-``ray_density`` is the density of locked ray momenta.
+endpoint sampler ``walker.endpoint_displacement``, the ray solver
+``scenarios._solve_rays``, the plain training tick of ``qforce``
+(``ParticleState``, ``effective_momentum``, ``visit`` and the decay
+laws) and the memory sums (``scenarios._pair_terms``,
+``scenarios._memory_force``, ``scenarios._fringe``,
+``scenarios.ring_memory_force``) with the library, so a differential
+test checks the fast path and not the physics.  ``pad_to_cone`` places
+a pinned count list on a run's light cone, ``bound_config`` builds a
+one-walker ring or box config, and ``ray_density`` is the density of
+locked ray momenta.
 """
 
 from __future__ import annotations
@@ -44,10 +49,11 @@ from latticemc.scenarios import (
     _fringe,
     _memory_force,
     _pair_terms,
+    _solve_rays,
     ring_memory_force,
 )
 from latticemc.stats import Histogram
-from latticemc.walker import move
+from latticemc.walker import endpoint_displacement, move
 
 
 def step_probs(p: float) -> dict[int, float]:
@@ -241,12 +247,36 @@ def run_free(xi0: int, p: float, n_steps: int, rng: np.random.Generator) -> int:
     return int(xi0 + moves.sum())
 
 
+def free_shard_whole(n_particles: int, n_steps: int, p, xi0: int, rng: np.random.Generator):
+    """Slow reference of ``walker._simulate_free_shard``: the whole shard's final sites in one draw.
+
+    One array call per stage over every particle: the uniform
+    preparations (none for a fixed ``p``), then the endpoint binomials.
+    """
+    p = rng.uniform(-1.0, 1.0, size=n_particles) if p is None else np.full(n_particles, p)
+    return xi0 + endpoint_displacement(rng, n_steps, p)
+
+
+def trained_shard_whole(slits, n_particles: int, n_steps: int, rng: np.random.Generator):
+    """Slow reference of ``qforce._trained_shard``: the whole shard's final sites in one draw.
+
+    One array call per stage over every particle: the source picks, the
+    preparations and their rays, then the endpoint binomials.
+    """
+    sites, weights, table = slits
+    src = rng.choice(len(sites), size=n_particles, p=weights)
+    q_star = _solve_rays(rng.uniform(-1.0, 1.0, n_particles), table)
+    return endpoint_displacement(rng, n_steps, q_star) + sites[src]
+
+
 def run_shards_spawned(shard, cone: tuple[int, int], n_particles: int, seed: int, shards: int):
     """Counts on ``cone`` of ``shard(n, rng)`` over an even split, every generator built up front.
 
     Spawns one child of ``SeedSequence(seed)`` per shard that holds
     particles, builds all their generators, then runs the shards in order
-    on one thread and bins the pooled sites.
+    on one thread and bins the pooled sites.  ``shard`` returns one
+    shard's final sites as one array, as ``free_shard_whole`` and
+    ``trained_shard_whole`` do.
     """
     children = np.random.SeedSequence(seed).spawn(min(shards, n_particles))
     rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]

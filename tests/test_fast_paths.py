@@ -3,7 +3,8 @@
 The fixed-config differentials sit next to each runner's other tests;
 these draw their configs, with the draws weighted towards the float
 decision edges: quantized rays and one ulp either side of them, the
-ends of the propensity range and the ends of the runner's blocks.  Every
+ends of the propensity range, source weights of 0 or summing to one ulp
+below 1, and the ends of the runners' blocks.  Every
 test is derandomized with a fixed example count, so a run is
 deterministic, and no draw is filtered out.
 """
@@ -12,9 +13,11 @@ import numpy as np
 import oracles
 from hypothesis import example, given, settings, strategies as st
 
-from latticemc import qforce
+from latticemc import qforce, walker
+from latticemc.lattice import light_cone
 
 BLOCK = qforce._RING_BLOCK
+SHARD_BLOCK = walker._BLOCK
 
 
 @st.composite
@@ -47,3 +50,75 @@ def bound_configs(draw):
 @example(cfg=oracles.bound_config("box", 41, 1.0, n_steps=BLOCK + 1, seed=1))
 def test_run_ring_matches_per_tick_reference_on_drawn_configs(cfg):
     assert np.array_equal(qforce.run_ring(cfg).counters, oracles.ring_per_tick(cfg))
+
+
+def _shard_sizes():
+    """Particles per shard: 1 to 5, or one either side of and on a multiple of the shard block."""
+    return st.one_of(
+        st.integers(1, 5),
+        st.builds(lambda k, d: k * SHARD_BLOCK + d, st.integers(1, 3), st.integers(-1, 1)),
+    )
+
+
+def _free_run(p, xi0: int, n_steps: int):
+    """(blocked shard, whole reference, cone) of a free run at propensity ``p`` from ``xi0``."""
+    return (
+        lambda n, rng, block: walker._simulate_free_shard(n, n_steps, p, xi0, rng, block),
+        lambda n, rng: oracles.free_shard_whole(n, n_steps, p, xi0, rng),
+        light_cone(xi0, xi0, n_steps),
+    )
+
+
+def _trained_run(sources, n_steps: int):
+    """(blocked shard, whole reference, cone) of a trained run over ``sources``, sorted by site."""
+    slits = qforce._slit_arrays(sources)
+    return (
+        lambda n, rng, block: qforce._trained_shard(slits, n, n_steps, rng, block),
+        lambda n, rng: oracles.trained_shard_whole(slits, n, n_steps, rng),
+        light_cone(sources[0][0], sources[-1][0], n_steps),
+    )
+
+
+@st.composite
+def free_runs(draw):
+    """A free run: p uniform, fixed or +/-1, from a nonzero xi0."""
+    p = draw(st.one_of(st.none(), st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0])))
+    xi0 = draw(st.integers(1, 10**6)) * draw(st.sampled_from([-1, 1]))
+    return _free_run(p, xi0, draw(st.integers(0, 40)))
+
+
+@st.composite
+def trained_runs(draw):
+    """A trained run over 2-10 sources; one weighs 0, and the weights sum to 1 or one ulp below it."""
+    k = draw(st.integers(2, 10))
+    sites = sorted(draw(st.lists(st.integers(-60, 60), min_size=k, max_size=k, unique=True)))
+    raw = draw(st.lists(st.integers(1, 100), min_size=k - 1, max_size=k - 1))
+    weights = [w / sum(raw) for w in raw]
+    weights[-1] = 1.0 - sum(weights[:-1])
+    if draw(st.booleans()):  # one ulp off the last weight, so the sum falls short of 1
+        weights[-1] = float(np.nextafter(weights[-1], 0.0))
+    weights.insert(draw(st.integers(0, k - 1)), 0.0)
+    return _trained_run(list(zip(sites, weights)), draw(st.integers(0, 40)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    run=st.one_of(free_runs(), trained_runs()),
+    size=_shard_sizes(),
+    shards=st.integers(1, 5),
+    extra=st.integers(0, 4),
+    threads=st.integers(1, 2),
+    seed=st.integers(0, 2**64 - 1),
+)
+# one particle past a block, the first shard size drawn in two blocks
+@example(run=_free_run(None, -7, 30), size=SHARD_BLOCK + 1, shards=1, extra=0, threads=1, seed=3)
+@example(run=_trained_run([(-4, 0.25), (0, 0.0), (5, 0.75)], 30), size=SHARD_BLOCK, shards=3,
+         extra=2, threads=2, seed=4)
+def test_blocked_shards_match_whole_draws_on_drawn_runs(run, size, shards, extra, threads, seed):
+    # every shard holds size or size + 1 particles, so the block edges fall
+    # inside each; its blocks draw what the shard drawn whole draws
+    shard, whole, cone = run
+    n = size * shards + extra % shards
+    hist = walker._run_shards(shard, cone, n, seed, shards, threads)
+    assert hist.offset == cone[0]
+    assert hist.counts.tolist() == oracles.run_shards_spawned(whole, cone, n, seed, shards).tolist()

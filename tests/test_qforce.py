@@ -387,14 +387,15 @@ def _trained_rays(cfg, shards):
     """Per-particle (xi, p0, counter, q_star) of the trained run of ``cfg``, all shards.
 
     Spies on the shard, the ray solver and the endpoint sampler record
-    each shard's columns as the run draws them, one shard after another.
+    each block's columns as the run draws them, one shard after another.
     """
     xi, p0, counter, q_star = [], [], [], []
     shard, solve, sample = qforce._trained_shard, qforce._solve_rays, qforce.endpoint_displacement
 
     def shard_spy(*args):
-        xi.append(shard(*args))
-        return xi[-1]
+        for sites in shard(*args):
+            xi.append(sites)
+            yield sites
 
     def solve_spy(p, table):
         p0.append(p)

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from latticemc import analytic, qforce, walker
 from latticemc.lattice import light_cone, transition_probs
+from latticemc.scenarios import ScenarioConfig
 from latticemc.stats import _chi2_critical, _pool, compare
 
 
@@ -149,13 +150,42 @@ def test_empty_shards_are_not_seeded():
         assert peak < 2 * 2**20, (n, shards, threads)
 
 
+def test_ensemble_memory_is_flat_in_the_particle_count():
+    # a shard draws, solves and bins one block of particles at a time, so
+    # 3e5 particles peak no higher than 1e4, free or trained over the
+    # benchmark's ten sources
+    ten_sources = [(site, 0.1) for site in range(-15, 13, 3)]
+    runs = {
+        "free": lambda n: walker.run_ensemble_free(n, 30, seed=1),
+        "trained": lambda n: qforce.run_trained_slits(
+            ScenarioConfig("multi-slit", n, 30, ten_sources, seed=1)),
+    }
+
+    def peak(run, n):
+        tracemalloc.start()
+        try:
+            run(n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for kind, run in runs.items():
+        peak(run, 100)  # the first run in a process also allocates one-off state
+        assert peak(run, 300_000) - peak(run, 10_000) <= 2**19, kind
+
+
 _TRAINED_SLITS = qforce._slit_arrays([(-3, 0.3), (1, 0.2), (4, 0.5)])
 
-# one shard function per kind of run, with its light cone
+# per kind of run: the blocked shard, its whole-draw reference, and the light cone
 _SHARDS = {
-    "free": (lambda n, rng: walker._simulate_free_shard(n, 30, None, 0, rng), light_cone(0, 0, 30)),
+    "free": (
+        lambda n, rng, block: walker._simulate_free_shard(n, 30, None, 0, rng, block),
+        lambda n, rng: oracles.free_shard_whole(n, 30, None, 0, rng),
+        light_cone(0, 0, 30),
+    ),
     "trained": (
-        lambda n, rng: qforce._trained_shard(_TRAINED_SLITS, n, 30, rng),
+        lambda n, rng, block: qforce._trained_shard(_TRAINED_SLITS, n, 30, rng, block),
+        lambda n, rng: oracles.trained_shard_whole(_TRAINED_SLITS, n, 30, rng),
         light_cone(-3, 4, 30),
     ),
 }
@@ -166,9 +196,10 @@ _SHARDS = {
 @pytest.mark.parametrize("seed", [0, 17, 2**40 + 3])
 def test_run_shards_matches_eager_spawn(kind, n, shards, seed):
     # each shard's generator, derived by index in its job, is the one
-    # SeedSequence(seed).spawn gives it
-    shard, cone = _SHARDS[kind]
-    expected = oracles.run_shards_spawned(shard, cone, n, seed, shards)
+    # SeedSequence(seed).spawn gives it, and its blocks draw what the
+    # shard drawn whole does
+    shard, whole, cone = _SHARDS[kind]
+    expected = oracles.run_shards_spawned(whole, cone, n, seed, shards)
     for threads in (1, 2):
         hist = walker._run_shards(shard, cone, n, seed, shards, threads)
         assert hist.offset == cone[0]
