@@ -280,7 +280,7 @@ def _trained_shard(
     draw bit for bit.
     """
     sites, weights, table = slits
-    sources, preps, ends = _stage_streams(rng, block, n_particles, n_particles)
+    sources, preps, ends = _stage_streams(rng, n_particles, n_particles)
     for start in range(0, n_particles, block):
         size = min(block, n_particles - start)
         src = sources.choice(len(sites), size=size, p=weights)

@@ -74,7 +74,7 @@ def endpoint_displacement(rng: np.random.Generator, n_steps: int, p):
 _BLOCK = 8192  # particles drawn, solved and binned together; bounds a shard's working set
 
 
-def _stage_streams(rng: np.random.Generator, block: int, *lengths: int) -> list[np.random.Generator]:
+def _stage_streams(rng: np.random.Generator, *lengths: int) -> list[np.random.Generator]:
     """One generator per draw stage of a shard, each where the whole-shard draw of that stage starts.
 
     A shard draws its particles in stages, each one array call over the
@@ -84,12 +84,8 @@ def _stage_streams(rng: np.random.Generator, block: int, *lengths: int) -> list[
     ``lengths`` outputs the next starts at their sum.  The first stage
     reads ``rng`` itself; each later one reads a copy of its PCG64
     ``advance``d to its start, so drawing every stage one block at a time
-    reads the same numbers as drawing it whole.  When no earlier stage is
-    longer than a block, the shard draws each one whole, in its first
-    block and in turn, so ``rng`` itself serves every stage.
+    reads the same numbers as drawing it whole.
     """
-    if max(lengths) <= block:
-        return [rng] * (len(lengths) + 1)
     state, streams, start = rng.bit_generator.state, [rng], 0
     for length in lengths:
         start += length
@@ -111,7 +107,7 @@ def _simulate_free_shard(
     fixed ``p``); ``_stage_streams`` starts them there, and the sites are
     those of the whole draw bit for bit.
     """
-    preps, ends = _stage_streams(rng, block, n_particles if p is None else 0)
+    preps, ends = _stage_streams(rng, n_particles if p is None else 0)
     for start in range(0, n_particles, block):
         size = min(block, n_particles - start)
         # one uniform p per particle, or the fixed p as an array so the binomial draws once per particle
