@@ -32,7 +32,7 @@ for p in (0.05, 0.17, 0.33, 0.61, 0.88):
 
 run = run_ring(ScenarioConfig("ring", 1, N_STEPS, ell=ELL, p=0.33, seed=26))
 print("\nlock-in of p=0.33 toward 0.4 (log-time relaxation):")
-counters = run.counters  # built from the move trace on each read
+counters = run.counters  # walked again from the seeded config on each read
 for mark in (100, 1000, 10000, N_STEPS - 1):
     print(f"  after {mark:6d} ticks: counter/tau = {counters[mark] / (mark + 1):.4f}")
 

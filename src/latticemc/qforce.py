@@ -35,10 +35,10 @@ preparation draw, and the step noise itself.
 
 A bound walk (ring or box) is one long walk steered by its own converged
 memory.  One runner, ``run_ring``, walks both: a box of ell sites is a
-ring of 2*ell whose positions fold back into [0, ell].  It stores only
-the move of each tick, one byte per tick; counters, sample momenta and
-positions follow from it, and the locked-half summary builds its
-counters one block at a time.
+ring of 2*ell whose positions fold back into [0, ell].  It walks in
+blocks and streams the locked-half summary from them as they come, so it
+holds no trace; ``BoundRun`` walks the seeded walk again to give moves,
+counters and positions on read.
 The ring force never exceeds 1/period in size and a move is
 nondecreasing in p, so a draw that moves the same at both ends of the
 bracket p0 -/+ 1/period moves so on any tick; ``run_ring`` decides those
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -419,21 +419,23 @@ _RING_FORCE_SLACK = 1e-9  # rounding allowance on |ring_memory_force(q, period)|
 
 @dataclass
 class BoundRun:
-    """Move trace of a ring or box walk; every other trace follows from it.
+    """Locked-half summary of a ring or box walk; its traces are walked again on read.
 
-    ``moves[t]`` is the int8 move (+1, 0 or -1) of tick t+1, on a ring of
-    ``period`` sites.  ``counters[t]`` is the displacement counter after
-    tick t+1, built from the moves on each read.  ``positions[t]`` is the
-    walker's site after tick t+1: the counter wrapped onto [0, period),
-    and folded back into [0, period/2] when ``folded`` (a box).
-    ``locked_summary`` reads the sample momentum counter/tau over the
-    locked half of the run, ticks n//2 ... n-1, after the lock-in
-    transient.
+    ``summary`` is what ``locked_summary`` returns, streamed from the walk
+    by ``run_ring``, which keeps no trace.  ``moves[t]`` is the int8 move
+    (+1, 0 or -1) of tick t+1, on a ring of ``config.period`` sites, from
+    a fresh walk of ``config`` on each read; its seed makes it the same
+    walk.  ``counters[t]`` is the displacement counter after tick t+1.
+    ``positions[t]`` is the walker's site after tick t+1: the counter
+    wrapped onto [0, period), and folded back into [0, period/2] for a box.
     """
 
-    moves: np.ndarray
-    period: int
-    folded: bool
+    config: ScenarioConfig
+    summary: tuple
+
+    @property
+    def moves(self) -> np.ndarray:
+        return np.concatenate(list(_ring_blocks(self.config)))
 
     @property
     def counters(self) -> np.ndarray:
@@ -441,32 +443,117 @@ class BoundRun:
 
     @property
     def positions(self) -> np.ndarray:
-        wrapped = self.counters % self.period
-        return np.minimum(wrapped, self.period - wrapped) if self.folded else wrapped
+        period = self.config.period
+        wrapped = self.counters % period
+        return np.minimum(wrapped, period - wrapped) if self.config.kind == "box" else wrapped
 
     def locked_summary(self):
         """(mean, centers, counts) of the sample momenta counter/tau over ticks n//2 ... n-1.
 
-        The locked half's counters are built one block at a time, never the
-        whole counter trace, and each block is divided against float taus,
-        which are exact below 2**53, into the one p_bar array and binned as
-        soon as it is written.  So p_bar equals the second half of
-        ``counters / np.arange(1, n + 1)`` bit for bit.
+        The mean is ``np.mean`` of the locked half and the counts one
+        ``np.histogram`` of it in cells 0.02 wide centred on -1, -0.98, ...,
+        1, both bit for bit; ``_locked_summary`` builds them as the walk runs.
         """
-        width = 0.02
-        edges = np.arange(-1.0 - width / 2.0, 1.0 + width, width)
-        n, first = len(self.moves), len(self.moves) // 2
-        p_bar = np.empty(n - first)
-        counts = np.zeros(len(edges) - 1, dtype=np.int64)
-        counter = int(self.moves[:first].sum(dtype=np.int64))
-        for start in range(first, n, _RING_BLOCK):
-            counters = counter + np.cumsum(self.moves[start : start + _RING_BLOCK], dtype=np.int64)
-            stop = start + len(counters)
-            block = p_bar[start - first : stop - first]
-            np.divide(counters, np.arange(start + 1, stop + 1, dtype=float), out=block)
-            counts += np.histogram(block, bins=edges)[0]
-            counter = int(counters[-1])
-        return float(p_bar.mean()), (edges[:-1] + edges[1:]) / 2.0, counts
+        return self.summary
+
+
+def _ring_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
+    """Yield the int8 moves of one ring or box walk, ``_RING_BLOCK`` ticks at a time.
+
+    |ring_memory_force| is at most 1/period, so every p_eff the walk can
+    reach lies in the bracket clamp(p0 -/+ 1/period), and
+    ``walker._bracket_moves`` decides in one array pass each tick whose
+    move is the same across it.  Only the open ticks are stepped one by
+    one, with ``move`` at their own p_eff from the counter so far, so the
+    moves are exactly those of stepping every tick.
+    """
+    rng = np.random.default_rng(config.seed)
+    p0 = float(config.p)
+    period = config.period
+    reach = 1.0 / period + _RING_FORCE_SLACK
+    p_lo, p_hi = max(-1.0, p0 - reach), min(1.0, p0 + reach)
+    counter = 0
+    for start in range(0, config.n_steps, _RING_BLOCK):
+        u = rng.random(min(_RING_BLOCK, config.n_steps - start))
+        moves, open_ = _bracket_moves(u, p_lo, p_hi)
+        ticks = np.flatnonzero(open_)
+        decided = np.cumsum(moves)[ticks]  # decided moves before each open tick (its own is 0)
+        taus = (ticks + start + 1).tolist()
+        gain = counter  # counter before the block plus the open moves taken so far
+        taken = []
+        for tau, u_t, known in zip(taus, u[ticks].tolist(), decided.tolist()):
+            q = (gain + known) / tau if tau > 1 else p0  # no self-history before the walk moves
+            p_eff = max(-1.0, min(1.0, p0 - ring_memory_force(q, period)))
+            v = move(u_t, p_eff)
+            gain += v
+            taken.append(v)
+        moves[ticks] = taken
+        counter += int(moves.sum())
+        yield moves
+
+
+def _pairwise_mean(chunks: Iterable[np.ndarray], n: int) -> float:
+    """``np.mean`` of the ``n`` float64 values ``chunks`` yields in order, bit for bit.
+
+    numpy sums a run of k > 128 values pairwise: it splits the run at k//2
+    rounded down to a multiple of 8 and adds the sums of the two halves.
+    This walks the same tree and hands each subtree of at most
+    ``_RING_BLOCK`` values to one ``np.add.reduce``, which sums it as the
+    whole array's reduce would, so it holds at most one block of values
+    whatever the chunk sizes.
+    """
+    chunks = iter(chunks)
+    held = np.empty(0)
+
+    def take(m: int) -> np.ndarray:
+        nonlocal held
+        parts = []
+        while len(held) < m:
+            parts.append(held)
+            m -= len(held)
+            held = next(chunks)
+        parts.append(held[:m])
+        held = held[m:]
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+    def total(m: int):
+        if m <= _RING_BLOCK:
+            return np.add.reduce(take(m))
+        half = m // 2 - m // 2 % 8
+        return total(half) + total(m - half)
+
+    return float(total(n) / n)
+
+
+def _locked_summary(blocks: Iterable[np.ndarray], n: int):
+    """``BoundRun.locked_summary`` of the ``n`` moves ``blocks`` yields, one block in memory at a time.
+
+    The counter is carried across the first half; from tick n//2 on, each
+    block's counters are built, divided against float taus, which are
+    exact below 2**53, and binned as soon as they are written.  So the
+    sample momenta equal the second half of ``counters / np.arange(1, n + 1)``
+    bit for bit, and ``_pairwise_mean`` sums them in ``np.mean``'s order.
+    """
+    width = 0.02
+    edges = np.arange(-1.0 - width / 2.0, 1.0 + width, width)
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    first = n // 2
+
+    def locked_p_bar() -> Iterator[np.ndarray]:
+        counter = tick = 0
+        for moves in blocks:
+            skip = min(max(first - tick, 0), len(moves))
+            counter += int(moves[:skip].sum(dtype=np.int64))
+            if skip < len(moves):
+                counters = counter + np.cumsum(moves[skip:], dtype=np.int64)
+                p_bar = counters / np.arange(tick + skip + 1, tick + len(moves) + 1, dtype=float)
+                np.add(counts, np.histogram(p_bar, bins=edges)[0], out=counts)
+                counter = int(counters[-1])
+                yield p_bar
+            tick += len(moves)
+
+    mean = _pairwise_mean(locked_p_bar(), n - first)
+    return mean, (edges[:-1] + edges[1:]) / 2.0, counts
 
 
 def run_ring(config: ScenarioConfig) -> BoundRun:
@@ -484,38 +571,10 @@ def run_ring(config: ScenarioConfig) -> BoundRun:
     walk among mirror images spaced 2*ell apart.  Its positions fold back
     into [0, ell], and its stable rays sit at multiples of 1/ell.
 
-    The draws come in blocks of ``_RING_BLOCK``.  |ring_memory_force| is
-    at most 1/period, so every p_eff the walk can reach lies in the
-    bracket clamp(p0 -/+ 1/period), and ``walker._bracket_moves``
-    decides in one array pass each tick whose move is the same across
-    it.  Only the open ticks are stepped one by one, with ``move`` at
-    their own p_eff from the counter so far, so the trace is exactly
-    that of stepping every tick.
+    The walk, ``_ring_blocks``, runs here in blocks of ``_RING_BLOCK``
+    ticks, and ``_locked_summary`` consumes each block as it comes, so a
+    run holds one block whatever its tick count.
     """
     if config.kind in SLIT_KINDS:
         raise ValueError("run_ring needs a ring or box config")
-    rng = np.random.default_rng(config.seed)
-    p0 = float(config.p)
-    period = config.period
-    reach = 1.0 / period + _RING_FORCE_SLACK
-    p_lo, p_hi = max(-1.0, p0 - reach), min(1.0, p0 + reach)
-    trace = np.empty(config.n_steps, dtype=np.int8)
-    counter = 0
-    for start in range(0, config.n_steps, _RING_BLOCK):
-        u = rng.random(min(_RING_BLOCK, config.n_steps - start))
-        moves, open_ = _bracket_moves(u, p_lo, p_hi)
-        ticks = np.flatnonzero(open_)
-        decided = np.cumsum(moves)[ticks]  # decided moves before each open tick (its own is 0)
-        taus = (ticks + start + 1).tolist()
-        gain = counter  # counter before the block plus the open moves taken so far
-        taken = []
-        for tau, u_t, known in zip(taus, u[ticks].tolist(), decided.tolist()):
-            q = (gain + known) / tau if tau > 1 else p0  # no self-history before the walk moves
-            p_eff = max(-1.0, min(1.0, p0 - ring_memory_force(q, period)))
-            v = move(u_t, p_eff)
-            gain += v
-            taken.append(v)
-        moves[ticks] = taken
-        trace[start : start + len(u)] = moves
-        counter += int(moves.sum())
-    return BoundRun(trace, period, folded=config.kind == "box")
+    return BoundRun(config, _locked_summary(_ring_blocks(config), config.n_steps))

@@ -10,7 +10,7 @@ tabulated bracket, ``trained_per_tick`` and ``mean_motion`` step a walk
 under the converged memory force, ``ring_per_tick`` steps every tick of
 a bound walk where ``qforce.run_ring`` decides most of them in a bracket,
 ``locked_half_summary`` reads the whole sample-momentum trace where
-``qforce.BoundRun.locked_summary`` builds its locked half one block at
+``qforce.run_ring`` streams its locked half from the walk one block at
 a time, ``training_per_visit`` walks training emissions through
 ``qforce.effective_momentum``, ``walker.move`` and ``qforce.visit`` where
 ``qforce.run_training_slits`` writes the tick out inline,
@@ -30,8 +30,9 @@ laws) and the memory sums (``scenarios._pair_terms``,
 ``scenarios.ring_memory_force``) with the library, so a differential
 test checks the fast path and not the physics.  ``pad_to_cone`` places
 a pinned count list on a run's light cone, ``bound_config`` builds a
-one-walker ring or box config, and ``ray_density`` is the density of
-locked ray momenta.
+one-walker ring or box config, ``SPLIT_EDGES`` lists locked-half
+lengths at the edges of numpy's pairwise summation tree, and
+``ray_density`` is the density of locked ray momenta.
 """
 
 from __future__ import annotations
@@ -338,6 +339,13 @@ def pad_to_cone(counts, offset: int, cone: tuple[int, int]) -> list[int]:
 def bound_config(kind: str, ell: int, p: float, n_steps: int = 40000, seed: int = 0):
     """Config of a one-walker ``kind`` ("ring" or "box") run of width ``ell``."""
     return ScenarioConfig(kind, 1, n_steps, ell=ell, p=p, seed=seed)
+
+
+# Lengths at the edges of the pairwise tree that np.mean sums in and that
+# ``qforce._pairwise_mean`` walks in blocks: one, two and four blocks, and
+# one or eight values either side.  A bound run of 2*m - m % 2 ticks has m
+# locked-half ticks.
+SPLIT_EDGES = tuple(qforce._RING_BLOCK * 2**j + d for j in range(3) for d in (-8, -1, 0, 1, 8))
 
 
 def ray_density(q, sources):

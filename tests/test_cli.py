@@ -214,20 +214,26 @@ def test_interfere_box_reports_lock(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind, ell", [("ring", "10"), ("box", "5")])
 def test_interfere_bound_run_builds_its_locked_half_once(tmp_path, monkeypatch, kind, ell):
-    # the mean, the histogram and the JSON summary all read one locked half
-    summary = qforce.BoundRun.locked_summary
-    calls = []
+    # the mean, the histogram and the JSON summary all read one locked half,
+    # streamed from one walk
+    summary, walk = qforce._locked_summary, qforce._ring_blocks
+    calls, walks = [], []
 
-    def spy(run):
-        calls.append(len(run.moves))
-        return summary(run)
+    def spy(blocks, n):
+        calls.append(n)
+        return summary(blocks, n)
 
-    monkeypatch.setattr(qforce.BoundRun, "locked_summary", spy)
+    def walk_spy(config):
+        walks.append(config.n_steps)
+        return walk(config)
+
+    monkeypatch.setattr(qforce, "_locked_summary", spy)
+    monkeypatch.setattr(qforce, "_ring_blocks", walk_spy)
     assert cli.main([
         "interfere", "--scenario", kind, "--ell", ell, "--p", "0.37", "--n-steps", "20000",
         "--out", str(tmp_path / "run.csv"), "--json", str(tmp_path / "run.json"),
     ]) == 0
-    assert calls == [20000]
+    assert calls == walks == [20000]
 
 
 @pytest.mark.parametrize("kind", ["ring", "box"])

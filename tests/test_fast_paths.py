@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from latticemc import qforce, walker
 from latticemc.lattice import light_cone
+from latticemc.scenarios import ScenarioConfig
 
 BLOCK = qforce._RING_BLOCK
 SHARD_BLOCK = walker._BLOCK
@@ -43,13 +44,29 @@ def bound_configs(draw):
     return oracles.bound_config(kind, ell, p, n_steps=n_steps, seed=seed)
 
 
+def _split_edge_examples(test):
+    """Add one example per locked-half length in ``oracles.SPLIT_EDGES``, rings and boxes in turn."""
+    for i, m in enumerate(oracles.SPLIT_EDGES):
+        kind, ell, p = [("ring", 10, 0.37), ("box", 7, -0.95), ("ring", 3, 0.3)][i % 3]
+        test = example(cfg=oracles.bound_config(kind, ell, p, n_steps=2 * m - m % 2, seed=i))(test)
+    return test
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(cfg=bound_configs())
 # the ray that rounds a cell down at ell 41 (see ring_memory_force), at a block edge
 @example(cfg=oracles.bound_config("ring", 41, -28 / 41, n_steps=BLOCK, seed=0))
 @example(cfg=oracles.bound_config("box", 41, 1.0, n_steps=BLOCK + 1, seed=1))
+@_split_edge_examples
 def test_run_ring_matches_per_tick_reference_on_drawn_configs(cfg):
-    assert np.array_equal(qforce.run_ring(cfg).counters, oracles.ring_per_tick(cfg))
+    # the walk's counters, and the locked-half summary it streams, against
+    # the tick-by-tick walk and the whole trace's second half, bit for bit
+    run, counters = qforce.run_ring(cfg), oracles.ring_per_tick(cfg)
+    assert np.array_equal(run.counters, counters)
+    mean, centers, counts = run.locked_summary()
+    want_mean, want_centers, want_counts = oracles.locked_half_summary(counters)
+    assert mean == want_mean
+    assert np.array_equal(centers, want_centers) and np.array_equal(counts, want_counts)
 
 
 def _shard_sizes():
@@ -87,17 +104,23 @@ def free_runs(draw):
     return _free_run(p, xi0, draw(st.integers(0, 40)))
 
 
-@st.composite
-def trained_runs(draw):
-    """A trained run over 2-10 sources; one weighs 0, and the weights sum to 1 or one ulp below it."""
-    k = draw(st.integers(2, 10))
-    sites = sorted(draw(st.lists(st.integers(-60, 60), min_size=k, max_size=k, unique=True)))
+def _draw_weights(draw, k: int) -> list[float]:
+    """k source weights: one is 0, and they sum to 1 or one ulp below it."""
     raw = draw(st.lists(st.integers(1, 100), min_size=k - 1, max_size=k - 1))
     weights = [w / sum(raw) for w in raw]
     weights[-1] = 1.0 - sum(weights[:-1])
     if draw(st.booleans()):  # one ulp off the last weight, so the sum falls short of 1
         weights[-1] = float(np.nextafter(weights[-1], 0.0))
     weights.insert(draw(st.integers(0, k - 1)), 0.0)
+    return weights
+
+
+@st.composite
+def trained_runs(draw):
+    """A trained run over 2-10 sources; one weighs 0, and the weights sum to 1 or one ulp below it."""
+    k = draw(st.integers(2, 10))
+    sites = sorted(draw(st.lists(st.integers(-60, 60), min_size=k, max_size=k, unique=True)))
+    weights = _draw_weights(draw, k)
     return _trained_run(list(zip(sites, weights)), draw(st.integers(0, 40)))
 
 
@@ -122,3 +145,36 @@ def test_blocked_shards_match_whole_draws_on_drawn_runs(run, size, shards, extra
     hist = walker._run_shards(shard, cone, n, seed, shards, threads)
     assert hist.offset == cone[0]
     assert hist.counts.tolist() == oracles.run_shards_spawned(whole, cone, n, seed, shards).tolist()
+
+
+@st.composite
+def training_configs(draw):
+    """A training run over 2-5 sources within +/-300, weighted as ``trained_runs``.
+
+    The draws lean towards the widest runs, sources at +/-300 and 40
+    emissions of 400 ticks, where a long-lived site boson's decay product
+    leaves the float range and an emission ends on a NaN propensity.
+    """
+    k = draw(st.integers(2, 5))
+    site = st.one_of(st.integers(-300, 300), st.sampled_from([-300, 300]))
+    sites = draw(st.lists(site, min_size=k, max_size=k, unique=True))
+    sources = list(zip(sites, _draw_weights(draw, k)))
+    n_particles = draw(st.one_of(st.integers(1, 40), st.just(40)))
+    n_steps = draw(st.one_of(st.integers(1, 400), st.just(400)))
+    return ScenarioConfig("multi-slit", n_particles, n_steps, sources, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(cfg=training_configs())
+# six emissions of this run end on a NaN propensity
+@example(cfg=ScenarioConfig("multi-slit", 40, 400, [(-300, 0.25), (20, 0.5), (300, 0.25)], seed=36))
+def test_run_training_slits_matches_per_visit_reference_on_drawn_configs(cfg):
+    # the inline tick against the plain forms, bit for bit, NaN bits too
+    fast, slow = qforce.run_training_slits(cfg), oracles.training_per_visit(cfg)
+    assert list(fast.emissions) == list(slow.emissions)
+    for name, column in fast.emissions.items():
+        assert column.dtype == slow.emissions[name].dtype
+        assert column.tobytes() == slow.emissions[name].tobytes(), name
+    assert repr(fast.lattice) == repr(slow.lattice)
+    assert fast.positions.offset == slow.positions.offset
+    assert np.array_equal(fast.positions.counts, slow.positions.counts)

@@ -835,11 +835,14 @@ def test_run_ring_matches_per_tick_reference(name):
 
 @pytest.mark.parametrize("name", sorted(BRACKET_CONFIGS))
 def test_locked_half_summary_matches_whole_trace_reference(name):
-    # the block-built locked half equals the whole trace's second half bit
+    # the streamed locked half equals the whole trace's second half bit
     # for bit: one tick, runs whose half sits at and around a block edge,
-    # and an odd length past three blocks
+    # an odd length past three blocks, and halves at the pairwise tree's
+    # split edges, each config taking every eighth of those
     block = qforce._RING_BLOCK
-    for n_steps in (1, 2 * block - 1, 2 * block, 2 * block + 1, 3 * block + 777):
+    edges = oracles.SPLIT_EDGES[sorted(BRACKET_CONFIGS).index(name) :: len(BRACKET_CONFIGS)]
+    for n_steps in (1, 2 * block - 1, 2 * block, 2 * block + 1, 3 * block + 777,
+                    *(2 * m - m % 2 for m in edges)):
         cfg = replace(BRACKET_CONFIGS[name], n_steps=n_steps, seed=n_steps % 97)
         run = run_ring(cfg)
         counters = oracles.ring_per_tick(cfg)
@@ -864,24 +867,47 @@ def _ring_peak(n_steps, summarize):
 
 
 def test_run_ring_working_set_does_not_grow_with_ticks():
-    # draws are bracketed in fixed-size blocks, so apart from the returned
-    # move trace the walk's peak memory is the same for 30k and 300k ticks
+    # the walk draws, brackets and summarizes in fixed-size blocks and keeps
+    # no trace, so its peak memory is the same for 30k and 300k ticks
     def working_set(n):
-        run, peak = _ring_peak(n, lambda run: None)
-        return peak - run.moves.nbytes
+        return _ring_peak(n, lambda run: None)[1]
 
     working_set(100)  # the first run in a process also allocates one-off state
     assert working_set(300_000) <= 1.5 * working_set(30_000)
 
 
 def test_ring_run_and_summary_keep_a_few_bytes_per_tick():
-    # one byte of move trace per tick plus one float per locked-half tick:
-    # the run and its summary together grow by at most 6 bytes a tick
+    # no byte per tick at all: the run and its summary hold one block of
+    # moves and sample momenta, so their peak is flat in the tick count
     def peak(n):
         return _ring_peak(n, lambda run: run.locked_summary())[1]
 
     peak(100)  # the first run in a process also allocates one-off state
-    assert peak(300_000) - peak(30_000) <= 6 * 270_000
+    assert peak(300_000) - peak(30_000) <= 250_000
+
+
+@pytest.mark.parametrize("length", [
+    *range(1, 20), 127, 128, 129, 255, 1001, *oracles.SPLIT_EDGES,
+    *(qforce._RING_BLOCK * 2**j + d for j in (3, 6, 8) for d in (-8, -1, 0, 1, 8)), 3_000_001,
+])
+def test_pairwise_mean_matches_np_mean_on_any_chunking(length):
+    # values over sixteen decades, so a different summation order shows in the bits
+    rng = np.random.default_rng(length)
+    values = rng.standard_normal(length) * 10.0 ** rng.uniform(-8.0, 8.0, length)
+    want = float(np.mean(values))
+    sizes = [8191, 8192, 8193, "random"] + ([1, 7] if length <= 5 * qforce._RING_BLOCK else [])
+    for size in sizes:
+        if size == "random":
+            top = min(length, 3 * qforce._RING_BLOCK)
+            cuts = np.cumsum(rng.integers(1, top + 1, 2 * length // top + 2))
+            chunks = np.split(values, cuts[cuts < length])
+        else:
+            chunks = (values[i : i + size] for i in range(0, length, size))
+        assert qforce._pairwise_mean(chunks, length) == want, (
+            f"numpy's pairwise summation order changed (length {length}, pieces of {size}): "
+            "the streamed locked-half mean no longer reproduces np.mean, so ring and box "
+            "means change; bump __version__ for it, and do not edit the pins"
+        )
 
 
 def test_bound_runners_check_config_kind():
