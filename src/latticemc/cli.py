@@ -333,8 +333,7 @@ def _execute_interfere(params: dict) -> None:
         if (params["n_particles"] or 1) > 1 or params["mode"] == "training":
             print(f"interfere: a {config.kind} run follows one walker in converged memory; "
                   "--n-particles and --mode are ignored", file=sys.stderr)
-        run = qforce.run_ring(config)
-        mean_p_bar, centers, counts = run.locked_summary()
+        mean_p_bar, centers, counts = qforce.run_ring(config)
         target = ring_steady_momentum(config.p, config.period)
         summary = {
             "scenario": config.kind,

@@ -34,15 +34,16 @@ the locked propensity; the only randomness left is the source draw, the
 preparation draw, and the step noise itself.
 
 A bound walk (ring or box) is one long walk steered by its own converged
-memory.  One runner, ``run_ring``, walks both: a box of ell sites is a
-ring of 2*ell whose positions fold back into [0, ell].  It walks in
-blocks and streams the locked-half summary from them as they come, so it
-holds no trace; ``BoundRun`` walks the seeded walk again to give moves,
-counters and positions on read.
+memory.  One walk, ``ring_counters``, walks both: a box of ell sites is
+a ring of 2*ell whose positions fold back into [0, ell].  It yields the
+walker's displacement counters one block at a time, and ``run_ring``
+streams the locked-half summary from those blocks as they come, so a run
+holds no trace.
 The ring force never exceeds 1/period in size and a move is
 nondecreasing in p, so a draw that moves the same at both ends of the
-bracket p0 -/+ 1/period moves so on any tick; ``run_ring`` decides those
-ticks in one array pass and steps only the rest, exactly as tick by tick.
+bracket p0 -/+ 1/period moves so on any tick; ``ring_counters`` decides
+those ticks in one array pass and steps only the rest, exactly as tick
+by tick.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .stats import Histogram
-from .walker import _bracket_moves, _run_shards, _stage_streams, endpoint_displacement, move
+from .walker import _BLOCK, _bracket_moves, _run_shards, _stage_streams, endpoint_displacement, move
 from .scenarios import (SLIT_KINDS, ScenarioConfig, _memory_force, _pair_terms, _ray_table,
                         _solve_rays, ring_memory_force)
 
@@ -244,19 +245,21 @@ def visit(lattice: TrainingLattice, particle: ParticleState) -> int | None:
 # trained mode (vectorized, no lattice state)
 
 
-def _slit_arrays(sources) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(sites, weights, ray table) of a source list: what trained shards read.
+def _source_picks(sources) -> tuple[np.ndarray, np.ndarray]:
+    """(sites, cdf) of a source list: a uniform double u picks ``np.searchsorted(cdf, u, "right")``.
 
-    The ray table is ``_ray_table`` of the source list's pair table; a
-    run builds both once, here, and every shard's ``_solve_rays`` reads it.
+    ``cdf`` is the cumulative weights over their last entry, which is how
+    ``Generator.choice`` maps its one double per pick, so both slit
+    runners pick their sources as ``choice`` would from the same doubles.
     """
     sites = np.array([s for s, _ in sources], dtype=np.int64)
-    weights = np.array([w for _, w in sources], dtype=float)
-    return sites, weights, _ray_table(*_pair_terms(sources))
+    cdf = np.cumsum(np.array([w for _, w in sources], dtype=float))
+    return sites, cdf / cdf[-1]
 
 
 def _trained_shard(
-    slits: tuple[np.ndarray, np.ndarray, tuple],
+    picks: tuple[np.ndarray, np.ndarray],
+    table: tuple,
     n_particles: int,
     n_steps: int,
     rng: np.random.Generator,
@@ -264,7 +267,8 @@ def _trained_shard(
 ) -> Iterator[np.ndarray]:
     """Yield the final sites of one shard of trained-mode walks, ``block`` particles at a time.
 
-    ``slits`` is ``_slit_arrays(sources)``.  With the lattice memory
+    ``picks`` is ``_source_picks(sources)`` and ``table`` the
+    ``_ray_table`` of their pair table.  With the lattice memory
     converged, a walker's effective propensity settles at the root q* of
     the ray equation for its preparation.  Trained mode samples the
     locked-ray shortcut: the whole walk at q*, in one
@@ -279,11 +283,11 @@ def _trained_shard(
     binomials 2 * n_particles in, and the sites are those of the whole
     draw bit for bit.
     """
-    sites, weights, table = slits
+    sites, cdf = picks
     sources, preps, ends = _stage_streams(rng, n_particles, n_particles)
     for start in range(0, n_particles, block):
         size = min(block, n_particles - start)
-        src = sources.choice(len(sites), size=size, p=weights)
+        src = np.searchsorted(cdf, sources.random(size), side="right")
         q_star = _solve_rays(preps.uniform(-1.0, 1.0, size), table)
         final = endpoint_displacement(ends, n_steps, q_star)
         final += sites[src]
@@ -293,15 +297,15 @@ def _trained_shard(
 def run_trained_slits(config: ScenarioConfig, shards: int = 1, threads: int = 1) -> Histogram:
     """Trained-mode interference run; returns the Histogram of final sites on ``config.cone``.
 
-    Each shard is one ``_trained_shard`` generator; the run builds the source
-    arrays, the pair table and its ray table once, in ``_slit_arrays``,
-    and every shard reads them.
+    Each shard is one ``_trained_shard`` generator; the run builds the
+    source picks, the pair table and its ray table once, and every shard
+    reads them.
     """
     if config.kind not in SLIT_KINDS:
         raise ValueError("run_trained_slits handles slit scenarios only")
-    slits = _slit_arrays(config.sources)
+    picks, table = _source_picks(config.sources), _ray_table(*_pair_terms(config.sources))
     return _run_shards(
-        lambda n, rng, block: _trained_shard(slits, n, config.n_steps, rng, block),
+        lambda n, rng, block: _trained_shard(picks, table, n, config.n_steps, rng, block),
         config.cone,
         config.n_particles,
         config.seed,
@@ -341,10 +345,9 @@ def run_training_slits(config: ScenarioConfig) -> TrainingRun:
     ``effective_momentum``, the step of ``walker.move`` and the rule of
     ``visit`` are written out once, inline, on local variables.  Each
     emission takes one ``rng.random(n_steps + 2)`` draw: the first double
-    picks the source the way ``Generator.choice`` maps its one double (the
-    right insertion point in the normalised cumulative weights), the second
-    is the preparation -1 + 2u of ``Generator.uniform(-1, 1)``, and the rest
-    are the step draws.  ``tests/oracles.training_per_visit`` runs the same
+    picks the source by ``_source_picks``, as ``Generator.choice`` would,
+    the second is the preparation -1 + 2u of ``Generator.uniform(-1, 1)``,
+    and the rest are the step draws.  ``tests/oracles.training_per_visit`` runs the same
     emissions through the plain forms, and
     ``test_training_matches_per_visit_reference`` ties the two bit for bit.
     """
@@ -355,9 +358,7 @@ def run_training_slits(config: ScenarioConfig) -> TrainingRun:
     registers, site_bosons = lattice.registers, lattice.site_bosons
     n_steps = config.n_steps
     damp = particle_damping(n_steps).tolist()
-    sites = [s for s, _ in config.sources]
-    cdf = np.cumsum(np.array([w for _, w in config.sources], dtype=float))
-    cdf = (cdf / cdf[-1]).tolist()
+    sites, cdf = (a.tolist() for a in _source_picks(config.sources))
     now = overdriven = 0
 
     sources, finals, created_counts, final_p_effs = [], [], [], []
@@ -413,59 +414,23 @@ def run_training_slits(config: ScenarioConfig) -> TrainingRun:
 # ---------------------------------------------------------------------------
 # bound geometries (a single long walk steered by its own memory)
 
-_RING_BLOCK = 8192  # ticks drawn, bracketed or summed together; bounds the working set
 _RING_FORCE_SLACK = 1e-9  # rounding allowance on |ring_memory_force(q, period)| <= 1/period
 
 
-@dataclass
-class BoundRun:
-    """Locked-half summary of a ring or box walk; its traces are walked again on read.
+def ring_counters(config: ScenarioConfig) -> Iterator[np.ndarray]:
+    """Yield the int64 counters of one ring or box walk, ``walker._BLOCK`` ticks at a time.
 
-    ``summary`` is what ``locked_summary`` returns, streamed from the walk
-    by ``run_ring``, which keeps no trace.  ``moves[t]`` is the int8 move
-    (+1, 0 or -1) of tick t+1, on a ring of ``config.period`` sites, from
-    a fresh walk of ``config`` on each read; its seed makes it the same
-    walk.  ``counters[t]`` is the displacement counter after tick t+1.
-    ``positions[t]`` is the walker's site after tick t+1: the counter
-    wrapped onto [0, period), and folded back into [0, period/2] for a box.
-    """
-
-    config: ScenarioConfig
-    summary: tuple
-
-    @property
-    def moves(self) -> np.ndarray:
-        return np.concatenate(list(_ring_blocks(self.config)))
-
-    @property
-    def counters(self) -> np.ndarray:
-        return np.cumsum(self.moves, dtype=np.int64)
-
-    @property
-    def positions(self) -> np.ndarray:
-        period = self.config.period
-        wrapped = self.counters % period
-        return np.minimum(wrapped, period - wrapped) if self.config.kind == "box" else wrapped
-
-    def locked_summary(self):
-        """(mean, centers, counts) of the sample momenta counter/tau over ticks n//2 ... n-1.
-
-        The mean is ``np.mean`` of the locked half and the counts one
-        ``np.histogram`` of it in cells 0.02 wide centred on -1, -0.98, ...,
-        1, both bit for bit; ``_locked_summary`` builds them as the walk runs.
-        """
-        return self.summary
-
-
-def _ring_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
-    """Yield the int8 moves of one ring or box walk, ``_RING_BLOCK`` ticks at a time.
+    The t-th value yielded is the counter after tick t+1, on a ring of
+    ``config.period`` sites; the walker's site is the counter wrapped onto
+    [0, period), folded back into [0, period/2] for a box.  Every block
+    holds ``_BLOCK`` ticks but the last, which holds the rest.
 
     |ring_memory_force| is at most 1/period, so every p_eff the walk can
     reach lies in the bracket clamp(p0 -/+ 1/period), and
     ``walker._bracket_moves`` decides in one array pass each tick whose
     move is the same across it.  Only the open ticks are stepped one by
     one, with ``move`` at their own p_eff from the counter so far, so the
-    moves are exactly those of stepping every tick.
+    counters are exactly those of stepping every tick.
     """
     rng = np.random.default_rng(config.seed)
     p0 = float(config.p)
@@ -473,8 +438,8 @@ def _ring_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
     reach = 1.0 / period + _RING_FORCE_SLACK
     p_lo, p_hi = max(-1.0, p0 - reach), min(1.0, p0 + reach)
     counter = 0
-    for start in range(0, config.n_steps, _RING_BLOCK):
-        u = rng.random(min(_RING_BLOCK, config.n_steps - start))
+    for start in range(0, config.n_steps, _BLOCK):
+        u = rng.random(min(_BLOCK, config.n_steps - start))
         moves, open_ = _bracket_moves(u, p_lo, p_hi)
         ticks = np.flatnonzero(open_)
         decided = np.cumsum(moves)[ticks]  # decided moves before each open tick (its own is 0)
@@ -488,8 +453,10 @@ def _ring_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
             gain += v
             taken.append(v)
         moves[ticks] = taken
-        counter += int(moves.sum())
-        yield moves
+        counters = np.cumsum(moves, out=moves)  # in place: the block holds one int64 array
+        counters += counter
+        counter = int(counters[-1])
+        yield counters
 
 
 def _pairwise_mean(chunks: Iterable[np.ndarray], n: int) -> float:
@@ -498,7 +465,7 @@ def _pairwise_mean(chunks: Iterable[np.ndarray], n: int) -> float:
     numpy sums a run of k > 128 values pairwise: it splits the run at k//2
     rounded down to a multiple of 8 and adds the sums of the two halves.
     This walks the same tree and hands each subtree of at most
-    ``_RING_BLOCK`` values to one ``np.add.reduce``, which sums it as the
+    ``_BLOCK`` values to one ``np.add.reduce``, which sums it as the
     whole array's reduce would, so it holds at most one block of values
     whatever the chunk sizes.
     """
@@ -517,7 +484,7 @@ def _pairwise_mean(chunks: Iterable[np.ndarray], n: int) -> float:
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
     def total(m: int):
-        if m <= _RING_BLOCK:
+        if m <= _BLOCK:
             return np.add.reduce(take(m))
         half = m // 2 - m // 2 % 8
         return total(half) + total(m - half)
@@ -526,13 +493,15 @@ def _pairwise_mean(chunks: Iterable[np.ndarray], n: int) -> float:
 
 
 def _locked_summary(blocks: Iterable[np.ndarray], n: int):
-    """``BoundRun.locked_summary`` of the ``n`` moves ``blocks`` yields, one block in memory at a time.
+    """(mean, centers, counts) of counter/tau over ticks n//2 ... n-1 of the counters ``blocks`` yields.
 
-    The counter is carried across the first half; from tick n//2 on, each
-    block's counters are built, divided against float taus, which are
-    exact below 2**53, and binned as soon as they are written.  So the
-    sample momenta equal the second half of ``counters / np.arange(1, n + 1)``
-    bit for bit, and ``_pairwise_mean`` sums them in ``np.mean``'s order.
+    ``blocks`` yields the ``n`` counters of one walk in order.  The mean is
+    ``np.mean`` of the locked half and the counts one ``np.histogram`` of
+    it in cells 0.02 wide centred on -1, -0.98, ..., 1, both bit for bit,
+    with one block in memory at a time: each locked block's counters are
+    divided against float taus, which are exact below 2**53, and binned as
+    soon as they are written, and ``_pairwise_mean`` sums them in
+    ``np.mean``'s order.
     """
     width = 0.02
     edges = np.arange(-1.0 - width / 2.0, 1.0 + width, width)
@@ -540,24 +509,22 @@ def _locked_summary(blocks: Iterable[np.ndarray], n: int):
     first = n // 2
 
     def locked_p_bar() -> Iterator[np.ndarray]:
-        counter = tick = 0
-        for moves in blocks:
-            skip = min(max(first - tick, 0), len(moves))
-            counter += int(moves[:skip].sum(dtype=np.int64))
-            if skip < len(moves):
-                counters = counter + np.cumsum(moves[skip:], dtype=np.int64)
-                p_bar = counters / np.arange(tick + skip + 1, tick + len(moves) + 1, dtype=float)
+        tick = 0
+        for counters in blocks:
+            skip = min(max(first - tick, 0), len(counters))
+            if skip < len(counters):
+                taus = np.arange(tick + skip + 1, tick + len(counters) + 1, dtype=float)
+                p_bar = counters[skip:] / taus
                 np.add(counts, np.histogram(p_bar, bins=edges)[0], out=counts)
-                counter = int(counters[-1])
                 yield p_bar
-            tick += len(moves)
+            tick += len(counters)
 
     mean = _pairwise_mean(locked_p_bar(), n - first)
     return mean, (edges[:-1] + edges[1:]) / 2.0, counts
 
 
-def run_ring(config: ScenarioConfig) -> BoundRun:
-    """One walk steered by the ring memory force of circumference ``config.period``.
+def run_ring(config: ScenarioConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """Locked-half summary of one walk steered by the ring memory force of ``config.period`` sites.
 
     A ring of ``ell`` sites is equivalent to an infinite train of equal
     sources spaced ell apart, so the memory force on a walker at sample
@@ -571,10 +538,11 @@ def run_ring(config: ScenarioConfig) -> BoundRun:
     walk among mirror images spaced 2*ell apart.  Its positions fold back
     into [0, ell], and its stable rays sit at multiples of 1/ell.
 
-    The walk, ``_ring_blocks``, runs here in blocks of ``_RING_BLOCK``
-    ticks, and ``_locked_summary`` consumes each block as it comes, so a
-    run holds one block whatever its tick count.
+    Returns ``_locked_summary``'s (mean, centers, counts) of counter/tau
+    over the second half of the walk.  The summary consumes each block of
+    ``ring_counters`` as it comes, so a run holds one block whatever its
+    tick count.
     """
     if config.kind in SLIT_KINDS:
         raise ValueError("run_ring needs a ring or box config")
-    return BoundRun(config, _locked_summary(_ring_blocks(config), config.n_steps))
+    return _locked_summary(ring_counters(config), config.n_steps)

@@ -375,7 +375,7 @@ def ring_memory_force(pbar: float, ell: int) -> float:
     it.  The ray test is a float test that rounding can miss (pbar =
     -28/41 at ell 41 gives pbar*ell/2 = -14.000000000000002 and a force
     of about -1/41), but |force| <= 1/ell holds everywhere, and
-    ``run_ring`` relies on that bound alone.
+    ``qforce.ring_counters`` relies on that bound alone.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")

@@ -71,7 +71,7 @@ def endpoint_displacement(rng: np.random.Generator, n_steps: int, p):
     return rng.binomial(2 * n_steps, (1.0 + p) / 2.0) - n_steps
 
 
-_BLOCK = 8192  # particles drawn, solved and binned together; bounds a shard's working set
+_BLOCK = 8192  # particles, or bound-walk ticks, drawn and summed together; bounds the working set
 
 
 def _stage_streams(rng: np.random.Generator, *lengths: int) -> list[np.random.Generator]:

@@ -8,10 +8,10 @@ plain way: ``run_free`` walks tick by tick where the library draws one
 endpoint, ``bisect_rays`` bisects where ``_solve_rays`` polishes a
 tabulated bracket, ``trained_per_tick`` and ``mean_motion`` step a walk
 under the converged memory force, ``ring_per_tick`` steps every tick of
-a bound walk where ``qforce.run_ring`` decides most of them in a bracket,
-``locked_half_summary`` reads the whole sample-momentum trace where
-``qforce.run_ring`` streams its locked half from the walk one block at
-a time, ``training_per_visit`` walks training emissions through
+a bound walk where ``qforce.ring_counters`` decides most of them in a
+bracket, ``locked_half_summary`` reads the whole sample-momentum trace
+where ``qforce.run_ring`` streams its locked half from the walk one block
+at a time, ``training_per_visit`` walks training emissions through
 ``qforce.effective_momentum``, ``walker.move`` and ``qforce.visit`` where
 ``qforce.run_training_slits`` writes the tick out inline,
 ``ray_equation`` writes the two-source ray condition out by hand,
@@ -43,7 +43,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from latticemc import qforce
+from latticemc import qforce, walker
 from latticemc.lattice import transition_probs
 from latticemc.scenarios import (
     ScenarioConfig,
@@ -160,7 +160,7 @@ def trained_per_tick(
 
 
 def ring_per_tick(config) -> np.ndarray:
-    """Slow reference of ``qforce.run_ring``: a ring or box walk's counter trace, tick by tick.
+    """Slow reference of ``qforce.ring_counters``: a ring or box walk's counter trace, tick by tick.
 
     Every tick steps ``walker.move`` at
     p_eff = clip(p0 - ring_memory_force(counter/tau)), p0 itself on the
@@ -180,7 +180,7 @@ def ring_per_tick(config) -> np.ndarray:
 
 
 def locked_half_summary(counters: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Slow reference of ``BoundRun.locked_summary``.
+    """Slow reference of ``qforce.run_ring``, the locked-half summary.
 
     Builds the whole sample-momentum trace counter/tau and reads its
     second half, ticks n//2 ... n-1: returns its mean and the (centers,
@@ -258,14 +258,15 @@ def free_shard_whole(n_particles: int, n_steps: int, p, xi0: int, rng: np.random
     return xi0 + endpoint_displacement(rng, n_steps, p)
 
 
-def trained_shard_whole(slits, n_particles: int, n_steps: int, rng: np.random.Generator):
+def trained_shard_whole(sources, table, n_particles: int, n_steps: int, rng: np.random.Generator):
     """Slow reference of ``qforce._trained_shard``: the whole shard's final sites in one draw.
 
-    One array call per stage over every particle: the source picks, the
-    preparations and their rays, then the endpoint binomials.
+    One array call per stage over every particle: the source picks, with
+    ``Generator.choice`` over the (site, weight) list ``sources``, the
+    preparations and their rays on ``table``, then the endpoint binomials.
     """
-    sites, weights, table = slits
-    src = rng.choice(len(sites), size=n_particles, p=weights)
+    sites = np.array([s for s, _ in sources], dtype=np.int64)
+    src = rng.choice(len(sites), size=n_particles, p=[w for _, w in sources])
     q_star = _solve_rays(rng.uniform(-1.0, 1.0, n_particles), table)
     return endpoint_displacement(rng, n_steps, q_star) + sites[src]
 
@@ -345,7 +346,7 @@ def bound_config(kind: str, ell: int, p: float, n_steps: int = 40000, seed: int 
 # ``qforce._pairwise_mean`` walks in blocks: one, two and four blocks, and
 # one or eight values either side.  A bound run of 2*m - m % 2 ticks has m
 # locked-half ticks.
-SPLIT_EDGES = tuple(qforce._RING_BLOCK * 2**j + d for j in range(3) for d in (-8, -1, 0, 1, 8))
+SPLIT_EDGES = tuple(walker._BLOCK * 2**j + d for j in range(3) for d in (-8, -1, 0, 1, 8))
 
 
 def ray_density(q, sources):

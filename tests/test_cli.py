@@ -216,7 +216,7 @@ def test_interfere_box_reports_lock(tmp_path, capsys):
 def test_interfere_bound_run_builds_its_locked_half_once(tmp_path, monkeypatch, kind, ell):
     # the mean, the histogram and the JSON summary all read one locked half,
     # streamed from one walk
-    summary, walk = qforce._locked_summary, qforce._ring_blocks
+    summary, walk = qforce._locked_summary, qforce.ring_counters
     calls, walks = [], []
 
     def spy(blocks, n):
@@ -228,7 +228,7 @@ def test_interfere_bound_run_builds_its_locked_half_once(tmp_path, monkeypatch, 
         return walk(config)
 
     monkeypatch.setattr(qforce, "_locked_summary", spy)
-    monkeypatch.setattr(qforce, "_ring_blocks", walk_spy)
+    monkeypatch.setattr(qforce, "ring_counters", walk_spy)
     assert cli.main([
         "interfere", "--scenario", kind, "--ell", ell, "--p", "0.37", "--n-steps", "20000",
         "--out", str(tmp_path / "run.csv"), "--json", str(tmp_path / "run.json"),

@@ -13,12 +13,11 @@ import numpy as np
 import oracles
 from hypothesis import example, given, settings, strategies as st
 
-from latticemc import qforce, walker
+from latticemc import qforce, scenarios, walker
 from latticemc.lattice import light_cone
 from latticemc.scenarios import ScenarioConfig
 
-BLOCK = qforce._RING_BLOCK
-SHARD_BLOCK = walker._BLOCK
+BLOCK = walker._BLOCK
 
 
 @st.composite
@@ -61,9 +60,9 @@ def _split_edge_examples(test):
 def test_run_ring_matches_per_tick_reference_on_drawn_configs(cfg):
     # the walk's counters, and the locked-half summary it streams, against
     # the tick-by-tick walk and the whole trace's second half, bit for bit
-    run, counters = qforce.run_ring(cfg), oracles.ring_per_tick(cfg)
-    assert np.array_equal(run.counters, counters)
-    mean, centers, counts = run.locked_summary()
+    counters = oracles.ring_per_tick(cfg)
+    assert np.array_equal(np.concatenate(list(qforce.ring_counters(cfg))), counters)
+    mean, centers, counts = qforce.run_ring(cfg)
     want_mean, want_centers, want_counts = oracles.locked_half_summary(counters)
     assert mean == want_mean
     assert np.array_equal(centers, want_centers) and np.array_equal(counts, want_counts)
@@ -73,7 +72,7 @@ def _shard_sizes():
     """Particles per shard: 1 to 5, or one either side of and on a multiple of the shard block."""
     return st.one_of(
         st.integers(1, 5),
-        st.builds(lambda k, d: k * SHARD_BLOCK + d, st.integers(1, 3), st.integers(-1, 1)),
+        st.builds(lambda k, d: k * BLOCK + d, st.integers(1, 3), st.integers(-1, 1)),
     )
 
 
@@ -88,10 +87,10 @@ def _free_run(p, xi0: int, n_steps: int):
 
 def _trained_run(sources, n_steps: int):
     """(blocked shard, whole reference, cone) of a trained run over ``sources``, sorted by site."""
-    slits = qforce._slit_arrays(sources)
+    picks, table = qforce._source_picks(sources), scenarios._ray_table(*scenarios._pair_terms(sources))
     return (
-        lambda n, rng, block: qforce._trained_shard(slits, n, n_steps, rng, block),
-        lambda n, rng: oracles.trained_shard_whole(slits, n, n_steps, rng),
+        lambda n, rng, block: qforce._trained_shard(picks, table, n, n_steps, rng, block),
+        lambda n, rng: oracles.trained_shard_whole(sources, table, n, n_steps, rng),
         light_cone(sources[0][0], sources[-1][0], n_steps),
     )
 
@@ -134,8 +133,8 @@ def trained_runs(draw):
     seed=st.integers(0, 2**64 - 1),
 )
 # one particle past a block, the first shard size drawn in two blocks
-@example(run=_free_run(None, -7, 30), size=SHARD_BLOCK + 1, shards=1, extra=0, threads=1, seed=3)
-@example(run=_trained_run([(-4, 0.25), (0, 0.0), (5, 0.75)], 30), size=SHARD_BLOCK, shards=3,
+@example(run=_free_run(None, -7, 30), size=BLOCK + 1, shards=1, extra=0, threads=1, seed=3)
+@example(run=_trained_run([(-4, 0.25), (0, 0.0), (5, 0.75)], 30), size=BLOCK, shards=3,
          extra=2, threads=2, seed=4)
 def test_blocked_shards_match_whole_draws_on_drawn_runs(run, size, shards, extra, threads, seed):
     # every shard holds size or size + 1 particles, so the block edges fall
@@ -145,6 +144,56 @@ def test_blocked_shards_match_whole_draws_on_drawn_runs(run, size, shards, extra
     hist = walker._run_shards(shard, cone, n, seed, shards, threads)
     assert hist.offset == cone[0]
     assert hist.counts.tolist() == oracles.run_shards_spawned(whole, cone, n, seed, shards).tolist()
+
+
+@st.composite
+def ray_problems(draw):
+    """(sources, grid points, ulp sides, uniform p0) for the ray solver, either side of exactness.
+
+    The ray table is exact for an equal pair up to about 54 apart and for
+    ten sources 3 apart, and not for wider pairs or thirty sources 3
+    apart, so pairs are drawn 2-54 apart or wider, and 10-30 sources 3
+    apart.  A pair's weights are equal, one ulp short of 1 in sum, or
+    1 and 0; the sources' are equal or weighted as ``trained_runs``.  Each
+    drawn grid point gives p0 at the table's F row there, or one ulp
+    below or above it, where the table's fit is F itself; 200 uniform p0
+    fall inside cells, where an inexact fit is not.
+    """
+    if draw(st.booleans()):
+        d = draw(st.one_of(st.integers(2, 54), st.integers(55, 400)))
+        weights = draw(st.sampled_from([(0.5, 0.5), (0.5, float(np.nextafter(0.5, 0.0))), (1.0, 0.0)]))
+        sources = [(0, weights[0]), (d, weights[1])]
+    else:
+        k = draw(st.integers(10, 30))
+        weights = [1.0 / k] * k if draw(st.booleans()) else _draw_weights(draw, k)
+        sources = [(3 * i, w) for i, w in enumerate(weights)]
+    last = scenarios._RAY_TABLE_INTERVALS
+    points = draw(st.lists(st.one_of(st.integers(0, last), st.sampled_from([0, 1, last - 1, last])),
+                           min_size=1, max_size=40))
+    sides = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=len(points), max_size=len(points)))
+    uniform = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, 200)
+    return sources, np.array(points), np.array(sides), uniform
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(problem=ray_problems())
+@example(problem=([(0, 0.5), (54, 0.5)], np.array([0, 8192, 16384]), np.array([1, -1, 0]), np.zeros(0)))
+def test_solve_rays_matches_bisection_on_drawn_tables(problem):
+    # the residual gate of test_solve_rays_matches_bisection_residuals, with
+    # p0 at +/-1 and at the grid values of F and one ulp beside them, where
+    # a ray sits on a cell edge of the table
+    sources, points, sides, uniform = problem
+    amps, deltas = scenarios._pair_terms(sources)
+    table = scenarios._ray_table(amps, deltas)
+    at = table[0][0][points]
+    beside = np.where(sides == 0, at, np.nextafter(at, np.where(sides > 0, 2.0, -2.0)))
+    p0 = np.clip(np.concatenate([[-1.0, 1.0], beside, uniform]), -1.0, 1.0)
+
+    def residual(q):
+        return np.abs(q - p0 + scenarios._memory_force(q, amps, deltas))
+
+    reference = residual(oracles.bisect_rays(p0, amps, deltas))
+    assert np.all(residual(scenarios._solve_rays(p0, table)) <= reference + 8 * np.finfo(float).eps)
 
 
 @st.composite

@@ -8,7 +8,9 @@ only the tests read is a test helper: it belongs in ``tests/oracles.py``
 or nowhere.  Readers are found by name
 (an identifier, an attribute, an import, or a part of a dotted string
 such as the benchmark's span names), so two names that share a spelling
-count as read together.
+count as read together.  The count of public top-level functions and
+classes may only fall: ``PUBLIC_TOP_LEVEL_NAMES`` is its ceiling, and
+raising it takes a reason in CHANGES.md.
 """
 
 import ast
@@ -17,6 +19,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 READER_DIRS = ("src", "demos", "perfbench")
+PUBLIC_TOP_LEVEL_NAMES = 56
 
 
 def _public_definitions(tree):
@@ -94,3 +97,13 @@ def test_every_public_name_has_a_reader_outside_tests():
 
 def test_every_public_function_has_a_reader_outside_its_module():
     assert home_only_public_functions() == []
+
+
+def test_public_top_level_names_do_not_grow():
+    names = [
+        f"{path.stem}.{qualname}"
+        for path in sorted((ROOT / "src" / "latticemc").glob("*.py"))
+        for qualname, _ in _public_definitions(ast.parse(path.read_text()))
+        if "." not in qualname
+    ]
+    assert len(names) <= PUBLIC_TOP_LEVEL_NAMES, names

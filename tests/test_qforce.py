@@ -17,6 +17,7 @@ from latticemc.qforce import (
     expected_site_momentum,
     particle_boson_series,
     particle_damping,
+    ring_counters,
     run_ring,
     run_trained_slits,
     run_training_slits,
@@ -725,43 +726,49 @@ def test_training_rejects_bound_scenarios():
 # ring and box
 
 
+def _sites(cfg):
+    """The site after each tick of a ring or box walk: its counters wrapped, and folded for a box."""
+    wrapped = np.concatenate(list(ring_counters(cfg))) % cfg.period
+    return np.minimum(wrapped, cfg.period - wrapped) if cfg.kind == "box" else wrapped
+
+
 @pytest.mark.parametrize("p", [0.05, 0.33, 0.61])
 def test_ring_locks_to_quantized_momentum(p):
     # the sample momentum relaxes on a log-time clock, so the run must be
     # long enough for the slowest case (p deep inside a sawtooth plateau)
     cfg = oracles.bound_config("ring", ell=10, p=p, n_steps=100000, seed=26)
-    run = run_ring(cfg)
     target = ring_steady_momentum(p, 10)
-    assert run.locked_summary()[0] == pytest.approx(target, abs=0.05)
+    assert run_ring(cfg)[0] == pytest.approx(target, abs=0.05)
     # the wrapped walk visits every site and steps at most one site per
     # tick, crossing the seam between sites ell-1 and 0 as one step
-    steps = np.diff(run.positions)
-    assert np.bincount(run.positions, minlength=10).all()
+    positions = _sites(cfg)
+    steps = np.diff(positions)
+    assert np.bincount(positions, minlength=10).all()
     assert np.all((steps + 1) % 10 <= 2)
 
 
 def test_ring_momentum_histogram_peaks_at_ray():
     cfg = oracles.bound_config("ring", ell=10, p=0.33, n_steps=100000, seed=27)
-    run = run_ring(cfg)
-    _, centers, counts = run.locked_summary()
+    _, centers, counts = run_ring(cfg)
     assert centers[np.argmax(counts)] == pytest.approx(0.4, abs=0.05)
 
 
 def test_box_locks_to_half_spacing():
     cfg = oracles.bound_config("box", ell=5, p=0.37, n_steps=100000, seed=28)
-    run = run_ring(cfg)
-    assert run.locked_summary()[0] == pytest.approx(0.4, abs=0.1)
+    assert run_ring(cfg)[0] == pytest.approx(0.4, abs=0.1)
     # the folded walk reaches both walls and steps at most one site per
     # tick, so it reflects at each wall instead of jumping
-    assert run.positions.min() == 0 and run.positions.max() == 5
-    assert np.all(np.abs(np.diff(run.positions)) <= 1)
+    positions = _sites(cfg)
+    assert positions.min() == 0 and positions.max() == 5
+    assert np.all(np.abs(np.diff(positions)) <= 1)
 
 
 # Exact 200-tick paths (one character per tick: + up, 0 stay, - down) and
-# 20000-tick summaries for a fixed seed; the path fixes counters and positions.
+# 20000-tick summaries for a fixed seed; the path fixes counters and positions,
+# and each 20000-tick walk's final counter and site occupancy are pinned too.
 BOUND_PINS = {
     "ring": (
-        run_ring, oracles.bound_config("ring", ell=10, p=0.37, n_steps=200, seed=4),
+        oracles.bound_config("ring", ell=10, p=0.37, n_steps=200, seed=4),
         "-0-+0+0+00-0+0-+--+00-0+000-++00-0+-000+00+0+++-0+0+-00+++-+0-0++0++00++00+++000"
         "+0+0+000++++0+0000-0++0+00+0++++-000++0-+00+00000+--0+00+0+-+-+00-00+0+-0+0+-0+0"
         "00-++++00000-0+0+0-0-+-+0++++00+0+-+0-00",
@@ -769,7 +776,7 @@ BOUND_PINS = {
         (0.39994467950168683, 8000, [2012, 1971, 1919, 2040, 1992, 2076, 1994, 2011, 1932, 2053]),
     ),
     "box": (
-        run_ring, oracles.bound_config("box", ell=6, p=0.28, n_steps=200, seed=4),
+        oracles.bound_config("box", ell=6, p=0.28, n_steps=200, seed=4),
         "-0-+0+0+00-000-+--+00-0+000-++00-0+-000+00+0+++--+0+-00+++-00--0+0++--++00+0+000"
         "+0+0+000++++0+0000-0++0+0000+++0-000++0-00-+00000+--0+00+0+-+-+00-00+0+-0+0+-0+0"
         "000++++00-00-0+0+0-0-+-+0++++00+0+-+0-00",
@@ -778,7 +785,7 @@ BOUND_PINS = {
     ),
     # p0 - force reaches -1.2 here, so the clamp to [-1, 1] binds on almost every tick
     "ring-clamped": (
-        run_ring, oracles.bound_config("ring", ell=4, p=-0.95, n_steps=200, seed=4),
+        oracles.bound_config("ring", ell=4, p=-0.95, n_steps=200, seed=4),
         "-" * 200,
         -1.0,
         (-1.0, -20000, [5000, 5000, 5000, 5000]),
@@ -788,22 +795,23 @@ BOUND_PINS = {
 
 @pytest.mark.parametrize("kind", sorted(BOUND_PINS))
 def test_bound_walk_pinned_paths(kind):
-    runner, cfg, path, mean_short, (mean_long, final_counter, occupancy) = BOUND_PINS[kind]
-    run = runner(cfg)
-    counter = np.cumsum(["-0+".index(c) - 1 for c in path])
-    assert np.array_equal(run.counters, counter)
-    if cfg.kind == "ring":
-        positions = counter % cfg.ell
-    else:
-        folded = counter % (2 * cfg.ell)
-        positions = np.where(folded <= cfg.ell, folded, 2 * cfg.ell - folded)
-    assert np.array_equal(run.positions, positions)
-    assert run.locked_summary()[0] == mean_short
+    cfg, path, mean_short, (mean_long, final_counter, occupancy) = BOUND_PINS[kind]
 
-    long_run = runner(replace(cfg, n_steps=20000))
-    assert long_run.locked_summary()[0] == mean_long
-    assert long_run.counters[-1] == final_counter
-    assert np.bincount(long_run.positions).tolist() == occupancy
+    def fold(counter):
+        if cfg.kind == "ring":
+            return counter % cfg.ell
+        folded = counter % (2 * cfg.ell)
+        return np.where(folded <= cfg.ell, folded, 2 * cfg.ell - folded)
+
+    counter = np.cumsum(["-0+".index(c) - 1 for c in path])
+    assert np.array_equal(np.concatenate(list(ring_counters(cfg))), counter)
+    assert run_ring(cfg)[0] == mean_short
+
+    long_cfg = replace(cfg, n_steps=20000)
+    long_counters = np.concatenate(list(ring_counters(long_cfg)))
+    assert run_ring(long_cfg)[0] == mean_long
+    assert long_counters[-1] == final_counter
+    assert np.bincount(fold(long_counters)).tolist() == occupancy
 
 
 # Configs where the bracket decides most ticks, where the clamp binds, where
@@ -824,13 +832,18 @@ BRACKET_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(BRACKET_CONFIGS))
 def test_run_ring_matches_per_tick_reference(name):
     # many one-tick runs, since tick 1 steps at p0 itself and is open only
-    # for some draws; then runs that end at and around a block edge
-    block = qforce._RING_BLOCK
+    # for some draws; then runs that end at and around a block edge, whose
+    # int64 blocks hold walker._BLOCK ticks each but the last, which is shorter
+    block = walker._BLOCK
     runs = [(1, seed) for seed in range(40)]
     runs += [(n, seed) for n in (block - 1, block, block + 1) for seed in (0, 4, 29)]
     for n_steps, seed in runs:
         cfg = replace(BRACKET_CONFIGS[name], n_steps=n_steps, seed=seed)
-        assert np.array_equal(run_ring(cfg).counters, oracles.ring_per_tick(cfg))
+        blocks = list(ring_counters(cfg))
+        assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= block
+        assert all(b.dtype == np.int64 for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), oracles.ring_per_tick(cfg))
 
 
 @pytest.mark.parametrize("name", sorted(BRACKET_CONFIGS))
@@ -839,38 +852,35 @@ def test_locked_half_summary_matches_whole_trace_reference(name):
     # for bit: one tick, runs whose half sits at and around a block edge,
     # an odd length past three blocks, and halves at the pairwise tree's
     # split edges, each config taking every eighth of those
-    block = qforce._RING_BLOCK
+    block = walker._BLOCK
     edges = oracles.SPLIT_EDGES[sorted(BRACKET_CONFIGS).index(name) :: len(BRACKET_CONFIGS)]
     for n_steps in (1, 2 * block - 1, 2 * block, 2 * block + 1, 3 * block + 777,
                     *(2 * m - m % 2 for m in edges)):
         cfg = replace(BRACKET_CONFIGS[name], n_steps=n_steps, seed=n_steps % 97)
-        run = run_ring(cfg)
-        counters = oracles.ring_per_tick(cfg)
-        mean, centers, counts = oracles.locked_half_summary(counters)
-        got_mean, got_centers, got_counts = run.locked_summary()
+        mean, centers, counts = oracles.locked_half_summary(oracles.ring_per_tick(cfg))
+        got_mean, got_centers, got_counts = run_ring(cfg)
         assert got_mean == mean
         assert np.array_equal(got_centers, centers) and np.array_equal(got_counts, counts)
         assert got_counts.sum() == n_steps - n_steps // 2
 
 
-def _ring_peak(n_steps, summarize):
-    """tracemalloc peak of a 10-site ring run of ``n_steps`` ticks, then ``summarize(run)``."""
+def _ring_peak(n_steps, consume):
+    """tracemalloc peak of ``consume(cfg)`` on a 10-site ring config of ``n_steps`` ticks."""
     cfg = oracles.bound_config("ring", ell=10, p=0.37, n_steps=n_steps, seed=3)
     tracemalloc.start()
     try:
-        run = run_ring(cfg)
-        summarize(run)
+        consume(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return run, peak
+    return peak
 
 
 def test_run_ring_working_set_does_not_grow_with_ticks():
-    # the walk draws, brackets and summarizes in fixed-size blocks and keeps
-    # no trace, so its peak memory is the same for 30k and 300k ticks
+    # the walk run_ring streams draws and brackets in fixed-size blocks and
+    # keeps no trace, so its peak memory is the same for 30k and 300k ticks
     def working_set(n):
-        return _ring_peak(n, lambda run: None)[1]
+        return _ring_peak(n, lambda cfg: [None for _ in ring_counters(cfg)])
 
     working_set(100)  # the first run in a process also allocates one-off state
     assert working_set(300_000) <= 1.5 * working_set(30_000)
@@ -878,9 +888,9 @@ def test_run_ring_working_set_does_not_grow_with_ticks():
 
 def test_ring_run_and_summary_keep_a_few_bytes_per_tick():
     # no byte per tick at all: the run and its summary hold one block of
-    # moves and sample momenta, so their peak is flat in the tick count
+    # counters and sample momenta, so their peak is flat in the tick count
     def peak(n):
-        return _ring_peak(n, lambda run: run.locked_summary())[1]
+        return _ring_peak(n, run_ring)
 
     peak(100)  # the first run in a process also allocates one-off state
     assert peak(300_000) - peak(30_000) <= 250_000
@@ -888,17 +898,17 @@ def test_ring_run_and_summary_keep_a_few_bytes_per_tick():
 
 @pytest.mark.parametrize("length", [
     *range(1, 20), 127, 128, 129, 255, 1001, *oracles.SPLIT_EDGES,
-    *(qforce._RING_BLOCK * 2**j + d for j in (3, 6, 8) for d in (-8, -1, 0, 1, 8)), 3_000_001,
+    *(walker._BLOCK * 2**j + d for j in (3, 6, 8) for d in (-8, -1, 0, 1, 8)), 3_000_001,
 ])
 def test_pairwise_mean_matches_np_mean_on_any_chunking(length):
     # values over sixteen decades, so a different summation order shows in the bits
     rng = np.random.default_rng(length)
     values = rng.standard_normal(length) * 10.0 ** rng.uniform(-8.0, 8.0, length)
     want = float(np.mean(values))
-    sizes = [8191, 8192, 8193, "random"] + ([1, 7] if length <= 5 * qforce._RING_BLOCK else [])
+    sizes = [8191, 8192, 8193, "random"] + ([1, 7] if length <= 5 * walker._BLOCK else [])
     for size in sizes:
         if size == "random":
-            top = min(length, 3 * qforce._RING_BLOCK)
+            top = min(length, 3 * walker._BLOCK)
             cuts = np.cumsum(rng.integers(1, top + 1, 2 * length // top + 2))
             chunks = np.split(values, cuts[cuts < length])
         else:

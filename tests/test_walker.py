@@ -8,7 +8,7 @@ import oracles
 import pytest
 from hypothesis import given, strategies as st
 
-from latticemc import analytic, qforce, walker
+from latticemc import analytic, qforce, scenarios, walker
 from latticemc.lattice import light_cone, transition_probs
 from latticemc.scenarios import ScenarioConfig
 from latticemc.stats import _chi2_critical, _pool, compare
@@ -174,7 +174,9 @@ def test_ensemble_memory_is_flat_in_the_particle_count():
         assert peak(run, 300_000) - peak(run, 10_000) <= 2**19, kind
 
 
-_TRAINED_SLITS = qforce._slit_arrays([(-3, 0.3), (1, 0.2), (4, 0.5)])
+_TRAINED_SOURCES = [(-3, 0.3), (1, 0.2), (4, 0.5)]
+_TRAINED_PICKS = qforce._source_picks(_TRAINED_SOURCES)
+_TRAINED_TABLE = scenarios._ray_table(*scenarios._pair_terms(_TRAINED_SOURCES))
 
 # per kind of run: the blocked shard, its whole-draw reference, and the light cone
 _SHARDS = {
@@ -184,8 +186,8 @@ _SHARDS = {
         light_cone(0, 0, 30),
     ),
     "trained": (
-        lambda n, rng, block: qforce._trained_shard(_TRAINED_SLITS, n, 30, rng, block),
-        lambda n, rng: oracles.trained_shard_whole(_TRAINED_SLITS, n, 30, rng),
+        lambda n, rng, block: qforce._trained_shard(_TRAINED_PICKS, _TRAINED_TABLE, n, 30, rng, block),
+        lambda n, rng: oracles.trained_shard_whole(_TRAINED_SOURCES, _TRAINED_TABLE, n, 30, rng),
         light_cone(-3, 4, 30),
     ),
 }
