@@ -10,6 +10,12 @@ Subcommands:
 Exit codes: 0 success, 1 usage error, 2 configuration error,
 3 verification failure.  Options may come from ``--config FILE`` (flat
 ``key = value`` lines); explicit flags win over the file.
+
+Importing this module loads numpy and the parser's own needs (``lattice``,
+``stats``, ``scenarios``) and no engine: each command imports the engines
+it runs when it runs, ``walker`` and ``analytic`` for ``free``, ``qforce``
+(and ``qm_oracle`` for slits) for ``interfere``, and ``verify`` for
+``verify``.  So a run neither compiles nor loads another command's code.
 """
 
 from __future__ import annotations
@@ -27,11 +33,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import __version__, analytic, qforce, verify
+from . import __version__
 from .lattice import light_cone
 from .stats import table_rows, write_csv, write_files
-from .walker import run_ensemble_free
-from .qm_oracle import qm_multi_source
 from .scenarios import (
     KINDS,
     SLIT_KINDS,
@@ -207,6 +211,8 @@ _FREE_OPTIONS = {
 
 
 def _execute_free(params: dict) -> None:
+    from . import analytic, walker
+
     p = params["p"]
     if p is not None and not -1.0 <= p <= 1.0:
         raise ConfigError(f"propensity must lie in [-1, 1], got {p}")
@@ -217,7 +223,7 @@ def _execute_free(params: dict) -> None:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    hist = run_ensemble_free(
+    hist = walker.run_ensemble_free(
         params["n_particles"], tau, p=p, xi0=xi0, seed=params["seed"],
         shards=params["shards"], threads=params["threads"],
     )
@@ -312,6 +318,8 @@ def _build_scenario(params: dict) -> tuple[ScenarioConfig, tuple[str, ...]]:
 
 
 def _execute_interfere(params: dict) -> None:
+    from . import qforce
+
     config, read = _build_scenario(params)
     slit = config.kind in SLIT_KINDS
     training = slit and params["mode"] == "training"
@@ -364,9 +372,11 @@ def _execute_interfere(params: dict) -> None:
         if params["diagnostics"]:
             names = ["emission", *run.emissions]
             diagnostics = (names, [np.arange(config.n_particles), *run.emissions.values()])
+    from . import qm_oracle
+
     support = hist.support
     model = multi_slit_density(support, config.n_steps, config.sources)
-    oracle = qm_multi_source(support, config.n_steps, config.sources)
+    oracle = qm_oracle.qm_multi_source(support, config.n_steps, config.sources)
     freq = hist.frequency()
     summary = {
         "scenario": config.kind,
@@ -390,6 +400,8 @@ def _execute_interfere(params: dict) -> None:
 
 
 def _execute_verify(params: dict) -> int:
+    from . import verify
+
     try:
         checks = verify.run_all(params["suite"])
     except ValueError as exc:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import pmf_free
 from .lattice import _scalar_or_array, light_cone
 
 
@@ -332,6 +331,8 @@ def finite_time_slit_density(xi, tau: int, sources):
     for the widest separation d, which resolve cos(pi*d*q): the pmf sums to
     1 within 1e-11 for d up to 4000, at an O(d**3) node solve (seconds at 2000).
     """
+    from .analytic import pmf_free
+
     if tau < 1:
         raise ValueError("tau must be >= 1")
     sources = [(int(s), float(w)) for s, w in sources]

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -164,7 +163,8 @@ def _run_shards(
     its binning costs O(particles + cone rows).  Shards with no particles
     are neither seeded nor run.  min(threads, shards with particles,
     usable CPUs) workers each sum every workers-th shard, so the run holds
-    no per-shard state; one worker runs in the caller's thread.  Usable
+    no per-shard state; one worker runs in the caller's thread, and only
+    more than one imports ``concurrent.futures`` for its pool.  Usable
     CPUs are those the process may run on (its affinity mask where the
     platform has one, else ``os.cpu_count``).
     """
@@ -191,5 +191,7 @@ def _run_shards(
 
     if workers == 1:  # in the caller's thread, so an interrupt stops the run at once
         return Histogram(cone[0], summed(0))
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return Histogram(cone[0], sum(pool.map(summed, range(workers))))

@@ -849,6 +849,7 @@ def _run_child(code, **env_overrides):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_cli_sets_one_blas_thread_before_numpy_loads():
@@ -880,6 +881,40 @@ def test_cli_sets_one_blas_thread_before_numpy_loads():
         "assert os.environ['OPENBLAS_NUM_THREADS'] == '2'\n",
         OPENBLAS_NUM_THREADS="2",
     )
+
+
+_ENGINES = {f"latticemc.{name}" for name in ("walker", "qforce", "qm_oracle", "verify", "analytic")}
+
+
+@pytest.mark.parametrize("argv, loaded, unloaded", [
+    ([], set(), _ENGINES | {"concurrent.futures"}),
+    (["free", "--n-particles", "100", "--n-steps", "10"],
+     {"latticemc.walker", "latticemc.analytic"},
+     {"latticemc.qforce", "latticemc.qm_oracle", "latticemc.verify", "concurrent.futures"}),
+    (["interfere", "--scenario", "ring", "--ell", "10", "--p", "0.3", "--n-steps", "1000"],
+     {"latticemc.qforce"},
+     {"latticemc.analytic", "latticemc.qm_oracle", "latticemc.verify"}),
+    (["interfere", "--scenario", "two-slit", "--n-particles", "100", "--n-steps", "10",
+      "--threads", "2", "--shards", "2"],
+     {"latticemc.qforce", "latticemc.qm_oracle", "concurrent.futures"},
+     {"latticemc.verify"}),
+], ids=["import", "free", "ring", "trained-pool"])
+def test_each_command_imports_only_the_engines_it_runs(tmp_path, argv, loaded, unloaded):
+    # a fresh process compiles every module it imports, so importing the
+    # CLI loads no engine and a run loads only its own; the thread pool's
+    # module loads only for a run with more than one worker
+    out = ["--out", str(tmp_path / "run.csv")]
+    run = f"assert latticemc.cli.main({argv + out!r}) == 0\n" if argv else ""
+    stdout = _run_child(
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs, so two threads make a pool\n"
+        "import latticemc.cli\n"
+        + run
+        + "print(' '.join(sorted(sys.modules)))\n"
+    )
+    modules = set(stdout.splitlines()[-1].split())
+    assert loaded <= modules
+    assert not unloaded & modules, unloaded & modules
 
 
 def test_lazy_package_names_resolve():

@@ -1,5 +1,6 @@
 """Monte Carlo walker engine: sampling law, determinism, sharding."""
 
+import concurrent.futures
 import os
 import tracemalloc
 
@@ -226,7 +227,7 @@ def test_pool_is_bounded_by_shards_and_cores(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(walker, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     for shards, threads, pool in ((64, 64, 4), (3, 64, 3), (64, 1, None)):
@@ -252,7 +253,7 @@ def test_pool_is_bounded_by_usable_cpus(monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(walker, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     hist = walker.run_ensemble_free(1001, 20, seed=5, shards=4, threads=4)
     alone = walker.run_ensemble_free(1001, 20, seed=5, shards=4, threads=1)
     assert np.array_equal(hist.counts, alone.counts)
