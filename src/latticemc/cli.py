@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .lattice import light_cone
-from .stats import table_rows, write_csv, write_files
+from .stats import _row_chunks, write_csv, write_files
 from .scenarios import (
     KINDS,
     SLIT_KINDS,
@@ -162,11 +162,7 @@ def _write_outputs(params: dict, command: str, names, columns, summary: dict, li
         targets.append((params["diagnostics"], lambda fh: write_csv(fh, *diagnostics)))
     targets.append((params["out"], lambda fh: write_csv(fh, names, columns)))
     if params["json_out"]:
-        def write_json(fh):
-            rows = list(table_rows(columns))
-            _dump(fh, {"columns": names, "rows": rows, "summary": summary})
-
-        targets.append((params["json_out"], write_json))
+        targets.append((params["json_out"], lambda fh: _dump_table(fh, names, columns, summary)))
     if params["manifest"]:
         manifest = {
             "tool": "latticemc",
@@ -184,6 +180,30 @@ def _write_outputs(params: dict, command: str, names, columns, summary: dict, li
 def _dump(fh, doc: dict) -> None:
     json.dump(doc, fh, indent=1)
     fh.write("\n")
+
+
+def _dump_table(fh, names, columns, summary: dict) -> None:
+    """``_dump`` of {"columns": names, "rows": the table's rows, "summary": summary}, in chunks.
+
+    The C encoder writes each chunk of rows with ``indent=1``'s item
+    separator at depth 2; no number holds ``]`` or ``[``, so one replace
+    at the joints between rows gives that layout byte for byte.  The
+    document's head and tail come from the same dump with no rows.
+    """
+    head, no_rows, tail = json.dumps(
+        {"columns": names, "rows": [], "summary": summary}, indent=1
+    ).partition('"rows": []')
+    fh.write(head)
+    first = sep = '"rows": [\n  [\n   '
+    between = "\n  ],\n  [\n   "  # one row's end and the next one's start
+    for chunk in _row_chunks([np.asarray(col) for col in columns]):
+        fh.write(sep)
+        # inside the chunk's outer "[[" and "]]"; one expression, so at most two copies live at once
+        fh.write(json.dumps(list(zip(*chunk)), separators=(",\n   ", ": "))
+                 .replace("],\n   [", between)[2:-2])
+        sep = between
+    fh.write(no_rows if sep is first else "\n  ]\n ]")
+    fh.write(tail + "\n")
 
 
 # Each table's key order is the order of a manifest's "params", a file format.

@@ -5,7 +5,9 @@ Counts are kept as int64 on a contiguous integer support starting at
 (``lattice.light_cone``), so shards binned on one cone add their counts
 and the sum depends only on the per-shard streams, not on scheduling.
 ``write_csv`` is the one row rule of the program's tables and
-``write_files`` the one way a run's files reach disk.
+``write_files`` the one way a run's files reach disk.  A table goes down
+``_CHUNK`` rows at a time (``_row_chunks``), so writing it holds O(chunk)
+Python objects at any row count and leaves the per-cell work to C.
 """
 
 from __future__ import annotations
@@ -151,21 +153,34 @@ def compare(
     )
 
 
-def table_rows(columns):
-    """Rows of Python ints and floats, one per index of the column arrays."""
-    return zip(*(np.asarray(col).tolist() for col in columns))
+_CHUNK = 128  # table rows held as Python objects at once; bounds the output stage's memory
+
+
+def _row_chunks(arrays):
+    """Each run of ``_CHUNK`` rows of ``arrays`` as Python ints and floats, one list per column.
+
+    A table has as many rows as its shortest column; the readers ``zip``
+    the lists, which drops a longer column's excess.
+    """
+    for start in range(0, min(map(len, arrays), default=0), _CHUNK):
+        yield [a[start:start + _CHUNK].tolist() for a in arrays]
 
 
 def write_csv(fh, names, columns) -> None:
     """Write a header and one row per index of ``columns``.
 
     The one row rule of every CSV the program writes: integers are
-    written as they are and floats as ``.17g``, which round-trips.
+    written as they are and floats as ``.17g``, which round-trips.  A
+    float column is one of dtype kind ``"f"``; rows go down ``_CHUNK`` at
+    a time, formatted and written by ``csv.writer`` in C.
     """
     writer = csv.writer(fh)
     writer.writerow(names)
-    for row in table_rows(columns):
-        writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+    arrays = [np.asarray(col) for col in columns]
+    text = "{:.17g}".format
+    floats = [a.dtype.kind == "f" for a in arrays]
+    for chunk in _row_chunks(arrays):
+        writer.writerows(zip(*(map(text, col) if f else col for col, f in zip(chunk, floats))))
 
 
 def write_files(targets) -> None:

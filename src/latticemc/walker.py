@@ -25,6 +25,7 @@ draw would, so the blocks read the same random streams bit for bit.
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Iterator
 
 import numpy as np
@@ -163,9 +164,10 @@ def _run_shards(
     its binning costs O(particles + cone rows).  Shards with no particles
     are neither seeded nor run.  min(threads, shards with particles,
     usable CPUs) workers each sum every workers-th shard, so the run holds
-    no per-shard state; one worker runs in the caller's thread, and only
-    more than one imports ``concurrent.futures`` for its pool.  Usable
-    CPUs are those the process may run on (its affinity mask where the
+    no per-shard state.  Worker 0 runs in the caller's thread and each
+    other on a ``threading.Thread`` of its own; every thread is joined
+    before the first worker's exception, if any, is raised.  Usable CPUs
+    are those the process may run on (its affinity mask where the
     platform has one, else ``os.cpu_count``).
     """
     if shards < 1 or threads < 1:
@@ -189,9 +191,26 @@ def _run_shards(
                 counts += Histogram.on_cone(sites, cone).counts
         return counts
 
-    if workers == 1:  # in the caller's thread, so an interrupt stops the run at once
-        return Histogram(cone[0], summed(0))
-    from concurrent.futures import ThreadPoolExecutor
+    sums = [None] * workers
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return Histogram(cone[0], sum(pool.map(summed, range(workers))))
+    def work(w: int) -> None:
+        try:
+            sums[w] = summed(w)
+        except BaseException as exc:  # raised in the caller once every thread is joined
+            sums[w] = exc
+
+    started = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=work, args=(w,))
+            thread.start()
+            started.append(thread)
+        sums[0] = summed(0)  # worker 0, in the caller's thread
+    finally:
+        for thread in started:
+            thread.join()
+    for c in sums[1:]:
+        if isinstance(c, BaseException):
+            raise c
+        sums[0] += c
+    return Histogram(cone[0], sums[0])

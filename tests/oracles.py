@@ -20,7 +20,10 @@ at a time, ``training_per_visit`` walks training emissions through
 one array call per stage, where ``walker._simulate_free_shard`` and
 ``qforce._trained_shard`` draw one block at a time, and
 ``run_shards_spawned`` builds every shard's generator before running
-any, where ``walker._run_shards`` derives each in its shard's job.
+any, where ``walker._run_shards`` derives each in its shard's job, and
+``csv_per_row`` and ``json_whole`` write a table a row at a time and as
+one ``json.dump``, where ``stats.write_csv`` and ``cli._dump_table``
+write it in chunks through the C csv writer and JSON encoder.
 They share only the transition law, the step rule ``walker.move``, the
 endpoint sampler ``walker.endpoint_displacement``, the ray solver
 ``scenarios._solve_rays``, the plain training tick of ``qforce``
@@ -37,7 +40,9 @@ lengths at the edges of numpy's pairwise summation tree, and
 
 from __future__ import annotations
 
+import csv
 import itertools
+import json
 import math
 from collections import defaultdict
 
@@ -285,6 +290,21 @@ def run_shards_spawned(shard, cone: tuple[int, int], n_particles: int, seed: int
     base, extra = divmod(n_particles, shards)
     sites = [shard(base + (1 if i < extra else 0), rng) for i, rng in enumerate(rngs)]
     return np.bincount(np.concatenate(sites) - cone[0], minlength=cone[1] - cone[0] + 1)
+
+
+def csv_per_row(fh, names, columns) -> None:
+    """A CSV of ``columns`` one row at a time: ints as they are, every float ``.17g``."""
+    writer = csv.writer(fh)
+    writer.writerow(names)
+    for row in zip(*(np.asarray(col).tolist() for col in columns)):
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+
+
+def json_whole(fh, names, columns, summary: dict) -> None:
+    """The JSON mirror of a table as one indented ``json.dump`` of the whole document."""
+    rows = list(zip(*(np.asarray(col).tolist() for col in columns)))
+    json.dump({"columns": names, "rows": rows, "summary": summary}, fh, indent=1)
+    fh.write("\n")
 
 
 def ray_equation(q: float, p: float, p1: float, p2: float, delta: int) -> float:

@@ -7,12 +7,13 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import latticemc
-from latticemc import analytic, cli, qforce, verify
+from latticemc import analytic, cli, qforce, stats, verify
 
 
 def read_rows(path):
@@ -678,16 +679,20 @@ def test_failed_rename_reports_the_target(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def _fail_json_dump(monkeypatch):
-    def dump_then_fail(obj, fh, **kwargs):
-        fh.write('{"columns": [')
-        raise OSError(28, "No space left on device")
+def _fail_json_rows(monkeypatch):
+    # the table's JSON writes its head, then fails on its first chunk of rows
+    dumps = json.dumps
 
-    monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+    def dumps_then_fail(obj, **kwargs):
+        if isinstance(obj, list):
+            raise OSError(28, "No space left on device")
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", dumps_then_fail)
 
 
 def test_failed_json_write_exits_2_and_leaves_no_file(tmp_path, monkeypatch, capsys):
-    _fail_json_dump(monkeypatch)
+    _fail_json_rows(monkeypatch)
     assert cli.main([
         "free", "--n-particles", "100", "--n-steps", "10",
         "--out", str(tmp_path / "run.csv"), "--json", str(tmp_path / "run.json"),
@@ -718,7 +723,7 @@ def test_failed_run_keeps_earlier_run_files(tmp_path, monkeypatch, capsys, failu
     if failure == "unwritable-manifest":
         manifest = tmp_path / "missing" / "run.manifest.json"
     else:
-        _fail_json_dump(monkeypatch)
+        _fail_json_rows(monkeypatch)
     assert cli.main(argv + ["--seed", "2", "--manifest", str(manifest)]) == 2
     assert "cannot write output" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
@@ -732,6 +737,27 @@ def test_two_options_naming_one_path_keep_the_later_file(tmp_path):
     ]) == 0
     assert json.loads((tmp_path / "same.out").read_text())["columns"][0] == "xi"
     assert list(tmp_path.iterdir()) == [tmp_path / "same.out"]
+
+
+def _peak_writing_table(rows: int) -> int:
+    """Peak traced bytes of writing a ``rows``-row table's CSV and JSON, its columns built untraced."""
+    names, columns = ["frequency"], [np.linspace(0.0, 1.0, rows)]
+    with open(os.devnull, "w", newline="") as fh:
+        tracemalloc.start()
+        try:
+            stats.write_csv(fh, names, columns)
+            cli._dump_table(fh, names, columns, {"n_particles": rows})
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_table_output_memory_is_flat_in_the_row_count():
+    # both writers hold one chunk of rows as Python objects, so a 2e5-row
+    # table peaks within 0.5 MB of a 1e4-row one; one float column, the
+    # formatted one, keeps the traced writes short
+    _peak_writing_table(100)  # the first write in a process also allocates one-off state
+    assert abs(_peak_writing_table(200_000) - _peak_writing_table(10_000)) <= 2**19
 
 
 @pytest.mark.parametrize("argv", [
@@ -896,13 +922,13 @@ _ENGINES = {f"latticemc.{name}" for name in ("walker", "qforce", "qm_oracle", "v
      {"latticemc.analytic", "latticemc.qm_oracle", "latticemc.verify"}),
     (["interfere", "--scenario", "two-slit", "--n-particles", "100", "--n-steps", "10",
       "--threads", "2", "--shards", "2"],
-     {"latticemc.qforce", "latticemc.qm_oracle", "concurrent.futures"},
-     {"latticemc.verify"}),
+     {"latticemc.qforce", "latticemc.qm_oracle"},
+     {"latticemc.verify", "concurrent.futures"}),
 ], ids=["import", "free", "ring", "trained-pool"])
 def test_each_command_imports_only_the_engines_it_runs(tmp_path, argv, loaded, unloaded):
     # a fresh process compiles every module it imports, so importing the
-    # CLI loads no engine and a run loads only its own; the thread pool's
-    # module loads only for a run with more than one worker
+    # CLI loads no engine and a run loads only its own; a run of more than
+    # one worker starts plain threads, so no run loads concurrent.futures
     out = ["--out", str(tmp_path / "run.csv")]
     run = f"assert latticemc.cli.main({argv + out!r}) == 0\n" if argv else ""
     stdout = _run_child(

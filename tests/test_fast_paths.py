@@ -4,16 +4,19 @@ The fixed-config differentials sit next to each runner's other tests;
 these draw their configs, with the draws weighted towards the float
 decision edges: quantized rays and one ulp either side of them, the
 ends of the propensity range, source weights of 0 or summing to one ulp
-below 1, and the ends of the runners' blocks.  Every
+below 1, the ends of the runners' blocks, and the floats and ints at
+the ends of their ranges in the tables the program writes.  Every
 test is derandomized with a fixed example count, so a run is
 deterministic, and no draw is filtered out.
 """
+
+import io
 
 import numpy as np
 import oracles
 from hypothesis import example, given, settings, strategies as st
 
-from latticemc import qforce, scenarios, walker
+from latticemc import cli, qforce, scenarios, stats, walker
 from latticemc.lattice import light_cone
 from latticemc.scenarios import ScenarioConfig
 
@@ -227,3 +230,54 @@ def test_run_training_slits_matches_per_visit_reference_on_drawn_configs(cfg):
     assert repr(fast.lattice) == repr(slow.lattice)
     assert fast.positions.offset == slow.positions.offset
     assert np.array_equal(fast.positions.counts, slow.positions.counts)
+
+
+CHUNK = stats._CHUNK
+# floats where formatting is fragile: non-finite, signed zero, subnormal, huge, one ulp off 1
+EDGE_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1,
+               float(np.nextafter(1.0, 0.0)), 1e-05, 1e16, 123456789.0]
+# ints beyond 2**53, where a float would round, and the int64 ends
+EDGE_INTS = [0, -1, 2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)]
+
+
+@st.composite
+def tables(draw):
+    """(names, columns, summary): 1-5 int64 or float64 columns of 1, R-1, R, R+1 or 3R+5 rows.
+
+    R is the writers' chunk size.  Each column mixes drawn edge values
+    with values spread over its dtype's range.
+    """
+    rows = draw(st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]))
+    kinds = draw(st.lists(st.sampled_from(["int64", "float64"]), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in kinds:
+        if kind == "int64":
+            spread = rng.integers(-(2**63), 2**63 - 1, rows, endpoint=True)
+            edges = np.array(EDGE_INTS)
+        else:
+            spread = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 308, rows)
+            edges = np.array(EDGE_FLOATS)
+        at = rng.random(rows) < 0.3
+        spread[at] = rng.choice(edges, at.sum())
+        columns.append(spread)
+    names = [f"c{i}" for i in range(len(kinds))]
+    summary = {"rows": rows, "edge": draw(st.sampled_from(EDGE_FLOATS)), "name": "c0"}
+    return names, columns, summary
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(table=tables())
+@example(table=(["xi", "x"], [np.array([7]), np.array([np.nan])], {"nan": np.nan}))
+def test_chunked_writers_match_per_row_references_on_drawn_tables(table):
+    # the chunked CSV and JSON against a row at a time and one whole json.dump, byte for byte
+    names, columns, summary = table
+
+    def written(write, *args):
+        fh = io.StringIO(newline="")
+        write(fh, *args)
+        return fh.getvalue()
+
+    assert written(stats.write_csv, names, columns) == written(oracles.csv_per_row, names, columns)
+    assert (written(cli._dump_table, names, columns, summary)
+            == written(oracles.json_whole, names, columns, summary))

@@ -1,7 +1,8 @@
 """Monte Carlo walker engine: sampling law, determinism, sharding."""
 
-import concurrent.futures
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -210,53 +211,70 @@ def test_run_shards_matches_eager_spawn(kind, n, shards, seed):
 
 
 def test_pool_is_bounded_by_shards_and_cores(monkeypatch):
-    # a fake executor records the pool size and maps in the calling thread,
-    # so no thread is started
-    sizes = []
+    # a run of W workers starts W - 1 threads beside the caller's
+    started = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     for shards, threads, pool in ((64, 64, 4), (3, 64, 3), (64, 1, None)):
-        sizes.clear()
+        started.clear()
         hist = walker.run_ensemble_free(1001, 20, seed=5, shards=shards, threads=threads)
         alone = walker.run_ensemble_free(1001, 20, seed=5, shards=shards, threads=1)
-        assert sizes == ([] if pool is None else [pool])
+        assert len(started) == (0 if pool is None else pool - 1)
         assert np.array_equal(hist.counts, alone.counts)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no affinity: count cores
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # core count unknown: one worker
-    sizes.clear()
+    started.clear()
     walker.run_ensemble_free(1001, 20, seed=5, shards=64, threads=64)
-    assert sizes == []
+    assert started == []
     with pytest.raises(ValueError, match="threads"):
         walker.run_ensemble_free(1001, 20, seed=5, shards=4, threads=0)
 
 
 def test_pool_is_bounded_by_usable_cpus(monkeypatch):
-    # one CPU in the affinity mask: a four-thread run builds no pool, however
+    # one CPU in the affinity mask: a four-thread run starts no thread, however
     # many CPUs the host has, and gives the one-thread counts
-    def no_pool(*args, **kwargs):
-        raise AssertionError("built a thread pool on one usable CPU")
+    def no_thread(*args, **kwargs):
+        raise AssertionError("started a thread on one usable CPU")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading, "Thread", no_thread)
     hist = walker.run_ensemble_free(1001, 20, seed=5, shards=4, threads=4)
     alone = walker.run_ensemble_free(1001, 20, seed=5, shards=4, threads=1)
     assert np.array_equal(hist.counts, alone.counts)
+
+
+def test_threaded_sums_survive_rapid_switching(monkeypatch):
+    # eight workers on fewer cores, switching threads every microsecond,
+    # add each shard's counts exactly once
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        hist = walker.run_ensemble_free(20_000, 50, seed=9, shards=16, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    alone = walker.run_ensemble_free(20_000, 50, seed=9, shards=16, threads=1)
+    assert np.array_equal(hist.counts, alone.counts)
+
+
+def test_a_worker_threads_error_reaches_the_caller(monkeypatch):
+    # worker 0 finishes in the caller's thread; worker 1's error is raised there once it is joined
+    def shard(n, rng, block):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("worker 1")
+        yield np.zeros(n, dtype=np.int64)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(MemoryError, match="worker 1"):
+        walker._run_shards(shard, (0, 0), 10, 0, 2, 2)
 
 
 def test_ensemble_seed_objects_are_rejected():
