@@ -31,7 +31,9 @@ effective propensity settles at the root of the ray equation
 q + sum_pairs 2*sqrt(Pi Pj)*sin(pi*d*q)/(pi*d) = p0 for its preparation
 p0, so trained runs solve that root per particle and sample the walk at
 the locked propensity; the only randomness left is the source draw, the
-preparation draw, and the step noise itself.
+preparation draw, and the step noise itself.  Each ``_trained_shard``
+call draws one block of a shard; ``walker._run_shards`` seeds the shard,
+hands it its three stage streams and bins the blocks.
 
 A bound walk (ring or box) is one long walk steered by its own converged
 memory.  One walk, ``ring_counters``, walks both: a box of ell sites is
@@ -56,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .stats import Histogram
-from .walker import _BLOCK, _bracket_moves, _run_shards, _stage_streams, endpoint_displacement, move
+from .walker import _BLOCK, _bracket_moves, _run_shards, endpoint_displacement, move
 from .scenarios import (SLIT_KINDS, ScenarioConfig, _memory_force, _pair_terms, _ray_table,
                         _solve_rays, ring_memory_force)
 
@@ -262,10 +264,9 @@ def _trained_shard(
     table: tuple,
     n_particles: int,
     n_steps: int,
-    rng: np.random.Generator,
-    block: int,
-) -> Iterator[np.ndarray]:
-    """Yield the final sites of one shard of trained-mode walks, ``block`` particles at a time.
+    streams: list[np.random.Generator],
+) -> np.ndarray:
+    """Draw one block of a shard of trained-mode walks: the final sites of its ``n_particles``.
 
     ``picks`` is ``_source_picks(sources)`` and ``table`` the
     ``_ray_table`` of their pair table.  With the lattice memory
@@ -275,37 +276,32 @@ def _trained_shard(
     ``endpoint_displacement`` draw per particle.  That is the law trained
     mode claims, and it differs from a tick-by-tick walk under the
     converged memory, whose force pulls each walker back toward its ray,
-    so its endpoints spread less around q* * n_steps.
-
-    Drawn whole, the shard takes n_particles source doubles, then
-    n_particles preparations, then the binomials, so ``walker._stage_streams``
-    starts the preparations n_particles outputs into ``rng`` and the
-    binomials 2 * n_particles in, and the sites are those of the whole
-    draw bit for bit.
+    so its endpoints spread less around q* * n_steps.  The source picks,
+    the preparations and the binomials each read their own stream (see
+    ``walker._stage_streams``).
     """
     sites, cdf = picks
-    sources, preps, ends = _stage_streams(rng, n_particles, n_particles)
-    for start in range(0, n_particles, block):
-        size = min(block, n_particles - start)
-        src = np.searchsorted(cdf, sources.random(size), side="right")
-        q_star = _solve_rays(preps.uniform(-1.0, 1.0, size), table)
-        final = endpoint_displacement(ends, n_steps, q_star)
-        final += sites[src]
-        yield final
+    sources, preps, ends = streams
+    src = np.searchsorted(cdf, sources.random(n_particles), side="right")
+    q_star = _solve_rays(preps.uniform(-1.0, 1.0, n_particles), table)
+    final = endpoint_displacement(ends, n_steps, q_star)
+    final += sites[src]
+    return final
 
 
 def run_trained_slits(config: ScenarioConfig, shards: int = 1, threads: int = 1) -> Histogram:
     """Trained-mode interference run; returns the Histogram of final sites on ``config.cone``.
 
-    Each shard is one ``_trained_shard`` generator; the run builds the
-    source picks, the pair table and its ray table once, and every shard
-    reads them.
+    Each block of a shard is one ``_trained_shard`` call; the run builds
+    the source picks, the pair table and its ray table once, and every
+    shard reads them.
     """
     if config.kind not in SLIT_KINDS:
         raise ValueError("run_trained_slits handles slit scenarios only")
     picks, table = _source_picks(config.sources), _ray_table(*_pair_terms(config.sources))
     return _run_shards(
-        lambda n, rng, block: _trained_shard(picks, table, n, config.n_steps, rng, block),
+        lambda n, streams: _trained_shard(picks, table, n, config.n_steps, streams),
+        3,  # source picks, preparations, endpoints
         config.cone,
         config.n_particles,
         config.seed,

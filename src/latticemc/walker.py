@@ -16,17 +16,18 @@ once per particle, for free ensembles and trained runs alike.
 child generator per nonempty shard from a single seed, bins each
 shard's final sites on the run's light cone, and sums the counts, so a
 run is bit-reproducible for a fixed (seed, shards) pair no matter how
-shards are scheduled.  A shard draws, solves and bins its particles one
-block at a time, so its working set is flat in its particle count.
-``_stage_streams`` starts each of its draw stages where a whole-shard
-draw would, so the blocks read the same random streams bit for bit.
+shards are scheduled.  It owns the block loop: each call of a shard's
+draw, ``_simulate_free_shard`` or ``qforce._trained_shard``, draws one
+block, so a shard's working set is flat in its particle count.
+``_stage_streams`` starts each of the shard's draw stages where a
+whole-shard draw would, so the blocks read the same random streams bit
+for bit.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -74,45 +75,38 @@ def endpoint_displacement(rng: np.random.Generator, n_steps: int, p):
 _BLOCK = 8192  # particles, or bound-walk ticks, drawn and summed together; bounds the working set
 
 
-def _stage_streams(rng: np.random.Generator, *lengths: int) -> list[np.random.Generator]:
-    """One generator per draw stage of a shard, each where the whole-shard draw of that stage starts.
+def _stage_streams(rng: np.random.Generator, n: int, stages: int) -> list[np.random.Generator]:
+    """The ``stages`` draw streams of a shard of ``n`` particles: ``rng`` and copies of it.
 
-    A shard draws its particles in stages, each one array call over the
-    whole shard when drawn whole: the source picks, the preparations,
-    then the endpoint binomials.  Every stage but the last takes one
-    64-bit output per particle (one double each), so after stages of
-    ``lengths`` outputs the next starts at their sum.  The first stage
-    reads ``rng`` itself; each later one reads a copy of its PCG64
-    ``advance``d to its start, so drawing every stage one block at a time
-    reads the same numbers as drawing it whole.
+    Drawn whole, a shard makes one array call per stage over its n
+    particles: the source picks (trained runs), the preparations (all
+    but fixed-p free runs), then the endpoint binomials.  Every stage
+    before the binomials takes one 64-bit output per particle (one
+    double each), so stage k starts k * n outputs into ``rng``.  Stream 0 is ``rng``
+    itself and stream k a copy of its PCG64 ``advance``d k * n outputs,
+    so drawing each stage one block at a time from its own stream reads
+    the same numbers as drawing the shard whole.
     """
-    state, streams, start = rng.bit_generator.state, [rng], 0
-    for length in lengths:
-        start += length
+    state, streams = rng.bit_generator.state, [rng]
+    for k in range(1, stages):
         bits = np.random.PCG64(0)  # its seed is overwritten by the copied state
         bits.state = state
-        bits.advance(start)
+        bits.advance(k * n)
         streams.append(np.random.Generator(bits))
     return streams
 
 
 def _simulate_free_shard(
-    n_particles: int, n_steps: int, p: float | None, xi0: int, rng: np.random.Generator, block: int,
-) -> Iterator[np.ndarray]:
-    """Yield the final sites of one shard of free walks, ``block`` particles at a time.
+    n_particles: int, n_steps: int, p: float | None, xi0: int, streams: list[np.random.Generator],
+) -> np.ndarray:
+    """Draw one block of a shard of free walks: the final sites of its ``n_particles``.
 
-    Drawn whole, the shard takes n_particles uniform preparations (none
-    for a fixed ``p``) and then one endpoint binomial per particle, so
-    the binomials start n_particles outputs into ``rng`` (at 0 for a
-    fixed ``p``); ``_stage_streams`` starts them there, and the sites are
-    those of the whole draw bit for bit.
+    The preparations come from ``streams[0]`` when ``p`` is None and the
+    endpoint binomials from ``streams[-1]``; see ``_stage_streams``.
     """
-    preps, ends = _stage_streams(rng, n_particles if p is None else 0)
-    for start in range(0, n_particles, block):
-        size = min(block, n_particles - start)
-        # one uniform p per particle, or the fixed p as an array so the binomial draws once per particle
-        p_block = preps.uniform(-1.0, 1.0, size=size) if p is None else np.full(size, p)
-        yield xi0 + endpoint_displacement(ends, n_steps, p_block)
+    # one uniform p per particle, or the fixed p as an array so the binomial draws once per particle
+    p_block = streams[0].uniform(-1.0, 1.0, size=n_particles) if p is None else np.full(n_particles, p)
+    return xi0 + endpoint_displacement(streams[-1], n_steps, p_block)
 
 
 def run_ensemble_free(
@@ -140,7 +134,8 @@ def run_ensemble_free(
     p = None if p is None else _check_propensity(p)
     xi0 = int(xi0)
     return _run_shards(
-        lambda n, rng, block: _simulate_free_shard(n, n_steps, p, xi0, rng, block),
+        lambda n, streams: _simulate_free_shard(n, n_steps, p, xi0, streams),
+        2 if p is None else 1,  # preparations and endpoints, or endpoints alone
         light_cone(xi0, xi0, n_steps),
         n_particles,
         seed,
@@ -150,25 +145,27 @@ def run_ensemble_free(
 
 
 def _run_shards(
-    shard, cone: tuple[int, int], n_particles: int, seed: int, shards: int, threads: int,
+    draw, stages: int, cone: tuple[int, int], n_particles: int, seed: int, shards: int, threads: int,
 ) -> Histogram:
-    """Histogram on ``cone`` of the final sites ``shard(n, rng, block)`` yields over an even split.
+    """Histogram on ``cone`` of the final sites ``draw(size, streams)`` returns over an even split.
 
-    ``seed`` is an int.  Shard i derives its generator, child i of
-    ``SeedSequence(seed)``, in its own job; the shard yields its final
-    sites at most ``block`` particles at a time, and each block is binned
-    on ``cone`` and added in place to its worker's counts, so the result
-    depends on (seed, shards) and never on ``threads``.  A block is
-    ``_BLOCK`` particles, or the cone's row count when that is larger,
-    so a shard holds O(``_BLOCK`` + cone rows) at any particle count and
-    its binning costs O(particles + cone rows).  Shards with no particles
-    are neither seeded nor run.  min(threads, shards with particles,
-    usable CPUs) workers each sum every workers-th shard, so the run holds
-    no per-shard state.  Worker 0 runs in the caller's thread and each
-    other on a ``threading.Thread`` of its own; every thread is joined
-    before the first worker's exception, if any, is raised.  Usable CPUs
-    are those the process may run on (its affinity mask where the
-    platform has one, else ``os.cpu_count``).
+    ``seed`` is an int.  Shard i of n particles derives its generator,
+    child i of ``SeedSequence(seed)``, in its own job, and its ``stages``
+    streams from it with ``_stage_streams``.  Each ``draw`` call returns
+    the final sites of the shard's next block of ``size`` particles,
+    which is binned on ``cone`` and added in place to its worker's
+    counts, so the result depends on (seed, shards) and never on
+    ``threads``.  A block is ``_BLOCK`` particles, or the cone's row
+    count when that is larger, so a shard holds O(``_BLOCK`` + cone rows)
+    at any particle count and its binning costs O(particles + cone rows).
+    Shards with no particles are neither seeded nor run.  min(threads,
+    shards with particles, usable CPUs) workers each sum every
+    workers-th shard, so the run holds no per-shard state.  Worker 0
+    runs in the caller's thread and each other on a ``threading.Thread``
+    of its own; every thread is joined before the first worker's
+    exception, if any, is raised.  Usable CPUs are those the process may
+    run on (its affinity mask where the platform has one, else
+    ``os.cpu_count``).
     """
     if shards < 1 or threads < 1:
         raise ValueError("shards and threads must be >= 1")
@@ -186,9 +183,11 @@ def _run_shards(
     def summed(w: int) -> np.ndarray:
         counts = np.zeros(rows, dtype=np.int64)
         for i in range(w, jobs, workers):
+            n = base + (i < extra)
             rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
-            for sites in shard(base + (i < extra), rng, block):
-                counts += Histogram.on_cone(sites, cone).counts
+            streams = _stage_streams(rng, n, stages)
+            for start in range(0, n, block):
+                counts += Histogram.on_cone(draw(min(block, n - start), streams), cone).counts
         return counts
 
     sums = [None] * workers

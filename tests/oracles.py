@@ -18,9 +18,11 @@ at a time, ``training_per_visit`` walks training emissions through
 ``ring_limit_sum`` sums a finite train of ring sources,
 ``free_shard_whole`` and ``trained_shard_whole`` draw a whole shard in
 one array call per stage, where ``walker._simulate_free_shard`` and
-``qforce._trained_shard`` draw one block at a time, and
+``qforce._trained_shard`` draw one block per call, and
 ``run_shards_spawned`` builds every shard's generator before running
-any, where ``walker._run_shards`` derives each in its shard's job, and
+any, where ``walker._run_shards`` derives each in its shard's job
+(``free_run`` and ``trained_run`` pair each blocked draw with its whole
+reference), and
 ``csv_per_row`` and ``json_whole`` write a table a row at a time and as
 one ``json.dump``, where ``stats.write_csv`` and ``cli._dump_table``
 write it in chunks through the C csv writer and JSON encoder.
@@ -49,12 +51,13 @@ from collections import defaultdict
 import numpy as np
 
 from latticemc import qforce, walker
-from latticemc.lattice import transition_probs
+from latticemc.lattice import light_cone, transition_probs
 from latticemc.scenarios import (
     ScenarioConfig,
     _fringe,
     _memory_force,
     _pair_terms,
+    _ray_table,
     _solve_rays,
     ring_memory_force,
 )
@@ -290,6 +293,32 @@ def run_shards_spawned(shard, cone: tuple[int, int], n_particles: int, seed: int
     base, extra = divmod(n_particles, shards)
     sites = [shard(base + (1 if i < extra else 0), rng) for i, rng in enumerate(rngs)]
     return np.bincount(np.concatenate(sites) - cone[0], minlength=cone[1] - cone[0] + 1)
+
+
+def free_run(p, xi0: int, n_steps: int):
+    """(block draw, stages, whole reference, cone) of a free run at propensity ``p`` from ``xi0``.
+
+    ``walker._run_shards(draw, stages, cone, ...)`` runs the blocked
+    shards, and ``run_shards_spawned(whole, cone, ...)`` the same shards
+    drawn whole.
+    """
+    return (
+        lambda n, streams: walker._simulate_free_shard(n, n_steps, p, xi0, streams),
+        2 if p is None else 1,
+        lambda n, rng: free_shard_whole(n, n_steps, p, xi0, rng),
+        light_cone(xi0, xi0, n_steps),
+    )
+
+
+def trained_run(sources, n_steps: int):
+    """(block draw, stages, whole reference, cone) of a trained run over ``sources``, sorted by site."""
+    picks, table = qforce._source_picks(sources), _ray_table(*_pair_terms(sources))
+    return (
+        lambda n, streams: qforce._trained_shard(picks, table, n, n_steps, streams),
+        3,
+        lambda n, rng: trained_shard_whole(sources, table, n, n_steps, rng),
+        light_cone(sources[0][0], sources[-1][0], n_steps),
+    )
 
 
 def csv_per_row(fh, names, columns) -> None:

@@ -17,7 +17,6 @@ import oracles
 from hypothesis import example, given, settings, strategies as st
 
 from latticemc import cli, qforce, scenarios, stats, walker
-from latticemc.lattice import light_cone
 from latticemc.scenarios import ScenarioConfig
 
 BLOCK = walker._BLOCK
@@ -79,31 +78,12 @@ def _shard_sizes():
     )
 
 
-def _free_run(p, xi0: int, n_steps: int):
-    """(blocked shard, whole reference, cone) of a free run at propensity ``p`` from ``xi0``."""
-    return (
-        lambda n, rng, block: walker._simulate_free_shard(n, n_steps, p, xi0, rng, block),
-        lambda n, rng: oracles.free_shard_whole(n, n_steps, p, xi0, rng),
-        light_cone(xi0, xi0, n_steps),
-    )
-
-
-def _trained_run(sources, n_steps: int):
-    """(blocked shard, whole reference, cone) of a trained run over ``sources``, sorted by site."""
-    picks, table = qforce._source_picks(sources), scenarios._ray_table(*scenarios._pair_terms(sources))
-    return (
-        lambda n, rng, block: qforce._trained_shard(picks, table, n, n_steps, rng, block),
-        lambda n, rng: oracles.trained_shard_whole(sources, table, n, n_steps, rng),
-        light_cone(sources[0][0], sources[-1][0], n_steps),
-    )
-
-
 @st.composite
 def free_runs(draw):
     """A free run: p uniform, fixed or +/-1, from a nonzero xi0."""
     p = draw(st.one_of(st.none(), st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0])))
     xi0 = draw(st.integers(1, 10**6)) * draw(st.sampled_from([-1, 1]))
-    return _free_run(p, xi0, draw(st.integers(0, 40)))
+    return oracles.free_run(p, xi0, draw(st.integers(0, 40)))
 
 
 def _draw_weights(draw, k: int) -> list[float]:
@@ -123,7 +103,7 @@ def trained_runs(draw):
     k = draw(st.integers(2, 10))
     sites = sorted(draw(st.lists(st.integers(-60, 60), min_size=k, max_size=k, unique=True)))
     weights = _draw_weights(draw, k)
-    return _trained_run(list(zip(sites, weights)), draw(st.integers(0, 40)))
+    return oracles.trained_run(list(zip(sites, weights)), draw(st.integers(0, 40)))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -136,15 +116,15 @@ def trained_runs(draw):
     seed=st.integers(0, 2**64 - 1),
 )
 # one particle past a block, the first shard size drawn in two blocks
-@example(run=_free_run(None, -7, 30), size=BLOCK + 1, shards=1, extra=0, threads=1, seed=3)
-@example(run=_trained_run([(-4, 0.25), (0, 0.0), (5, 0.75)], 30), size=BLOCK, shards=3,
+@example(run=oracles.free_run(None, -7, 30), size=BLOCK + 1, shards=1, extra=0, threads=1, seed=3)
+@example(run=oracles.trained_run([(-4, 0.25), (0, 0.0), (5, 0.75)], 30), size=BLOCK, shards=3,
          extra=2, threads=2, seed=4)
 def test_blocked_shards_match_whole_draws_on_drawn_runs(run, size, shards, extra, threads, seed):
     # every shard holds size or size + 1 particles, so the block edges fall
     # inside each; its blocks draw what the shard drawn whole draws
-    shard, whole, cone = run
+    draw, stages, whole, cone = run
     n = size * shards + extra % shards
-    hist = walker._run_shards(shard, cone, n, seed, shards, threads)
+    hist = walker._run_shards(draw, stages, cone, n, seed, shards, threads)
     assert hist.offset == cone[0]
     assert hist.counts.tolist() == oracles.run_shards_spawned(whole, cone, n, seed, shards).tolist()
 

@@ -10,11 +10,15 @@ or nowhere.  Readers are found by name
 such as the benchmark's span names), so two names that share a spelling
 count as read together.  The count of public top-level functions and
 classes may only fall: ``PUBLIC_TOP_LEVEL_NAMES`` is its ceiling, and
-raising it takes a reason in CHANGES.md.
+raising it takes a reason in CHANGES.md.  ``src_size`` gives the size
+figures that ROADMAP and CHANGES quote: lines, code lines and public
+top-level names.
 """
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,6 +95,70 @@ def home_only_public_functions(root=ROOT):
     return _unread(root, functions, module_reads=False)
 
 
+def _public_top_level_names(root):
+    """``module.name`` of every public top-level function and class of ``src/latticemc``."""
+    return [
+        f"{path.stem}.{qualname}"
+        for path in sorted((root / "src" / "latticemc").glob("*.py"))
+        for qualname, _ in _public_definitions(ast.parse(path.read_text()))
+        if "." not in qualname
+    ]
+
+
+_LAYOUT_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                  tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """Lines of ``source`` that carry code: every line a token of a statement spans.
+
+    Comments, blank lines (inside brackets too) and statements made only
+    of strings (docstrings) carry none.
+    """
+    lines, statement = set(), []
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+            if not all(t.type == tokenize.STRING for t in statement):
+                for t in statement:
+                    lines.update(range(t.start[0], t.end[0] + 1))
+            statement = []
+        elif token.type not in _LAYOUT_TOKENS:
+            statement.append(token)
+    return len(lines)
+
+
+def src_size(root=ROOT):
+    """(lines, code lines, public top-level names) of ``src/latticemc``.
+
+    Lines are what ``cat src/latticemc/*.py | wc -l`` counts, and code
+    lines are ``code_lines`` summed over the modules.
+    """
+    sources = [path.read_text() for path in sorted((root / "src" / "latticemc").glob("*.py"))]
+    return (
+        sum(text.count("\n") for text in sources),
+        sum(code_lines(text) for text in sources),
+        len(_public_top_level_names(root)),
+    )
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
+    source = (
+        '"""A module docstring\nover two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(a,\n"
+        "      b):  # a trailing comment\n"
+        '    """A docstring."""\n'
+        "    return (a +\n"
+        "\n"
+        "            b)\n"
+        "x = 'a string in a statement'\n"
+    )
+    # the def's two lines, the return's two (not the blank line inside its
+    # brackets) and the assignment
+    assert code_lines(source) == 5
+
+
 def test_every_public_name_has_a_reader_outside_tests():
     assert unread_public_names() == []
 
@@ -100,10 +168,5 @@ def test_every_public_function_has_a_reader_outside_its_module():
 
 
 def test_public_top_level_names_do_not_grow():
-    names = [
-        f"{path.stem}.{qualname}"
-        for path in sorted((ROOT / "src" / "latticemc").glob("*.py"))
-        for qualname, _ in _public_definitions(ast.parse(path.read_text()))
-        if "." not in qualname
-    ]
-    assert len(names) <= PUBLIC_TOP_LEVEL_NAMES, names
+    _, _, count = src_size()
+    assert count <= PUBLIC_TOP_LEVEL_NAMES, _public_top_level_names(ROOT)

@@ -394,9 +394,8 @@ def _trained_rays(cfg, shards):
     shard, solve, sample = qforce._trained_shard, qforce._solve_rays, qforce.endpoint_displacement
 
     def shard_spy(*args):
-        for sites in shard(*args):
-            xi.append(sites)
-            yield sites
+        xi.append(shard(*args))
+        return xi[-1]
 
     def solve_spy(p, table):
         p0.append(p)

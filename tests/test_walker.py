@@ -1,8 +1,10 @@
 """Monte Carlo walker engine: sampling law, determinism, sharding."""
 
+import inspect
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,8 +12,8 @@ import oracles
 import pytest
 from hypothesis import given, strategies as st
 
-from latticemc import analytic, qforce, scenarios, walker
-from latticemc.lattice import light_cone, transition_probs
+from latticemc import analytic, qforce, walker
+from latticemc.lattice import transition_probs
 from latticemc.scenarios import ScenarioConfig
 from latticemc.stats import _chi2_critical, _pool, compare
 
@@ -176,22 +178,10 @@ def test_ensemble_memory_is_flat_in_the_particle_count():
         assert peak(run, 300_000) - peak(run, 10_000) <= 2**19, kind
 
 
-_TRAINED_SOURCES = [(-3, 0.3), (1, 0.2), (4, 0.5)]
-_TRAINED_PICKS = qforce._source_picks(_TRAINED_SOURCES)
-_TRAINED_TABLE = scenarios._ray_table(*scenarios._pair_terms(_TRAINED_SOURCES))
-
-# per kind of run: the blocked shard, its whole-draw reference, and the light cone
+# per kind of run: the block draw, its stage count, its whole-draw reference, and the light cone
 _SHARDS = {
-    "free": (
-        lambda n, rng, block: walker._simulate_free_shard(n, 30, None, 0, rng, block),
-        lambda n, rng: oracles.free_shard_whole(n, 30, None, 0, rng),
-        light_cone(0, 0, 30),
-    ),
-    "trained": (
-        lambda n, rng, block: qforce._trained_shard(_TRAINED_PICKS, _TRAINED_TABLE, n, 30, rng, block),
-        lambda n, rng: oracles.trained_shard_whole(_TRAINED_SOURCES, _TRAINED_TABLE, n, 30, rng),
-        light_cone(-3, 4, 30),
-    ),
+    "free": oracles.free_run(None, 0, 30),
+    "trained": oracles.trained_run([(-3, 0.3), (1, 0.2), (4, 0.5)], 30),
 }
 
 
@@ -202,10 +192,10 @@ def test_run_shards_matches_eager_spawn(kind, n, shards, seed):
     # each shard's generator, derived by index in its job, is the one
     # SeedSequence(seed).spawn gives it, and its blocks draw what the
     # shard drawn whole does
-    shard, whole, cone = _SHARDS[kind]
+    draw, stages, whole, cone = _SHARDS[kind]
     expected = oracles.run_shards_spawned(whole, cone, n, seed, shards)
     for threads in (1, 2):
-        hist = walker._run_shards(shard, cone, n, seed, shards, threads)
+        hist = walker._run_shards(draw, stages, cone, n, seed, shards, threads)
         assert hist.offset == cone[0]
         assert hist.counts.tolist() == expected.tolist(), threads
 
@@ -267,14 +257,73 @@ def test_threaded_sums_survive_rapid_switching(monkeypatch):
 
 def test_a_worker_threads_error_reaches_the_caller(monkeypatch):
     # worker 0 finishes in the caller's thread; worker 1's error is raised there once it is joined
-    def shard(n, rng, block):
+    def draw(n, streams):
         if threading.current_thread() is not threading.main_thread():
             raise MemoryError("worker 1")
-        yield np.zeros(n, dtype=np.int64)
+        return np.zeros(n, dtype=np.int64)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with pytest.raises(MemoryError, match="worker 1"):
-        walker._run_shards(shard, (0, 0), 10, 0, 2, 2)
+        walker._run_shards(draw, 1, (0, 0), 10, 0, 2, 2)
+
+
+def test_worker_0s_error_waits_for_the_other_workers(monkeypatch):
+    # the caller's own draw fails at once, while worker 1 is still drawing;
+    # the error reaches the caller only after worker 1 has finished and
+    # been joined, and no thread of the run is left alive
+    finished = []
+
+    def draw(n, streams):
+        if threading.current_thread() is threading.main_thread():
+            raise MemoryError("worker 0")
+        time.sleep(0.2)
+        finished.append(n)
+        return np.zeros(n, dtype=np.int64)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    before = set(threading.enumerate())
+    with pytest.raises(MemoryError, match="worker 0"):
+        walker._run_shards(draw, 1, (0, 0), 10, 0, 2, 2)
+    assert finished == [5]
+    assert set(threading.enumerate()) == before
+
+
+def test_each_block_is_one_draw_call(monkeypatch):
+    # a shard draws each block of at most max(_BLOCK, cone rows) particles
+    # in one call, which returns that block's int64 sites: uniform and
+    # fixed-p free runs, and a trained run whose cone is wider than a block
+    calls = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+        signature = inspect.signature(fn)
+
+        def draw(*args, **kwargs):
+            sites = fn(*args, **kwargs)
+            calls.append((signature.bind(*args, **kwargs).arguments["n_particles"], sites))
+            return sites
+
+        monkeypatch.setattr(module, name, draw)
+
+    spy(walker, "_simulate_free_shard")
+    spy(qforce, "_trained_shard")
+    n = 3 * walker._BLOCK + 5
+    wide = ScenarioConfig("multi-slit", 25_000, 5000, [(-2, 0.5), (2, 0.5)], seed=2)
+    rows = wide.cone[1] - wide.cone[0] + 1
+    assert rows > walker._BLOCK
+    runs = [
+        (lambda: walker.run_ensemble_free(n, 30, seed=1, shards=2), n, walker._BLOCK),
+        (lambda: walker.run_ensemble_free(n, 30, p=0.3, seed=1, shards=2), n, walker._BLOCK),
+        (lambda: qforce.run_trained_slits(wide, shards=2), wide.n_particles, rows),
+    ]
+    for run, total, block in runs:
+        calls.clear()
+        run()
+        for size, sites in calls:
+            assert 1 <= size <= block
+            assert isinstance(sites, np.ndarray) and sites.dtype == np.int64 and sites.shape == (size,)
+        assert max(size for size, _ in calls) == block
+        assert sum(size for size, _ in calls) == total
 
 
 def test_ensemble_seed_objects_are_rejected():
