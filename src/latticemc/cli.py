@@ -11,6 +11,10 @@ Exit codes: 0 success, 1 usage error, 2 configuration error,
 3 verification failure.  Options may come from ``--config FILE`` (flat
 ``key = value`` lines); explicit flags win over the file.
 
+The run commands, ``free`` and ``interfere``, are declared once, in
+``_RUN_COMMANDS`` (help, option table, executor): the parser, ``main``
+and ``rerun`` all read it.  Each run ends in one ``_write_outputs`` call.
+
 Importing this module loads numpy and the parser's own needs (``lattice``,
 ``stats``, ``scenarios``) and no engine: each command imports the engines
 it runs when it runs, ``walker`` and ``analytic`` for ``free``, ``qforce``
@@ -172,18 +176,15 @@ def _write_outputs(params: dict, command: str, names, columns, summary: dict, li
             "params": params,
             "outputs": {"csv": params["out"], "json": params["json_out"]},
         }
-        targets.append((params["manifest"], lambda fh: _dump(fh, manifest)))
+        text = json.dumps(manifest, indent=1) + "\n"
+        targets.append((params["manifest"], lambda fh: fh.write(text)))
     write_files(targets)
     print(line)
 
 
-def _dump(fh, doc: dict) -> None:
-    json.dump(doc, fh, indent=1)
-    fh.write("\n")
-
-
 def _dump_table(fh, names, columns, summary: dict) -> None:
-    """``_dump`` of {"columns": names, "rows": the table's rows, "summary": summary}, in chunks.
+    """Write {"columns": names, "rows": the table's rows, "summary": summary} as
+    ``json.dump(..., indent=1)`` and a newline would, in chunks.
 
     The C encoder writes each chunk of rows with ``indent=1``'s item
     separator at depth 2; no number holds ``]`` or ``[``, so one replace
@@ -341,78 +342,78 @@ def _execute_interfere(params: dict) -> None:
     from . import qforce
 
     config, read = _build_scenario(params)
-    slit = config.kind in SLIT_KINDS
+    kind = config.kind
+    slit = kind in SLIT_KINDS
     training = slit and params["mode"] == "training"
+    parallel = params["threads"] > 1 or params["shards"] > 1
     # a value given to a geometry option the config was not built from goes unused
     unread = [
         "--" + key for key in ("delta", "p1", "sources", "ell", "p")
         if key not in read and params[key] not in (None, _INTERFERE_OPTIONS[key].default)
     ]
-    if unread:
-        flags = ", ".join(unread[:-1]) + " and " + unread[-1] if len(unread) > 1 else unread[0]
-        print(f"interfere: this {config.kind} run does not read {flags}; ignored", file=sys.stderr)
-    if params["diagnostics"] and not training:
-        print("interfere: --diagnostics applies to training mode only; ignored", file=sys.stderr)
+    flags = ", ".join(unread[:-1]) + " and " + unread[-1] if len(unread) > 1 else "".join(unread)
+    for shown, notice in [
+        (unread, f"this {kind} run does not read {flags}; ignored"),
+        (params["diagnostics"] and not training,
+         "--diagnostics applies to training mode only; ignored"),
+        (not slit and parallel, f"a {kind} run is one sequential walk; using one thread"),
+        (not slit and ((params["n_particles"] or 1) > 1 or params["mode"] == "training"),
+         f"a {kind} run follows one walker in converged memory; "
+         "--n-particles and --mode are ignored"),
+        (training and parallel, "training mode is sequential; using one thread"),
+    ]:
+        if shown:
+            print("interfere: " + notice, file=sys.stderr)
 
+    diagnostics = None
     if not slit:
-        if params["threads"] > 1 or params["shards"] > 1:
-            print(f"interfere: a {config.kind} run is one sequential walk; using one thread",
-                  file=sys.stderr)
-        if (params["n_particles"] or 1) > 1 or params["mode"] == "training":
-            print(f"interfere: a {config.kind} run follows one walker in converged memory; "
-                  "--n-particles and --mode are ignored", file=sys.stderr)
         mean_p_bar, centers, counts = qforce.run_ring(config)
-        target = ring_steady_momentum(config.p, config.period)
+        names, columns = ["pbar", "count", "frequency"], [centers, counts, counts / counts.sum()]
         summary = {
-            "scenario": config.kind,
+            "scenario": kind,
             "ell": config.ell,
             "p": config.p,
             "n_steps": config.n_steps,
             "mean_p_bar": mean_p_bar,
-            "quantized_target": target,
+            "quantized_target": ring_steady_momentum(config.p, config.period),
         }
-        line = (
-            "interfere: {scenario} ell={ell} p={p} mean_p_bar={mean_p_bar:.4f} "
-            "target={quantized_target:.4f}".format(**summary)
-        )
-        _write_outputs(
-            params, "interfere", ["pbar", "count", "frequency"],
-            [centers, counts, counts / counts.sum()], summary, line,
-        )
-        return
-
-    diagnostics = None
-    if not training:
-        hist = qforce.run_trained_slits(config, shards=params["shards"], threads=params["threads"])
+        detail = "ell={ell} p={p} mean_p_bar={mean_p_bar:.4f} target={quantized_target:.4f}"
     else:
-        if params["threads"] > 1 or params["shards"] > 1:
-            print("interfere: training mode is sequential; using one thread", file=sys.stderr)
-        run = qforce.run_training_slits(config)
-        hist = run.positions
-        if params["diagnostics"]:
-            names = ["emission", *run.emissions]
-            diagnostics = (names, [np.arange(config.n_particles), *run.emissions.values()])
-    from . import qm_oracle
+        if training:
+            run = qforce.run_training_slits(config)
+            hist = run.positions
+            if params["diagnostics"]:
+                diagnostics = (["emission", *run.emissions],
+                               [np.arange(config.n_particles), *run.emissions.values()])
+        else:
+            hist = qforce.run_trained_slits(config, shards=params["shards"],
+                                            threads=params["threads"])
+        from . import qm_oracle
 
-    support = hist.support
-    model = multi_slit_density(support, config.n_steps, config.sources)
-    oracle = qm_oracle.qm_multi_source(support, config.n_steps, config.sources)
-    freq = hist.frequency()
-    summary = {
-        "scenario": config.kind,
-        "mode": params["mode"],
-        "n_particles": hist.total,
-        "n_steps": config.n_steps,
-        "l1_to_model": float(np.abs(freq - model).sum()),
-    }
-    line = (
-        "interfere: {scenario} mode={mode} N={n_particles} tau={n_steps} "
-        "l1_to_model={l1_to_model:.4f}".format(**summary)
-    )
-    _write_outputs(
-        params, "interfere", ["xi", "count", "frequency", "model_P", "qm_oracle"],
-        [support, hist.counts, freq, model, oracle], summary, line, diagnostics,
-    )
+        support = hist.support
+        model = multi_slit_density(support, config.n_steps, config.sources)
+        freq = hist.frequency()
+        names = ["xi", "count", "frequency", "model_P", "qm_oracle"]
+        columns = [support, hist.counts, freq, model,
+                   qm_oracle.qm_multi_source(support, config.n_steps, config.sources)]
+        summary = {
+            "scenario": kind,
+            "mode": params["mode"],
+            "n_particles": hist.total,
+            "n_steps": config.n_steps,
+            "l1_to_model": float(np.abs(freq - model).sum()),
+        }
+        detail = "mode={mode} N={n_particles} tau={n_steps} l1_to_model={l1_to_model:.4f}"
+    line = ("interfere: {scenario} " + detail).format(**summary)
+    _write_outputs(params, "interfere", names, columns, summary, line, diagnostics)
+
+
+# name -> (help, option table, executor) of each command whose flags come
+# from an option table and whose run a manifest repeats
+_RUN_COMMANDS = {
+    "free": ("free-walk ensemble histogram", _FREE_OPTIONS, _execute_free),
+    "interfere": ("slit, ring, or box interference run", _INTERFERE_OPTIONS, _execute_interfere),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +441,10 @@ def _execute_rerun(manifest_path: str, out_dir: str | None) -> None:
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise ConfigError(f"cannot read manifest {manifest_path}: {exc}") from exc
     command = doc.get("command") if isinstance(doc, dict) else None
-    if command not in ("free", "interfere") or not isinstance(doc.get("params"), dict):
+    if not (isinstance(command, str) and command in _RUN_COMMANDS  # a list is not hashable
+            and isinstance(doc.get("params"), dict)):
         raise ConfigError("manifest does not describe a rerunnable command")
-    schema = _FREE_OPTIONS if command == "free" else _INTERFERE_OPTIONS
+    _, schema, execute = _RUN_COMMANDS[command]
     params = _apply_schema(doc["params"], schema, "manifest")
     if doc.get("version") != __version__:
         print(
@@ -460,7 +462,7 @@ def _execute_rerun(manifest_path: str, out_dir: str | None) -> None:
             if params.get(key):
                 params[key] = os.path.join(out_dir, os.path.basename(params[key]))
     try:
-        (_execute_free if command == "free" else _execute_interfere)(params)
+        execute(params)
     except BaseException:
         if made is not None:
             shutil.rmtree(made, ignore_errors=True)
@@ -476,10 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"latticemc {__version__}")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    for name, help_text, options in [
-        ("free", "free-walk ensemble histogram", _FREE_OPTIONS),
-        ("interfere", "slit, ring, or box interference run", _INTERFERE_OPTIONS),
-    ]:
+    for name, (help_text, options, _) in _RUN_COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         sub.add_argument("--config", help="flat key = value option file")
         for key, opt in options.items():
@@ -499,25 +498,20 @@ def main(argv=None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        if ns.command == "free":
-            _execute_free(_resolve(ns, _FREE_OPTIONS))
-            return EXIT_OK
-        if ns.command == "interfere":
-            _execute_interfere(_resolve(ns, _INTERFERE_OPTIONS))
-            return EXIT_OK
         if ns.command == "verify":
-            failed = _execute_verify({"suite": ns.suite})
-            return EXIT_VERIFY if failed else EXIT_OK
+            return EXIT_VERIFY if _execute_verify({"suite": ns.suite}) else EXIT_OK
         if ns.command == "rerun":
             _execute_rerun(ns.manifest, ns.out_dir)
-            return EXIT_OK
+        else:
+            _, options, execute = _RUN_COMMANDS[ns.command]
+            execute(_resolve(ns, options))
+        return EXIT_OK
     except (ConfigError, MemoryError) as exc:  # MemoryError: a cone too large to allocate
         print(f"latticemc: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # config and manifest reads raise ConfigError; this is an output write
         print(f"latticemc: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

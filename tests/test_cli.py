@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -301,6 +302,44 @@ def test_interfere_notes_options_the_scenario_does_not_read(tmp_path, capsys, ba
     assert flagged_bytes == plain_bytes
 
 
+@pytest.mark.parametrize("base, flags, notices", [
+    (["--scenario", "ring", "--ell", "10", "--p", "0.37", "--n-steps", "1000"],
+     ["--delta", "8", "--diagnostics", "DIAG", "--threads", "2", "--n-particles", "5"],
+     ["this ring run does not read --delta; ignored",
+      "--diagnostics applies to training mode only; ignored",
+      "a ring run is one sequential walk; using one thread",
+      "a ring run follows one walker in converged memory; --n-particles and --mode are ignored"]),
+    (["--scenario", "two-slit", "--n-particles", "200", "--n-steps", "30"],
+     ["--ell", "7", "--diagnostics", "DIAG"],
+     ["this two-slit run does not read --ell; ignored",
+      "--diagnostics applies to training mode only; ignored"]),
+    (["--scenario", "two-slit", "--mode", "training", "--n-particles", "200", "--n-steps", "30"],
+     ["--ell", "7", "--shards", "2"],
+     ["this two-slit run does not read --ell; ignored",
+      "training mode is sequential; using one thread"]),
+], ids=["ring", "trained", "training"])
+def test_interfere_notices_keep_their_order(tmp_path, capsys, base, flags, notices):
+    # every notice a run draws prints before it runs, in one fixed order:
+    # unread geometry, --diagnostics outside training, the two bound-walk
+    # notices, training's sequential notice; stdout and output bytes are
+    # those of the run without the flags, and no diagnostics file is written
+    argv = ["interfere", *base, "--seed", "3"]
+    diag = tmp_path / "d.csv"
+
+    def run(name, extra):
+        paths = (tmp_path / f"{name}.csv", tmp_path / f"{name}.json")
+        assert cli.main([*argv, *extra, "--out", str(paths[0]), "--json", str(paths[1])]) == 0
+        return capsys.readouterr(), [path.read_bytes() for path in paths]
+
+    plain, plain_bytes = run("plain", [])
+    flagged, flagged_bytes = run("flagged", [str(diag) if f == "DIAG" else f for f in flags])
+    assert plain.err == ""
+    assert flagged.err == "".join(f"interfere: {notice}\n" for notice in notices)
+    assert flagged.out == plain.out
+    assert flagged_bytes == plain_bytes
+    assert not diag.exists()
+
+
 def test_interfere_ring_needs_geometry(tmp_path, capsys):
     code = cli.main([
         "interfere", "--scenario", "ring", "--out", str(tmp_path / "x.csv"),
@@ -398,6 +437,29 @@ def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 1
+
+
+def test_parser_is_built_from_the_command_and_option_tables(capsys):
+    # the program lists its commands in this order; each run command's long
+    # flags are --config and then its option table's keys in table order
+    # (json_out's flag is --json); a flag outside the table is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "{free,interfere,verify,rerun}" in capsys.readouterr().out
+    for command, options, stranger in [
+        ("free", cli._FREE_OPTIONS, "--scenario"), ("interfere", cli._INTERFERE_OPTIONS, "--xi0"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        listed = capsys.readouterr().out.split("\noptions:\n")[1]
+        flags = re.findall(r"^  (?:-h, )?(--[a-z0-9-]+)", listed, re.MULTILINE)
+        keys = ["--json" if key == "json_out" else "--" + key.replace("_", "-") for key in options]
+        assert flags == ["--help", "--config", *keys]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, stranger, "1", "--out", "x.csv"])
+        assert exc.value.code == 1
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -603,6 +665,16 @@ def test_rerun_rejects_bad_manifests(tmp_path, capsys):
     wrong.write_text(json.dumps({"command": "dance", "params": {"x": 1}}))
     assert cli.main(["rerun", str(wrong)]) == 2
     capsys.readouterr()
+    # verify and rerun are commands, but no manifest records a run of them;
+    # a list is no command name, and cannot be looked up as one
+    for command, params in [
+        ("verify", {"suite": None}), ("rerun", {"manifest": str(wrong)}), (["free"], {}),
+    ]:
+        wrong.write_text(json.dumps({"command": command, "params": params}))
+        assert cli.main(["rerun", str(wrong)]) == 2
+        assert capsys.readouterr().err == (
+            "latticemc: config error: manifest does not describe a rerunnable command\n"
+        )
     # bytes that are not UTF-8, and nesting deeper than the JSON decoder recurses
     not_utf8 = tmp_path / "notutf8.json"
     not_utf8.write_bytes(b"\xff\xfe\x00bad = 1\n")
@@ -795,40 +867,57 @@ def test_manifest_params_keys_and_order_are_pinned(tmp_path, argv, keys):
     assert list(json.loads(manifest.read_text())["params"]) == keys
 
 
-@pytest.mark.parametrize("argv, csv_sha, json_sha", [
+@pytest.mark.parametrize("argv, csv_sha, json_sha, diag_sha", [
     (
         ["free", "--n-particles", "3000", "--n-steps", "40", "--seed", "17", "--shards", "2"],
         "709a477cd3a3b3155e33095487ffead859baf6e90e45ecdfcd263c281eb15fd6",
         "418a95ca5a5253df38a9c2aebef72c88209170c0217575327a8d2ed2896aba2f",
+        None,
     ),
     (
         ["interfere", "--scenario", "ring", "--ell", "10", "--p", "0.37",
          "--n-steps", "20000", "--seed", "5"],
         "5d11485f2b548bffe2ec00f8db9a615bcdb6dbf8deee0098f331d9a442e88886",
         "f10ede6e3193338748314d7994d37e204c871455e74a76ac65e46ad07f294c66",
+        None,
     ),
     (
         ["interfere", "--scenario", "box", "--ell", "5", "--p", "0.37",
          "--n-steps", "20000", "--seed", "5"],
         "5d11485f2b548bffe2ec00f8db9a615bcdb6dbf8deee0098f331d9a442e88886",
         "c5a375dfae36b6df5e054f846726a79f4ac5d14e18204d992c6b17ae91b0e8cd",
+        None,
     ),
     (
         ["interfere", "--scenario", "two-slit", "--delta", "4", "--p1", "0.3",
          "--n-particles", "3000", "--n-steps", "60", "--shards", "2", "--seed", "9"],
         "1acb6eb9c4152186404ed1be6e9cfbda78a91ab20bd9f3cb98707c1752a1e3a9",
         "a1fd517abb3a7c20afa1a02fd434e22b1071134b2da8e57fea21fe5f8943bb86",
+        None,
     ),
-], ids=["free-uniform", "ring", "box", "trained-two-slit"])
-def test_output_file_bytes_are_pinned(tmp_path, argv, csv_sha, json_sha):
+    (
+        ["interfere", "--scenario", "two-slit", "--delta", "2", "--mode", "training",
+         "--n-particles", "300", "--n-steps", "30", "--seed", "11"],
+        "07aa766ceac5805b7c56c3fde63853ef32e9fdac22a0fe5b16e9d0dccedf2d40",
+        "829534ab811008bc45189ddbdc2b253842e60fc5658bdea83cabe2dd8bb17591",
+        "4f5aee6b489dd59a3cfe4eccfb5e78666030fe9063fd67e080cfef93323b22e4",
+    ),
+], ids=["free-uniform", "ring", "box", "trained-two-slit", "training-two-slit"])
+def test_output_file_bytes_are_pinned(tmp_path, argv, csv_sha, json_sha, diag_sha):
     # recorded at version 0.2.0; the free, ring and box columns are integer
     # counts or IEEE divisions of counts, so no libm value enters them; the
     # trained two-slit model_P and qm_oracle columns are numpy cosines, whose
-    # last bits may differ on another numpy build or CPU
-    out, js = tmp_path / "run.csv", tmp_path / "run.json"
-    assert cli.main(argv + ["--out", str(out), "--json", str(js)]) == 0
+    # last bits may differ on another numpy build or CPU; a training run's
+    # walk and its final_p_eff column pass through the boson decay law's
+    # libm calls (log1p, atanh, sin, exp), whose last bits may differ on
+    # another libm
+    out, js, diag = tmp_path / "run.csv", tmp_path / "run.json", tmp_path / "diag.csv"
+    diagnostics = ["--diagnostics", str(diag)] if diag_sha else []
+    assert cli.main(argv + ["--out", str(out), "--json", str(js), *diagnostics]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
     assert hashlib.sha256(js.read_bytes()).hexdigest() == json_sha
+    if diag_sha:
+        assert hashlib.sha256(diag.read_bytes()).hexdigest() == diag_sha
 
 
 def test_out_to_devnull_writes_in_place(tmp_path):
@@ -941,6 +1030,27 @@ def test_each_command_imports_only_the_engines_it_runs(tmp_path, argv, loaded, u
     modules = set(stdout.splitlines()[-1].split())
     assert loaded <= modules
     assert not unloaded & modules, unloaded & modules
+
+
+def test_cli_digest_runs_its_first_cases(tmp_path):
+    # tests/cli_digest.py is the byte-identity check of a CLI refactor
+    # against its parent; its first two cases keep it working
+    import cli_digest
+
+    names = [name for name, _, _ in cli_digest.CASES]
+    assert len(set(names)) == len(names)
+    src = os.path.dirname(os.path.dirname(latticemc.__file__))
+    help_text, free = cli_digest.digest(src, cli_digest.CASES[:2]).values()
+    assert [step["exit"] for step in help_text["steps"]] == [0] and help_text["outputs"] == {}
+    assert free["steps"][0]["exit"] == 0 and free["steps"][0]["stderr"] == ""
+    assert sorted(free["outputs"]) == ["manifest.json", "out.csv", "out.json"]
+    # a manifest differs between runs only in its "created" line, which the digest drops
+    manifest = tmp_path / "m.json"
+    assert cli.main(["free", "--n-particles", "10", "--n-steps", "5", "--out",
+                     str(tmp_path / "o.csv"), "--manifest", str(manifest)]) == 0
+    doc = json.loads(manifest.read_bytes())
+    del doc["created"]
+    assert json.loads(cli_digest._CREATED.sub(b"", manifest.read_bytes())) == doc
 
 
 def test_lazy_package_names_resolve():
