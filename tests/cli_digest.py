@@ -45,8 +45,7 @@ def _rerun(*run):
 
 
 def _manifest(command, params) -> str:
-    return json.dumps({"tool": "latticemc", "version": "0.2.0", "command": command,
-                       "params": params})
+    return json.dumps({"command": command, "params": params})
 
 
 # (name, commands, files written before the first command); a command is
@@ -54,7 +53,8 @@ def _manifest(command, params) -> str:
 CASES = [
     ("help", [["--help"]], {}),
     ("free-tiny", [["free", "--n-particles", "50", "--n-steps", "5", *OUTPUTS]], {}),
-    *((f"help-{name}", [[name, "--help"]], {}) for name in ("free", "interfere", "verify", "rerun")),
+    *((f"help-{command}", [[command, "--help"]], {})
+      for command in ("free", "interfere", "verify", "rerun")),
     ("version", [["--version"]], {}),
     # each benchmark workload's argv at small sizes
     ("free-long", [["free", "--n-particles", "2000", "--n-steps", "100", *OUTPUTS]], {}),
