@@ -19,6 +19,7 @@ is T = X/c.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,14 @@ def _check_propensity(p: float) -> float:
     if math.isnan(p) or p < -1.0 or p > 1.0:
         raise ValueError(f"momentum propensity must lie in [-1, 1], got {p!r}")
     return p
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as an int >= 0; None, a float or a generator raises TypeError, not fresh entropy."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def light_cone(lo: int, hi: int, n_steps: int) -> tuple[int, int]:

@@ -278,7 +278,7 @@ def _trained_shard(
     converged memory, whose force pulls each walker back toward its ray,
     so its endpoints spread less around q* * n_steps.  The source picks,
     the preparations and the binomials each read their own stream (see
-    ``walker._stage_streams``).
+    ``walker._run_shards``).
     """
     sites, cdf = picks
     sources, preps, ends = streams

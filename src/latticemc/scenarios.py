@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _scalar_or_array, light_cone
+from .lattice import _check_seed, _scalar_or_array, light_cone
 
 
 def _round_half_away(x: float) -> int:
@@ -49,6 +49,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         sources = tuple((int(s), float(w)) for s, w in self.sources)
         object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.n_particles < 1 or self.n_steps < 1:

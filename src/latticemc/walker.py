@@ -18,10 +18,10 @@ shard's final sites on the run's light cone, and sums the counts, so a
 run is bit-reproducible for a fixed (seed, shards) pair no matter how
 shards are scheduled.  It owns the block loop: each call of a shard's
 draw, ``_simulate_free_shard`` or ``qforce._trained_shard``, draws one
-block, so a shard's working set is flat in its particle count.
-``_stage_streams`` starts each of the shard's draw stages where a
-whole-shard draw would, so the blocks read the same random streams bit
-for bit.
+block, so a shard's working set is flat in its particle count.  Each
+draw stage reads its own stream, started where a whole-shard draw would
+start that stage, so the blocks read the same random numbers bit for
+bit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import threading
 
 import numpy as np
 
-from .lattice import _check_propensity, light_cone, transition_probs
+from .lattice import _check_propensity, _check_seed, light_cone, transition_probs
 from .stats import Histogram
 
 
@@ -75,34 +75,13 @@ def endpoint_displacement(rng: np.random.Generator, n_steps: int, p):
 _BLOCK = 8192  # particles, or bound-walk ticks, drawn and summed together; bounds the working set
 
 
-def _stage_streams(rng: np.random.Generator, n: int, stages: int) -> list[np.random.Generator]:
-    """The ``stages`` draw streams of a shard of ``n`` particles: ``rng`` and copies of it.
-
-    Drawn whole, a shard makes one array call per stage over its n
-    particles: the source picks (trained runs), the preparations (all
-    but fixed-p free runs), then the endpoint binomials.  Every stage
-    before the binomials takes one 64-bit output per particle (one
-    double each), so stage k starts k * n outputs into ``rng``.  Stream 0 is ``rng``
-    itself and stream k a copy of its PCG64 ``advance``d k * n outputs,
-    so drawing each stage one block at a time from its own stream reads
-    the same numbers as drawing the shard whole.
-    """
-    state, streams = rng.bit_generator.state, [rng]
-    for k in range(1, stages):
-        bits = np.random.PCG64(0)  # its seed is overwritten by the copied state
-        bits.state = state
-        bits.advance(k * n)
-        streams.append(np.random.Generator(bits))
-    return streams
-
-
 def _simulate_free_shard(
     n_particles: int, n_steps: int, p: float | None, xi0: int, streams: list[np.random.Generator],
 ) -> np.ndarray:
     """Draw one block of a shard of free walks: the final sites of its ``n_particles``.
 
     The preparations come from ``streams[0]`` when ``p`` is None and the
-    endpoint binomials from ``streams[-1]``; see ``_stage_streams``.
+    endpoint binomials from ``streams[-1]``; see ``_run_shards``.
     """
     # one uniform p per particle, or the fixed p as an array so the binomial draws once per particle
     p_block = streams[0].uniform(-1.0, 1.0, size=n_particles) if p is None else np.full(n_particles, p)
@@ -123,7 +102,7 @@ def run_ensemble_free(
     Every particle is emitted from site ``xi0`` with propensity ``p``, or
     with its own propensity uniform on [-1, 1] when ``p`` is None.  The
     histogram covers the light cone xi0 - n_steps .. xi0 + n_steps.
-    ``seed`` is an int.  With ``shards > 1`` the particles are split as
+    ``seed`` is an int >= 0.  With ``shards > 1`` the particles are split as
     evenly as possible and each shard gets its own spawned generator;
     ``threads`` caps the worker threads and never changes the result.
     """
@@ -132,7 +111,7 @@ def run_ensemble_free(
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     p = None if p is None else _check_propensity(p)
-    xi0 = int(xi0)
+    xi0, seed = int(xi0), _check_seed(seed)
     return _run_shards(
         lambda n, streams: _simulate_free_shard(n, n_steps, p, xi0, streams),
         2 if p is None else 1,  # preparations and endpoints, or endpoints alone
@@ -149,9 +128,14 @@ def _run_shards(
 ) -> Histogram:
     """Histogram on ``cone`` of the final sites ``draw(size, streams)`` returns over an even split.
 
-    ``seed`` is an int.  Shard i of n particles derives its generator,
-    child i of ``SeedSequence(seed)``, in its own job, and its ``stages``
-    streams from it with ``_stage_streams``.  Each ``draw`` call returns
+    ``seed`` is an int >= 0.  Shard i of n particles builds its
+    ``stages`` streams in its own job: stream k is the PCG64 of child i
+    of ``SeedSequence(seed)`` advanced k * n outputs, where a whole-shard
+    draw starts stage k.  Drawn whole, a shard makes one array call per
+    stage (the source picks of trained runs, the preparations of all but
+    fixed-p free runs, then the endpoint binomials), and each stage before
+    the binomials takes one 64-bit output (one double) per particle, so
+    the blocks read the same numbers as the whole draw.  Each ``draw`` call returns
     the final sites of the shard's next block of ``size`` particles,
     which is binned on ``cone`` and added in place to its worker's
     counts, so the result depends on (seed, shards) and never on
@@ -169,7 +153,6 @@ def _run_shards(
     """
     if shards < 1 or threads < 1:
         raise ValueError("shards and threads must be >= 1")
-    entropy = np.random.SeedSequence(seed).entropy
     base, extra = divmod(n_particles, shards)
     jobs = min(shards, n_particles)
     if hasattr(os, "sched_getaffinity"):
@@ -184,8 +167,8 @@ def _run_shards(
         counts = np.zeros(rows, dtype=np.int64)
         for i in range(w, jobs, workers):
             n = base + (i < extra)
-            rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
-            streams = _stage_streams(rng, n, stages)
+            child = np.random.SeedSequence(seed, spawn_key=(i,))
+            streams = [np.random.Generator(np.random.PCG64(child).advance(k * n)) for k in range(stages)]
             for start in range(0, n, block):
                 counts += Histogram.on_cone(draw(min(block, n - start), streams), cone).counts
         return counts

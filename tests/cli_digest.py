@@ -69,6 +69,11 @@ CASES = [
     ("box", [["interfere", "--scenario", "box", "--ell", "5", "--p", "0.37",
               "--n-steps", "3000", *OUTPUTS]], {}),
     ("trained-two-slit", [[*TWO_SLIT, "--delta", "4", "--p1", "0.3", *OUTPUTS]], {}),
+    # every stream layout over three shards, each spanning two 8192-particle blocks
+    *((f"blocks-{name}", [[*run, "--shards", "3", "--threads", "2", "--n-particles", "30001",
+                           "--n-steps", "30", *OUTPUTS]], {})
+      for name, run in [("free", ["free"]), ("free-p", ["free", "--p", "0.3"]),
+                        ("trained", ["interfere", "--scenario", "two-slit", "--delta", "4"])]),
     ("config-file", [["free", "--config", "run.cfg", "--n-steps", "20", *OUTPUTS]],
      {"run.cfg": "n-particles = 100\nn_steps = 5\nseed = 3  # last value wins\nseed = 4\n"}),
     ("verify", [["verify"]], {}),

@@ -83,6 +83,20 @@ def test_two_slit_sources_must_be_symmetric():
         )
 
 
+@pytest.mark.parametrize("kind", scenarios.KINDS)
+def test_config_seed_is_a_nonnegative_int(kind):
+    # a run's counts are a function of its seed: None would draw fresh OS
+    # entropy, and a reused Generator would move on between runs
+    geometry = {"sources": EQUAL_PAIR} if kind in scenarios.SLIT_KINDS else {"ell": 6, "p": 0.3}
+    for seed in (None, 5.0, np.random.default_rng(9), np.random.SeedSequence(5)):
+        with pytest.raises(TypeError):
+            scenarios.ScenarioConfig(kind, 10, 10, seed=seed, **geometry)
+    with pytest.raises(ValueError):
+        scenarios.ScenarioConfig(kind, 10, 10, seed=-1, **geometry)
+    cfg = scenarios.ScenarioConfig(kind, 10, 10, seed=np.int64(5), **geometry)
+    assert type(cfg.seed) is int and cfg == scenarios.ScenarioConfig(kind, 10, 10, seed=5, **geometry)
+
+
 # ---------------------------------------------------------------------------
 # densities
 

@@ -327,9 +327,10 @@ def test_each_block_is_one_draw_call(monkeypatch):
 
 
 def test_ensemble_seed_objects_are_rejected():
-    # a seed is an int: a reused SeedSequence would be changed by spawning,
-    # and a Generator has no per-shard children, so neither is accepted
-    for seed in (np.random.default_rng(9), np.random.SeedSequence(5)):
+    # a seed is an int: None would draw fresh OS entropy, a reused
+    # SeedSequence would be changed by spawning, and a Generator has no
+    # per-shard children, so none of them is accepted
+    for seed in (None, np.random.default_rng(9), np.random.SeedSequence(5)):
         with pytest.raises(TypeError):
             walker.run_ensemble_free(100, 10, seed=seed)
         with pytest.raises(TypeError):
